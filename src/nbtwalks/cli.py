@@ -15,7 +15,6 @@ import math
 import sys
 
 import numpy as np
-import scipy.stats
 
 from .crosschecks import static_battery, temporal_battery
 from .edge_level import CentralityPlan, CoefficientSeries, f_centrality
@@ -96,25 +95,25 @@ def _load_input(args, apply_binarize: bool = True):
     """Return ("static", graph) or ("temporal", temporal_graph)."""
     options = dict(merge=args.merge, drop_loops=args.drop_loops)
     if args.temporal_manifest:
-        tg = load_temporal_manifest(args.temporal_manifest, **options)
-        mode = "temporal"
+        mode, data = "temporal", load_temporal_manifest(args.temporal_manifest, **options)
     elif args.input and args.temporal:
-        tg = load_temporal_edge_list(args.input, **options)
-        mode = "temporal"
+        mode, data = "temporal", load_temporal_edge_list(args.input, **options)
     elif args.input:
         if str(args.input).endswith((".mtx", ".mm")):
-            g = load_matrix_market(args.input, **options)
+            mode, data = "static", load_matrix_market(args.input, **options)
         else:
-            g = load_edge_list(args.input, **options)
-        mode = "static"
+            mode, data = "static", load_edge_list(args.input, **options)
     else:
         raise ValidationError("an --input file or --temporal-manifest is required")
-    binarize_now = apply_binarize and args.binarize
+    if apply_binarize and args.binarize:
+        return mode, _binarized(mode, data)
+    return mode, data
+
+
+def _binarized(mode, data):
     if mode == "static":
-        return mode, binarize(g) if binarize_now else g
-    if binarize_now:
-        tg = TemporalGraph([binarize(g) for g in tg.snapshots], list(tg.timestamps))
-    return mode, tg
+        return binarize(data)
+    return TemporalGraph([binarize(g) for g in data.snapshots], list(data.timestamps))
 
 
 class _Measure:
@@ -126,6 +125,7 @@ class _Measure:
         self.tol = tol
         if name not in MEASURES:
             raise ValidationError(f"unknown measure {name!r} (choose from {MEASURES})")
+        self.series = CoefficientSeries.resolvent() if name != "f-centrality" else series
         if mode == "static":
             self.graph = data
             self.a = adjacency(data)
@@ -138,7 +138,6 @@ class _Measure:
                 self.pole = (
                     1.0 / math.sqrt(float(mutual.data.max())) if mutual.nnz else math.inf
                 )
-            self.series = CoefficientSeries.resolvent() if name != "f-centrality" else series
         else:
             self.tg = data
             if name == "katz":
@@ -146,7 +145,6 @@ class _Measure:
             else:
                 self.gd = build_global_transition(data, regime)
                 rho = spectral_radius(self.gd.M)
-            self.series = CoefficientSeries.resolvent() if name != "f-centrality" else series
         self.rho = rho
         self.radius = math.inf if rho == 0 else self.series.radius / rho
 
@@ -196,42 +194,28 @@ def _emit(args, header, rows, extra=None):
 def cmd_radius(args) -> int:
     # radius reports the original graph; --binarize adds a second section
     mode, data = _load_input(args, apply_binarize=False)
+    sections = [("original", data)]
+    if args.binarize:
+        sections.append(("binarized", _binarized(mode, data)))
+    resolvent = CoefficientSeries.resolvent()
+    regime = BacktrackRegime(args.regime)
     rows = []
-
-    def static_rows(tag, graph):
-        a = adjacency(graph)
-        rho_a = spectral_radius(a)
-        d = line_graph(graph)
-        rho_v = spectral_radius(d.V)
-        katz_hi = math.inf if rho_a == 0 else 1.0 / rho_a
-        nbt_hi = math.inf if rho_v == 0 else 1.0 / rho_v
-        rows.append((tag, "rho_adjacency", jnum(rho_a)))
-        rows.append((tag, "rho_nbt_transition", jnum(rho_v)))
-        rows.append((tag, "katz_t_range", f"[0, {fmt(katz_hi)})"))
-        rows.append((tag, "nbt_t_range", f"[0, {fmt(nbt_hi)})"))
-
-    def temporal_rows(tag, tg):
-        regime = BacktrackRegime(args.regime)
-        gd = build_global_transition(tg, regime)
-        rho_m = spectral_radius(gd.M)
-        rho_a = max(spectral_radius(adjacency(g)) for g in tg.snapshots)
-        nbt_hi = math.inf if rho_m == 0 else 1.0 / rho_m
-        katz_hi = math.inf if rho_a == 0 else 1.0 / rho_a
-        rows.append((tag, "rho_transition", jnum(rho_m)))
-        rows.append((tag, "max_rho_adjacency", jnum(rho_a)))
-        rows.append((tag, "max_rho_diagonal_block", jnum(block_radius_bound(gd))))
-        rows.append((tag, "nbt_t_range", f"[0, {fmt(nbt_hi)})"))
-        rows.append((tag, "katz_t_range", f"[0, {fmt(katz_hi)})"))
-
-    if mode == "static":
-        static_rows("original", data)
-        if args.binarize:
-            static_rows("binarized", binarize(data))
-    else:
-        temporal_rows("original", data)
-        if args.binarize:
-            binar = TemporalGraph([binarize(g) for g in data.snapshots], list(data.timestamps))
-            temporal_rows("binarized", binar)
+    for tag, graph in sections:
+        katz = _Measure("katz", mode, graph, resolvent, regime, args.tol)
+        nbt = _Measure("nbt-katz", mode, graph, resolvent, regime, args.tol)
+        katz_range = f"[0, {fmt(katz.radius)})"
+        nbt_range = f"[0, {fmt(nbt.radius)})"
+        if mode == "static":
+            rows.append((tag, "rho_adjacency", jnum(katz.rho)))
+            rows.append((tag, "rho_nbt_transition", jnum(nbt.rho)))
+            rows.append((tag, "katz_t_range", katz_range))
+            rows.append((tag, "nbt_t_range", nbt_range))
+        else:
+            rows.append((tag, "rho_transition", jnum(nbt.rho)))
+            rows.append((tag, "max_rho_adjacency", jnum(katz.rho)))
+            rows.append((tag, "max_rho_diagonal_block", jnum(block_radius_bound(nbt.gd))))
+            rows.append((tag, "nbt_t_range", nbt_range))
+            rows.append((tag, "katz_t_range", katz_range))
 
     _emit(args, ["section", "quantity", "value"], rows)
     return 0
@@ -265,6 +249,8 @@ def cmd_centrality(args) -> int:
             chosen = [lab for lab in labels
                       if min(rows_a[lab][1], rows_b[lab][1]) <= args.top]
         chosen.sort(key=lambda lab: (rows_a[lab][1], lab))
+        import scipy.stats  # slow to import, and only --compare needs it
+
         tau = scipy.stats.kendalltau([emitted(s) for s in sa],
                                      [emitted(s) for s in sb]).statistic
         header = ["node", f"score_{name_a}", f"rank_{name_a}",
@@ -333,28 +319,21 @@ def cmd_sweep(args) -> int:
 
 def cmd_walk_count(args) -> int:
     mode, data = _load_input(args)
-    rows = []
     if mode == "static":
-        counts = nbt_walk_counts(adjacency(data), args.kmax)
+        tables = enumerate(nbt_walk_counts(adjacency(data), args.kmax))
         labels = data.node_labels
-        for length, matrix in enumerate(counts):
-            coo = matrix.tocoo()
-            triples = sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1]))
-            rows.extend(
-                (length, labels[i], labels[j], jnum(float(v))) for i, j, v in triples
-            )
-        _emit(args, ["length", "source", "target", "count"], rows)
+        header = ["length", "source", "target", "count"]
     else:
         gd = build_global_transition(data, BacktrackRegime(args.regime))
+        tables = ((k, temporal_walk_counts(gd, k - 1)) for k in range(1, args.kmax + 1))
         labels = gd.edge_labels()
-        for length in range(1, args.kmax + 1):
-            matrix = temporal_walk_counts(gd, length - 1)
-            coo = matrix.tocoo()
-            triples = sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1]))
-            rows.extend(
-                (length, labels[e], labels[f], jnum(float(v))) for e, f, v in triples
-            )
-        _emit(args, ["length", "from_edge", "to_edge", "count"], rows)
+        header = ["length", "from_edge", "to_edge", "count"]
+    rows = []
+    for length, matrix in tables:
+        coo = matrix.tocoo()
+        triples = sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1]))
+        rows.extend((length, labels[i], labels[j], jnum(float(v))) for i, j, v in triples)
+    _emit(args, header, rows)
     return 0
 
 

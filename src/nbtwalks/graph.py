@@ -2,17 +2,18 @@
 
 Input format for edge lists: one record per line, ``src dst [weight]``,
 whitespace- or comma-delimited, ``#`` starts a comment.  Node IDs are
-arbitrary strings; the weight column defaults to 1.0 when absent.  Graphs are
-loop-free with strictly positive weights and at most one edge per ordered
-node pair.
+arbitrary strings; the weight column defaults to 1.0 when absent.  Temporal
+files put a finite time stamp in front of each record, and the one reader
+here serves both.  Graphs are loop-free with strictly positive weights and at
+most one edge per ordered node pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import ValidationError
@@ -75,13 +76,58 @@ class WeightedGraph:
         return len(self.edges)
 
 
-def _split_record(line: str) -> list[str]:
-    body = line.split("#", 1)[0].strip()
-    if not body:
-        return []
-    if "," in body:
-        return [f.strip() for f in body.split(",") if f.strip()]
-    return body.split()
+def _read_records(source, *, timed: bool = False, name: str | None = None):
+    """Read edge-list text (string, iterable of lines, or open file).
+
+    Returns ``(records, stamps)``: one ``(src, dst, weight)`` record per
+    ``src dst [weight]`` line.  With ``timed`` the lines read
+    ``time src dst [weight]`` and ``stamps`` holds each record's finite time
+    stamp; otherwise it stays empty.  Errors name the line, after ``name``
+    (a manifest entry) when given.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
+    prefix = "" if name is None else f"{name} "
+    lead = 1 if timed else 0
+    records = []
+    stamps = []
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "," in body:
+            fields = [f.strip() for f in body.split(",") if f.strip()]
+        else:
+            fields = body.split()
+        arity = len(fields) - lead
+        if arity == 2:
+            weight = 1.0
+        elif arity == 3:
+            try:
+                weight = float(fields[-1])
+            except ValueError as exc:
+                raise ValidationError(f"{prefix}line {lineno}: bad weight {fields[-1]!r}") from exc
+        else:
+            grammar = "time src dst [weight]" if timed else "src dst [weight]"
+            raise ValidationError(
+                f"{prefix}line {lineno}: expected '{grammar}', got {len(fields)} fields"
+            )
+        if timed:
+            try:
+                stamp = float(fields[0])
+            except ValueError:
+                stamp = math.nan  # reported with the non-finite stamps
+            if not math.isfinite(stamp):
+                raise ValidationError(f"{prefix}line {lineno}: bad time stamp {fields[0]!r}")
+            stamps.append(stamp)
+        records.append((fields[lead], fields[lead + 1], weight))
+    return records, stamps
+
+
+def _node_labels(records, sort_nodes: bool) -> list[str]:
+    """Labels met in ``(src, dst, weight)`` records, in order of first
+    appearance, or sorted with ``sort_nodes``."""
+    labels = list(dict.fromkeys(lab for src, dst, _ in records for lab in (src, dst)))
+    return sorted(labels) if sort_nodes else labels
 
 
 def graph_from_records(
@@ -95,32 +141,20 @@ def graph_from_records(
     """Build a validated graph from ``(src_label, dst_label, weight)`` records.
 
     ``merge`` controls duplicate (src, dst) pairs: ``"reject"`` raises,
-    ``"sum"`` accumulates weights.  Self-loops raise unless ``drop_loops``.
-    Node indexing follows first appearance, or sorted labels with
-    ``sort_nodes``; an explicit ``node_labels`` list pins the universe (used
-    for temporal snapshots sharing one node set).
+    ``"sum"`` accumulates weights in record order.  Self-loops raise unless
+    ``drop_loops``.  Node indexing follows first appearance, or sorted labels
+    with ``sort_nodes``; an explicit ``node_labels`` list pins the universe
+    (used for temporal snapshots sharing one node set).
     """
     if merge not in ("reject", "sum"):
         raise ValidationError(f"unknown merge policy {merge!r}")
-    if node_labels is None:
-        labels: list[str] = []
-        index: dict[str, int] = {}
-        for src, dst, _ in records:
-            for lab in (src, dst):
-                if lab not in index:
-                    index[lab] = len(labels)
-                    labels.append(lab)
-        if sort_nodes:
-            labels = sorted(labels)
-            index = {lab: i for i, lab in enumerate(labels)}
-    else:
-        labels = list(node_labels)
-        index = {lab: i for i, lab in enumerate(labels)}
+    labels = _node_labels(records, sort_nodes) if node_labels is None else list(node_labels)
+    index = {lab: i for i, lab in enumerate(labels)}
 
     weights: dict[tuple[int, int], float] = {}
     for src, dst, weight in records:
         weight = float(weight)
-        if not (weight > 0 and np.isfinite(weight)):
+        if not (weight > 0 and math.isfinite(weight)):
             raise ValidationError(
                 f"edge ({src!r}, {dst!r}) has non-positive weight {weight!r}"
             )
@@ -146,35 +180,12 @@ def graph_from_records(
 def parse_edge_list(
     source,
     *,
-    default_weight: float = 1.0,
     merge: str = "reject",
     drop_loops: bool = False,
     sort_nodes: bool = False,
 ) -> WeightedGraph:
     """Parse an edge-list text (string, iterable of lines, or open file)."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        fields = _split_record(line)
-        if not fields:
-            continue
-        if len(fields) == 2:
-            src, dst = fields
-            weight = default_weight
-        elif len(fields) == 3:
-            src, dst, wtext = fields
-            try:
-                weight = float(wtext)
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: bad weight {wtext!r}") from exc
-        else:
-            raise ValidationError(
-                f"line {lineno}: expected 'src dst [weight]', got {len(fields)} fields"
-            )
-        records.append((src, dst, weight))
+    records, _ = _read_records(source)
     return graph_from_records(
         records, merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes
     )
@@ -318,6 +329,8 @@ def load_matrix_market(
     Diagonal entries are self-loops and follow ``drop_loops``; entries must
     be positive.
     """
+    import scipy.io  # only MatrixMarket input needs it
+
     matrix = sp.coo_array(scipy.io.mmread(path))
     nrows, ncols = matrix.shape
     if nrows != ncols:
@@ -336,6 +349,8 @@ def load_matrix_market(
 def save_matrix_market(graph: WeightedGraph, path) -> None:
     """Write the adjacency matrix in MatrixMarket coordinate format (1-based,
     general real)."""
+    import scipy.io
+
     scipy.io.mmwrite(
         path, sp.coo_matrix(adjacency(graph)), field="real", symmetry="general"
     )

@@ -27,6 +27,10 @@ from .linalg import (
 
 __all__ = ["NodeSystem", "nbt_walk_counts", "build_node_system", "generating_matrix", "nbt_katz"]
 
+# Rounding bound of the walk-count recurrence, in units of k * eps times the
+# sum of the magnitudes combined at length k.
+_RESIDUE_ULPS = 8
+
 
 def _validate_adjacency(matrix) -> sp.csr_array:
     a = as_csr(matrix)
@@ -46,7 +50,8 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
     of length k from i to j of the product of their edge weights.  Length 0
     is the identity, length 1 the adjacency; longer lengths follow a growing
     recurrence whose step-back coefficients are built incrementally, one
-    Hadamard product per new depth.
+    Hadamard product per new depth.  An entry that cancels to zero within the
+    recurrence's rounding error is not stored.
     """
     a = _validate_adjacency(adjacency)
     if kmax < 0:
@@ -69,18 +74,25 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
         else:
             odd_coeffs.append(hadamard(a, mutual_pow))
 
-        acc = sp.csr_array((n, n), dtype=np.float64)
+        forward = sp.csr_array((n, n), dtype=np.float64)
         for h, coeff in enumerate(odd_coeffs):
             step = 2 * h + 1
             if step > k:
                 break
-            acc = acc + coeff @ counts[k - step]
+            forward = forward + coeff @ counts[k - step]
+        acc = forward
+        back = sp.csr_array((n, n), dtype=np.float64)
         for h, dvec in enumerate(even_diags, start=1):
             step = 2 * h
             if step > k:
                 break
-            acc = acc - diag_matrix(dvec) @ counts[k - step]
-        acc = sp.csr_array(acc)
+            term = diag_matrix(dvec) @ counts[k - step]
+            acc = acc - term
+            back = back + term
+        # Each entry is a difference of two nonnegative sums; one within
+        # rounding error of their total is an exact zero, not a walk.
+        bound = (forward + back) * (_RESIDUE_ULPS * k * np.finfo(np.float64).eps)
+        acc = sp.csr_array(acc.multiply(abs(acc) > bound))
         acc.eliminate_zeros()
         acc.sort_indices()
         counts.append(acc)

@@ -20,7 +20,16 @@ import scipy.sparse as sp
 
 from .edge_level import CoefficientSeries, apply_shifted_series
 from .errors import ValidationError
-from .graph import LineGraphDecomposition, WeightedGraph, adjacency, graph_from_records, line_graph
+from .graph import (
+    LineGraphDecomposition,
+    WeightedGraph,
+    _mask_reversals,
+    _node_labels,
+    _read_records,
+    adjacency,
+    graph_from_records,
+    line_graph,
+)
 from .linalg import diag_matrix, matmul, solve_linear, spectral_radius, identity
 
 __all__ = [
@@ -123,13 +132,6 @@ class GlobalDecomposition:
         return labels
 
 
-def _masked(values: sp.csr_array, mask_pattern: sp.csr_array) -> sp.csr_array:
-    out = sp.csr_array(values - values.multiply(mask_pattern))
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
-
-
 def _stack(per: list[LineGraphDecomposition], tg: TemporalGraph):
     offsets = np.concatenate([[0], np.cumsum([d.m for d in per])]).astype(np.int64)
     n = tg.n
@@ -168,7 +170,7 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
             if regime.forbids_time:
                 # Reversal pairs across snapshots: f runs opposite to e.
                 reverse_chain = matmul(d2.R, d1.L.T)
-                half = _masked(half, sp.csr_array(reverse_chain.T != 0))
+                half = _mask_reversals(half, sp.csr_array(reverse_chain.T != 0))
             blocks[t1][t2] = half
 
     m_total = int(offsets[-1])
@@ -209,7 +211,7 @@ def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
 
     chain = matmul(R, L.T)
     reversal = sp.csr_array(matmul(L, R.T) != 0)
-    pruned = _masked(chain, reversal)
+    pruned = _mask_reversals(chain, reversal)
     sqrt_z = diag_matrix(sqrt_weights)
     hat = matmul(matmul(sqrt_z, pruned), sqrt_z)
 
@@ -320,63 +322,25 @@ def block_radius_bound(gd: GlobalDecomposition) -> float:
 def parse_temporal_edge_list(
     source,
     *,
-    default_weight: float = 1.0,
     merge: str = "reject",
     drop_loops: bool = False,
     sort_nodes: bool = False,
 ) -> TemporalGraph:
     """Parse ``time src dst [weight]`` records into snapshots by distinct
-    sorted time values."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
-    records: list[tuple[float, str, str, float]] = []
-    for lineno, line in enumerate(lines, start=1):
-        fields = _split_fields(line)
-        if not fields:
-            continue
-        if len(fields) == 3:
-            tstamp, src, dst = fields
-            weight = default_weight
-        elif len(fields) == 4:
-            tstamp, src, dst, wtext = fields
-            try:
-                weight = float(wtext)
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: bad weight {wtext!r}") from exc
-        else:
-            raise ValidationError(
-                f"line {lineno}: expected 'time src dst [weight]', got {len(fields)} fields"
-            )
-        try:
-            stamp = float(tstamp)
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: bad time stamp {tstamp!r}") from exc
-        records.append((stamp, src, dst, weight))
+    sorted time values; each snapshot keeps its records in file order."""
+    records, stamps = _read_records(source, timed=True)
     if not records:
         raise ValidationError("no temporal records found")
-
-    labels: list[str] = []
-    seen: set[str] = set()
-    for _, src, dst, _ in records:
-        for lab in (src, dst):
-            if lab not in seen:
-                seen.add(lab)
-                labels.append(lab)
-    if sort_nodes:
-        labels = sorted(labels)
-
-    stamps = sorted({r[0] for r in records})
-    snapshots = []
-    for stamp in stamps:
-        snap_records = [(s, d, w) for st, s, d, w in records if st == stamp]
-        snapshots.append(
-            graph_from_records(
-                snap_records, node_labels=labels, merge=merge, drop_loops=drop_loops
-            )
-        )
-    return TemporalGraph(snapshots=snapshots, timestamps=list(stamps))
+    by_stamp: dict[float, list] = {}
+    for stamp, record in zip(stamps, records):
+        by_stamp.setdefault(stamp, []).append(record)
+    times = sorted(by_stamp)
+    labels = _node_labels(records, sort_nodes)
+    snapshots = [
+        graph_from_records(by_stamp[t], node_labels=labels, merge=merge, drop_loops=drop_loops)
+        for t in times
+    ]
+    return TemporalGraph(snapshots=snapshots, timestamps=times)
 
 
 def load_temporal_edge_list(path, **options) -> TemporalGraph:
@@ -387,7 +351,6 @@ def load_temporal_edge_list(path, **options) -> TemporalGraph:
 def load_temporal_manifest(
     path,
     *,
-    default_weight: float = 1.0,
     merge: str = "reject",
     drop_loops: bool = False,
     sort_nodes: bool = False,
@@ -396,57 +359,18 @@ def load_temporal_manifest(
     files in order (paths resolved relative to the manifest)."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as handle:
-        entries = [line.split("#", 1)[0].strip() for line in handle]
-    entries = [e for e in entries if e]
+        entries = [e for e in (line.split("#", 1)[0].strip() for line in handle) if e]
     if not entries:
         raise ValidationError("empty temporal manifest")
 
-    per_file_records = []
-    labels: list[str] = []
-    seen: set[str] = set()
+    per_file = []
     for entry in entries:
         fname = entry if os.path.isabs(entry) else os.path.join(base, entry)
         with open(fname, "r", encoding="utf-8") as handle:
-            records = []
-            for lineno, line in enumerate(handle, start=1):
-                fields = _split_fields(line)
-                if not fields:
-                    continue
-                if len(fields) == 2:
-                    src, dst = fields
-                    weight = default_weight
-                elif len(fields) == 3:
-                    src, dst, wtext = fields
-                    try:
-                        weight = float(wtext)
-                    except ValueError as exc:
-                        raise ValidationError(
-                            f"{entry} line {lineno}: bad weight {wtext!r}"
-                        ) from exc
-                else:
-                    raise ValidationError(
-                        f"{entry} line {lineno}: expected 'src dst [weight]'"
-                    )
-                records.append((src, dst, weight))
-                for lab in (src, dst):
-                    if lab not in seen:
-                        seen.add(lab)
-                        labels.append(lab)
-        per_file_records.append(records)
-
-    if sort_nodes:
-        labels = sorted(labels)
+            per_file.append(_read_records(handle, name=entry)[0])
+    labels = _node_labels([r for records in per_file for r in records], sort_nodes)
     snapshots = [
         graph_from_records(records, node_labels=labels, merge=merge, drop_loops=drop_loops)
-        for records in per_file_records
+        for records in per_file
     ]
     return TemporalGraph(snapshots=snapshots, timestamps=[float(i) for i in range(len(snapshots))])
-
-
-def _split_fields(line: str) -> list[str]:
-    body = line.split("#", 1)[0].strip()
-    if not body:
-        return []
-    if "," in body:
-        return [f.strip() for f in body.split(",") if f.strip()]
-    return body.split()

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbtwalks
 from nbtwalks.cli import _ranked, main
 
 TRIANGLE = "a b 1\nb a 1\nb c 1\nc b 1\nc a 1\na c 1\n"
@@ -258,6 +261,32 @@ class TestWalkCount:
         assert "2,0:1->2,1:2->1,6" in out
 
 
+class TestTemporalInputs:
+    def test_single_file_and_manifest_agree(self, tmp_path, capsys):
+        snapshots = ["a b 2\nb c 1\nc a 3\n", "b a 1\nc b 2\n", "a c 1\nc a 2\nb c 1\n"]
+        single = tmp_path / "temporal.txt"
+        single.write_text("".join(
+            f"{tau} {line}\n" for tau, text in enumerate(snapshots) for line in text.splitlines()
+        ))
+        for tau, text in enumerate(snapshots):
+            (tmp_path / f"s{tau}.txt").write_text(text)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"s{tau}.txt\n" for tau in range(len(snapshots))))
+        for command in (
+            ["radius", "--binarize"],
+            ["centrality", "--measure", "nbt-katz", "--t", "0.5r"],
+            ["centrality", "--measure", "katz", "--t", "0.5r"],
+            ["walk-count", "--kmax", "3", "--regime", "allow-all"],
+        ):
+            code, from_file, _ = run_cli(
+                [*command, "--input", str(single), "--temporal"], capsys)
+            assert code == 0
+            code, from_manifest, _ = run_cli(
+                [*command, "--temporal-manifest", str(manifest)], capsys)
+            assert code == 0
+            assert from_file == from_manifest
+
+
 class TestOracleCheck:
     def test_static_pass(self, triangle, capsys):
         code, out, _ = run_cli(["oracle-check", "--input", triangle], capsys)
@@ -313,6 +342,16 @@ class TestValidationPaths:
         assert code == 2
         code, out, _ = run_cli(["radius", "--input", str(path), "--merge", "sum"], capsys)
         assert code == 0
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # only --compare needs scipy.stats, the slowest import of the package
+        env = {**os.environ, "PYTHONPATH": str(Path(nbtwalks.__file__).parents[1])}
+        probe = "import sys, nbtwalks.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestDeterminism:

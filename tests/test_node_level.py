@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nbtwalks.errors import ConvergenceWarning, ValidationError
-from nbtwalks.graph import WeightedGraph, adjacency, line_graph
+from nbtwalks.graph import WeightedGraph, adjacency, line_graph, parse_edge_list
 from nbtwalks.linalg import hadamard, solve_linear, identity, spectral_radius
 from nbtwalks.node_level import (
     build_node_system,
@@ -22,7 +22,33 @@ from conftest import (
 )
 
 
+# Exact zeros of the recurrence that floating-point cancellation leaves
+# nonzero, e.g. (v5, v1) at length 3.
+RESIDUE_GRAPH = """\
+v2 v3 0.953692
+v5 v3 0.878601
+v2 v4 1.69532
+v5 v2 0.324514
+v2 v0 0.933021
+v4 v3 1.01664
+v4 v5 0.490331
+v5 v1 1.18105
+v3 v0 0.722065
+v3 v2 1.53914
+v5 v4 0.939135
+v0 v3 1.39735
+"""
+
+
 class TestWalkCounts:
+    def test_no_rounding_residue_stored(self):
+        g = parse_edge_list(RESIDUE_GRAPH)
+        counts = nbt_walk_counts(adjacency(g), 4)
+        oracle = count_nbt_walks_bruteforce(g, 4)
+        for matrix, exact in zip(counts, oracle):
+            assert not np.any(matrix.data < 0)
+            assert np.array_equal(matrix.toarray() != 0, exact != 0)
+
     def test_reciprocated_pair_has_no_length_two(self):
         counts = nbt_walk_counts(adjacency(two_node_reciprocated(2.0)), 2)
         assert counts[2].nnz == 0

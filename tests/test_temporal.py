@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,85 @@ class TestIngestion:
         assert len(tg.snapshots) == 2
         assert tg.node_labels == ["a", "b", "c"]
         assert tg.snapshots[1].m == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 a b 1\n1 b c x\n", "line 2: bad weight 'x'"),
+        ("0 a b 1\n\nt b c 1\n", "line 3: bad time stamp 't'"),
+        ("0 a b 1\n1 b\n", "line 2: expected 'time src dst [weight]', got 2 fields"),
+        ("0 a b 1 2 3\n", "line 1: expected 'time src dst [weight]', got 6 fields"),
+        # a nan stamp made an empty snapshot of its own and lost its edge
+        ("0 a b 2\nnan b c 3\n1 c a 1\n", "line 2: bad time stamp 'nan'"),
+        ("0 a b 2\n-inf b c 3\n", "line 2: bad time stamp '-inf'"),
+    ], ids=["weight", "stamp", "few-fields", "many-fields", "nan-stamp", "inf-stamp"])
+    def test_record_errors_name_the_line(self, text, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_temporal_edge_list(text)
+
+    def test_comma_delimited(self):
+        tg = parse_temporal_edge_list("0,a,b,2\n1, b , a ,3  # note\n1,a,c\n")
+        assert tg.node_labels == ["a", "b", "c"]
+        assert tg.snapshots[0].edges == [(0, 1, 2.0)]
+        assert tg.snapshots[1].edges == [(0, 2, 1.0), (1, 0, 3.0)]
+
+    def test_merge_and_loops_within_a_snapshot(self):
+        # (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3): the sum keeps file order
+        text = "0 a b 0.1\n1 a b 9\n0 a b 0.2\n0 c c 1\n0 a b 0.3\n"
+        tg = parse_temporal_edge_list(text, merge="sum", drop_loops=True)
+        assert tg.node_labels == ["a", "b", "c"]
+        assert tg.snapshots[0].edges == [(0, 1, (0.1 + 0.2) + 0.3)]
+        assert tg.snapshots[1].edges == [(0, 1, 9.0)]
+        with pytest.raises(ValidationError, match="duplicate"):
+            parse_temporal_edge_list(text, drop_loops=True)
+        with pytest.raises(ValidationError, match="self-loop"):
+            parse_temporal_edge_list(text, merge="sum")
+
+    def test_sort_nodes(self, tmp_path):
+        tg = parse_temporal_edge_list("0 z a\n1 a m\n", sort_nodes=True)
+        assert tg.node_labels == ["a", "m", "z"]
+        assert tg.snapshots[0].edges == [(2, 0, 1.0)]
+        (tmp_path / "s0.txt").write_text("z a\n")
+        (tmp_path / "s1.txt").write_text("a m\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("s0.txt\ns1.txt\n")
+        assert load_temporal_manifest(manifest).node_labels == ["z", "a", "m"]
+        sorted_tg = load_temporal_manifest(manifest, sort_nodes=True)
+        assert sorted_tg.node_labels == ["a", "m", "z"]
+        assert sorted_tg.snapshots[1].edges == [(0, 1, 1.0)]
+
+    def test_manifest_comments_blank_lines_and_absolute_path(self, tmp_path):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "s1.txt").write_text("# snapshot 1\nb,a,3\n\nc a\n")
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "s0.txt").write_text("a b 2\n")
+        manifest = sub / "manifest.txt"
+        manifest.write_text(
+            f"# two snapshots\n\ns0.txt  # relative to the manifest\n\n{elsewhere / 's1.txt'}\n"
+        )
+        tg = load_temporal_manifest(manifest)
+        assert tg.node_labels == ["a", "b", "c"]
+        assert tg.timestamps == [0.0, 1.0]
+        assert tg.snapshots[0].edges == [(0, 1, 2.0)]
+        assert tg.snapshots[1].edges == [(1, 0, 3.0), (2, 0, 1.0)]
+
+    def test_empty_manifest(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("# nothing listed\n\n")
+        with pytest.raises(ValidationError, match="empty temporal manifest"):
+            load_temporal_manifest(manifest)
+
+    @pytest.mark.parametrize("body, message", [
+        ("a b 1\nb c x\n", "s1.txt line 2: bad weight 'x'"),
+        ("a b 1\nb\n", "s1.txt line 2: expected 'src dst [weight]'"),
+    ], ids=["weight", "fields"])
+    def test_manifest_error_names_file_and_line(self, tmp_path, body, message):
+        (tmp_path / "s0.txt").write_text("a b 1\n")
+        (tmp_path / "s1.txt").write_text(body)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("s0.txt\ns1.txt\n")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_temporal_manifest(manifest)
 
     def test_oracle_matches_on_parsed_input(self):
         tg = parse_temporal_edge_list("0 1 2 2\n1 2 1 3\n")

@@ -20,12 +20,11 @@ from .crosschecks import static_battery, temporal_battery
 from .edge_level import CentralityPlan, CoefficientSeries, f_centrality
 from .errors import NumericalError, ValidationError
 from .graph import adjacency, binarize, line_graph, load_edge_list, load_matrix_market
-from .linalg import identity, solve_linear, spectral_radius
-from .node_level import nbt_katz, nbt_walk_counts
+from .linalg import check_t, identity, range_end, solve_linear, spectral_radius
+from .node_level import elementwise_pole, nbt_katz, nbt_walk_counts
 from .temporal import (
     BacktrackRegime,
     TemporalGraph,
-    block_radius_bound,
     build_global_transition,
     classical_temporal_katz,
     load_temporal_edge_list,
@@ -84,10 +83,7 @@ def _resolve_t(expr: str, hi: float) -> float:
             t = float(text)
         except ValueError as exc:
             raise ValidationError(f"bad attenuation expression {expr!r}") from exc
-    if not (0.0 <= t < hi):
-        raise ValidationError(
-            f"t = {fmt(t)} is outside the permitted range [0, {fmt(hi)})"
-        )
+    check_t(t, hi, show=fmt)
     return t
 
 
@@ -134,19 +130,16 @@ class _Measure:
             else:
                 self.decomposition = line_graph(data)
                 rho = spectral_radius(self.decomposition.V)
-                mutual = self.a.multiply(self.a.T)
-                self.pole = (
-                    1.0 / math.sqrt(float(mutual.data.max())) if mutual.nnz else math.inf
-                )
+                self.pole = elementwise_pole(self.a)
         else:
             self.tg = data
             if name == "katz":
-                rho = max(spectral_radius(adjacency(g)) for g in data.snapshots)
+                rho = data.max_adjacency_radius
             else:
                 self.gd = build_global_transition(data, regime)
-                rho = spectral_radius(self.gd.M)
+                rho = self.gd.transition_radius
         self.rho = rho
-        self.radius = math.inf if rho == 0 else self.series.radius / rho
+        self.radius = range_end(rho, self.series.radius)
 
     def scores(self, t: float) -> np.ndarray:
         if self.mode == "static":
@@ -213,7 +206,7 @@ def cmd_radius(args) -> int:
         else:
             rows.append((tag, "rho_transition", jnum(nbt.rho)))
             rows.append((tag, "max_rho_adjacency", jnum(katz.rho)))
-            rows.append((tag, "max_rho_diagonal_block", jnum(block_radius_bound(nbt.gd))))
+            rows.append((tag, "max_rho_diagonal_block", jnum(nbt.gd.block_radius_bound)))
             rows.append((tag, "nbt_t_range", nbt_range))
             rows.append((tag, "katz_t_range", katz_range))
 

@@ -18,8 +18,8 @@ from .edge_level import (
     walk_counts_via_line_graph,
 )
 from .graph import WeightedGraph, adjacency, line_graph
-from .linalg import spectral_radius
-from .node_level import generating_matrix, nbt_katz, nbt_walk_counts
+from .linalg import range_end, spectral_radius
+from .node_level import elementwise_pole, generating_matrix, nbt_katz, nbt_walk_counts
 from .oracle import count_nbt_walks_bruteforce, count_temporal_walks_bruteforce
 from .temporal import (
     BacktrackRegime,
@@ -56,15 +56,12 @@ def deviation(a, b) -> float:
     return float(np.max(np.abs(da - db))) / scale
 
 
-def _safe_t(graph: WeightedGraph, rho_v: float) -> float:
-    """An attenuation factor inside both the series radius and the
-    elementwise pole."""
-    if rho_v > 0:
-        return 0.5 / rho_v
-    a = adjacency(graph)
-    mutual = a.multiply(a.T)
-    peak = float(mutual.data.max()) if mutual.nnz else 0.0
-    return 0.5 if peak == 0.0 else 0.5 / math.sqrt(peak)
+def _safe_t(a, rho_v: float) -> float:
+    """Half the series range end 1 / rho_v, or half the elementwise pole when
+    that comes first (0.5 when neither bounds t)."""
+    t = 0.5 * range_end(rho_v)
+    pole = elementwise_pole(a)
+    return t if t < pole else (0.5 if pole == math.inf else 0.5 * pole)
 
 
 def static_battery(
@@ -107,7 +104,7 @@ def static_battery(
     results.append(CheckResult("line-graph walk projection vs adjacency powers", dev, tol))
 
     rho_v = spectral_radius(d.V)
-    t = _safe_t(graph, rho_v)
+    t = _safe_t(a, rho_v)
     phi_node = generating_matrix(a, t, rho_v=rho_v)
     phi_edge = generating_matrix_via_line_graph(d, t, rho_v=rho_v)
     results.append(
@@ -153,7 +150,7 @@ def temporal_battery(
         dev = 0.0
     results.append(CheckResult("fast forbid-all assembly vs block assembly", dev, 0.0))
 
-    rho_max = max(spectral_radius(adjacency(g)) for g in tg.snapshots)
+    rho_max = tg.max_adjacency_radius
     t = 0.5 if rho_max == 0 else 0.5 / rho_max
     katz = classical_temporal_katz(tg, t, tol=min(tol, 1e-12))
     x = np.ones(tg.n)

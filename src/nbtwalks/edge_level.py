@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
 from .graph import LineGraphDecomposition
-from .linalg import identity, matmul, solve_linear, spectral_radius
+from .linalg import check_t, identity, matmul, range_end, solve_linear, spectral_radius
 
 __all__ = [
     "CoefficientSeries",
@@ -125,17 +125,9 @@ def apply_shifted_series(
     n = m.shape[0]
     if m.shape[0] != m.shape[1] or w.shape != (n,):
         raise ValidationError("matrix must be square and match the vector length")
-    if t < 0:
-        raise ValidationError(f"attenuation factor must be nonnegative, got {t}")
-    if n == 0:
-        return np.zeros(0)
     if rho is None:
         rho = spectral_radius(m)
-    if t * rho >= series.radius:
-        raise ValidationError(
-            f"series does not converge: t * rho = {t * rho} >= radius {series.radius} "
-            f"(permitted range [0, {series.radius / rho if rho > 0 else math.inf}))"
-        )
+    check_t(t, range_end(rho, series.radius), " for the series to converge")
 
     if series.kind == "resolvent":
         # The resolvent is a fixed point of the shift, so this is one solve.
@@ -203,15 +195,9 @@ class CentralityPlan:
     rho_v: float | None = None
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError(f"attenuation factor must be nonnegative, got {self.t}")
         if self.rho_v is None:
             self.rho_v = spectral_radius(self.decomposition.V)
-        if self.t * self.rho_v >= self.series.radius:
-            hi = self.series.radius / self.rho_v if self.rho_v > 0 else math.inf
-            raise ValidationError(
-                f"t = {self.t} is outside the permitted range [0, {hi}) for this series"
-            )
+        check_t(self.t, range_end(self.rho_v, self.series.radius), " for this series")
 
 
 def f_centrality(plan: CentralityPlan, tol: float = 1e-10) -> np.ndarray:
@@ -241,13 +227,9 @@ def generating_matrix_via_line_graph(
     """
     d = decomposition
     n = d.n
-    if t < 0:
-        raise ValidationError(f"attenuation factor must be nonnegative, got {t}")
     if rho_v is None:
         rho_v = spectral_radius(d.V)
-    if t * rho_v >= 1.0:
-        hi = 1.0 / rho_v if rho_v > 0 else math.inf
-        raise ValidationError(f"t = {t} is at or beyond the permitted range [0, {hi})")
+    check_t(t, range_end(rho_v))
     if d.m == 0 or t == 0.0:
         return np.eye(n)
 
@@ -272,5 +254,4 @@ def convergence_radius(decomposition: LineGraphDecomposition) -> float:
     """Largest permitted attenuation factor for the plain walk generating
     function: the reciprocal spectral radius of the pruned transition matrix
     (infinite when that matrix is nilpotent)."""
-    rho = spectral_radius(decomposition.V)
-    return math.inf if rho == 0.0 else 1.0 / rho
+    return range_end(spectral_radius(decomposition.V))

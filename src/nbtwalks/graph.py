@@ -55,7 +55,7 @@ class WeightedGraph:
                 raise ValidationError(f"edge ({src}, {dst}) out of range for {n} nodes")
             if src == dst:
                 raise ValidationError(f"self-loop on node {self.node_labels[src]!r}")
-            if not (weight > 0 and np.isfinite(weight)):
+            if not (weight > 0 and math.isfinite(weight)):
                 raise ValidationError(
                     f"edge ({self.node_labels[src]!r}, {self.node_labels[dst]!r}) "
                     f"has non-positive or non-finite weight {weight!r}"

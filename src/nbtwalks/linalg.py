@@ -8,6 +8,8 @@ zeros never affect results.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -33,6 +35,21 @@ def as_csr(matrix) -> sp.csr_array:
     out.sum_duplicates()
     out.sort_indices()
     return out
+
+
+def range_end(rho: float, radius: float = 1.0) -> float:
+    """End ``hi`` of the permitted range [0, hi) of attenuation factors t for
+    a series of convergence radius ``radius`` in a matrix of spectral radius
+    ``rho``: ``radius / rho``, infinite when rho = 0."""
+    return math.inf if rho == 0 else radius / rho
+
+
+def check_t(t: float, hi: float, reason: str = "", show=str) -> None:
+    """Raise :class:`ValidationError` unless ``0 <= t < hi``; ``show`` formats
+    the numbers in the message and ``reason`` ends it."""
+    if not 0.0 <= t < hi:
+        span = f"[0, {show(hi)})"
+        raise ValidationError(f"t = {show(t)} is outside the permitted range {span}{reason}")
 
 
 def identity(n: int) -> sp.csr_array:

@@ -8,6 +8,7 @@ solve against the all-ones vector.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,14 +19,17 @@ from .errors import ConvergenceWarning, NumericalError, ValidationError
 from .linalg import (
     DENSE_SOLVE_MAX,
     as_csr,
+    check_t,
     diag_matrix,
     elementwise_map,
     hadamard,
     identity,
+    range_end,
     solve_linear,
 )
 
-__all__ = ["NodeSystem", "nbt_walk_counts", "build_node_system", "generating_matrix", "nbt_katz"]
+__all__ = ["NodeSystem", "nbt_walk_counts", "build_node_system", "elementwise_pole",
+           "generating_matrix", "nbt_katz"]
 
 # Rounding bound of the walk-count recurrence, in units of k * eps times the
 # sum of the magnitudes combined at length k.
@@ -117,28 +121,35 @@ class NodeSystem:
     matrix: sp.csr_array
 
 
+def elementwise_pole(adjacency) -> float:
+    """Smallest attenuation factor at which the node-level system has an
+    elementwise pole: ``1 / sqrt(max w_ij * w_ji)`` over the reciprocated
+    pairs, infinite when no pair is reciprocated."""
+    a = as_csr(adjacency)
+    return _pole(hadamard(a, a.T))
+
+
+def _pole(mutual: sp.csr_array) -> float:
+    return 1.0 / math.sqrt(float(mutual.data.max())) if mutual.nnz else math.inf
+
+
 def build_node_system(adjacency, t: float) -> NodeSystem:
     """Assemble the node-level system matrix at attenuation ``t``.
 
-    Requires ``t >= 0`` and ``t^2 * max(mutual) < 1``; beyond that the
-    diagonal correction series diverges and the offending edge is reported.
+    Requires ``0 <= t`` below the elementwise pole; beyond it the diagonal
+    correction series diverges and the offending pair is reported.
     """
     a = _validate_adjacency(adjacency)
-    if not (t >= 0 and np.isfinite(t)):
-        raise ValidationError(f"attenuation factor must be a finite nonnegative real, got {t}")
     n = a.shape[0]
     mutual = hadamard(a, a.T)
-    mutual_sqrt = elementwise_map(mutual, np.sqrt)
-
+    where = ""
     if mutual.nnz:
-        peak = int(np.argmax(mutual.data))
         coo = mutual.tocoo()
-        if t * t * coo.data[peak] >= 1.0:
-            raise ValidationError(
-                f"t = {t} is at or beyond the elementwise pole: "
-                f"t^2 * {coo.data[peak]} >= 1 for the reciprocated pair "
-                f"({coo.row[peak]}, {coo.col[peak]})"
-            )
+        peak = int(np.argmax(coo.data))
+        where = (", which ends at the elementwise pole of the reciprocated pair "
+                 f"({coo.row[peak]}, {coo.col[peak]})")
+    check_t(t, _pole(mutual), where)
+    mutual_sqrt = elementwise_map(mutual, np.sqrt)
 
     scaled = mutual_sqrt * t
     f_minus = elementwise_map(scaled, lambda x: x / (1.0 - x))
@@ -170,11 +181,7 @@ def _check_radius(t: float, rho_v, what: str) -> None:
             stacklevel=3,
         )
         return
-    if rho_v > 0 and t >= 1.0 / rho_v:
-        raise ValidationError(
-            f"t = {t} is outside the permitted range [0, {1.0 / rho_v}) "
-            "for the nonbacktracking series"
-        )
+    check_t(t, range_end(rho_v), " for the nonbacktracking series")
 
 
 def generating_matrix(adjacency, t: float, *, rho_v: float | None = None) -> np.ndarray:

@@ -11,9 +11,9 @@ snapshots share one node universe (the union of node IDs seen anywhere).
 from __future__ import annotations
 
 import enum
-import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,7 @@ from .graph import (
     graph_from_records,
     line_graph,
 )
-from .linalg import diag_matrix, matmul, solve_linear, spectral_radius, identity
+from .linalg import check_t, diag_matrix, identity, matmul, range_end, solve_linear, spectral_radius
 
 __all__ = [
     "BacktrackRegime",
@@ -92,6 +92,11 @@ class TemporalGraph:
     def node_labels(self) -> list[str]:
         return self.snapshots[0].node_labels
 
+    @cached_property
+    def max_adjacency_radius(self) -> float:
+        """Largest snapshot adjacency radius, the classical measure's bound."""
+        return _max_radius(adjacency(g) for g in self.snapshots)
+
 
 @dataclass
 class GlobalDecomposition:
@@ -131,6 +136,29 @@ class GlobalDecomposition:
             labels.extend(f"{tau}:{node[s]}->{node[d_]}" for s, d_ in d.edge_order)
         return labels
 
+    @cached_property
+    def transition_radius(self) -> float:
+        """Spectral radius of ``M``: the largest radius over its diagonal
+        snapshot blocks, which is exact because walks cannot go back in time,
+        so ``M`` is block upper-triangular.  Computed once per decomposition."""
+        return _max_radius(_diagonal_block(d, self.regime) for d in self.per_snapshot)
+
+    @cached_property
+    def block_radius_bound(self) -> float:
+        """Largest radius over the full-weight snapshot blocks, B or W."""
+        return _max_radius(d.B if self.regime.forbids_space else d.W for d in self.per_snapshot)
+
+
+def _max_radius(matrices) -> float:
+    """Largest spectral radius over square matrices; 0 for none."""
+    return max((spectral_radius(m) for m in matrices), default=0.0)
+
+
+def _diagonal_block(d: LineGraphDecomposition, regime: BacktrackRegime) -> sp.csr_array:
+    """Snapshot block of ``M``: one step within the snapshot, backtrack-pruned
+    when the regime forbids backtracking in space."""
+    return d.V if regime.forbids_space else d.half_walk_matrix()
+
 
 def _stack(per: list[LineGraphDecomposition], tg: TemporalGraph):
     offsets = np.concatenate([[0], np.cumsum([d.m for d in per])]).astype(np.int64)
@@ -162,7 +190,7 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
 
     blocks: list[list] = [[None] * count for _ in range(count)]
     for t1, d1 in enumerate(per):
-        blocks[t1][t1] = d1.V if regime.forbids_space else d1.half_walk_matrix()
+        blocks[t1][t1] = _diagonal_block(d1, regime)
         for t2 in range(t1 + 1, count):
             d2 = per[t2]
             chain = matmul(d1.R, d2.L.T)
@@ -246,17 +274,11 @@ def temporal_f_centrality(
 ) -> np.ndarray:
     """Series-weighted temporal communicability of each node.
 
-    Gated on the spectral radius of the assembled transition matrix itself,
-    which is the tight bound for the resolvent; per-snapshot block radii are
-    available through :func:`permitted_t_range` for reporting.
+    Gated on the spectral radius of the transition matrix, ``rho_m`` when
+    given and ``gd.transition_radius`` otherwise.
     """
     if rho_m is None:
-        rho_m = spectral_radius(gd.M)
-    if t * rho_m >= series.radius:
-        hi = series.radius / rho_m if rho_m > 0 else math.inf
-        raise ValidationError(
-            f"t = {t} is outside the permitted range [0, {hi}) for this series"
-        )
+        rho_m = gd.transition_radius
     # The shifted series acts on the transition matrix (sum_k c_{k+1} t^k M^k,
     # matching the walk-length expansion); applying the shift to the
     # projection instead would not reproduce the length-(k+1) walk counts.
@@ -269,19 +291,11 @@ def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> 
     """Backtracking-permitted temporal Katz: the ordered product of snapshot
     resolvents applied to the all-ones vector, right to left, one sparse
     solve per snapshot."""
-    adjs = [adjacency(g) for g in tg.snapshots]
-    rho_max = max(spectral_radius(a) for a in adjs)
-    if rho_max > 0 and t >= 1.0 / rho_max:
-        raise ValidationError(
-            f"t = {t} is outside the permitted range [0, {1.0 / rho_max}) "
-            "for the classical temporal measure"
-        )
-    if t < 0:
-        raise ValidationError(f"attenuation factor must be nonnegative, got {t}")
+    check_t(t, range_end(tg.max_adjacency_radius), " for the classical temporal measure")
     x = np.ones(tg.n)
     eye = identity(tg.n)
-    for a in reversed(adjs):
-        x = solve_linear(eye - t * a, x, tol)
+    for g in reversed(tg.snapshots):
+        x = solve_linear(eye - t * adjacency(g), x, tol)
     return x
 
 
@@ -299,24 +313,14 @@ def permitted_t_range(
     matrix (a prebuilt decomposition can be passed to avoid reassembly).
     """
     if classical:
-        rho = max(spectral_radius(adjacency(g)) for g in tg.snapshots)
+        rho = tg.max_adjacency_radius
     else:
         if gd is None:
             if regime is None:
                 raise ValidationError("a backtracking regime is required")
             gd = build_global_transition(tg, regime)
-        rho = spectral_radius(gd.M)
-    return (0.0, math.inf if rho == 0.0 else 1.0 / rho)
-
-
-def block_radius_bound(gd: GlobalDecomposition) -> float:
-    """Largest spectral radius over the full-weight diagonal blocks (the
-    conservative per-snapshot bound quoted for series convergence)."""
-    radii = [0.0]
-    for d in gd.per_snapshot:
-        block = d.B if gd.regime.forbids_space else d.W
-        radii.append(spectral_radius(block))
-    return max(radii)
+        rho = gd.transition_radius
+    return (0.0, range_end(rho))
 
 
 def parse_temporal_edge_list(

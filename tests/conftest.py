@@ -1,9 +1,19 @@
-"""Shared test helpers: random instances and deviation measures."""
+"""Shared test helpers: random instances, deviation measures and the
+environment of CLI subprocesses."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbtwalks
 from nbtwalks.graph import WeightedGraph
+
+
+def cli_env() -> dict:
+    """Environment in which a subprocess imports the nbtwalks under test."""
+    return {**os.environ, "PYTHONPATH": str(Path(nbtwalks.__file__).parents[1])}
 
 
 def rel_dev(a, b) -> float:

@@ -32,7 +32,7 @@ from nbtwalks.temporal import (
     temporal_walk_counts,
 )
 
-from conftest import random_digraph, random_oneway, random_undirected, rel_dev
+from conftest import cli_env, random_digraph, random_oneway, random_undirected, rel_dev
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -342,6 +342,7 @@ def test_criterion_8_cli_determinism(tmp_path):
                 [sys.executable, "-m", "nbtwalks.cli", *args],
                 capture_output=True,
                 check=False,
+                env=cli_env(),
             )
             for _ in range(2)
         ]

@@ -1,18 +1,25 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import nbtwalks
+import nbtwalks.cli
+import nbtwalks.edge_level
+import nbtwalks.temporal
 from nbtwalks.cli import _ranked, main
+from nbtwalks.linalg import spectral_radius
+from nbtwalks.temporal import BacktrackRegime, build_global_transition, parse_temporal_edge_list
+
+from conftest import cli_env
 
 TRIANGLE = "a b 1\nb a 1\nb c 1\nc b 1\nc a 1\na c 1\n"
 PAIR = "a b 2\nb a 2\n"
 TEMPORAL = "0 1 2 2\n1 2 1 3\n"
+# three snapshots of 4, 3 and 4 edges, each with a directed triangle
+TEMPORAL3 = ("0 a b 1.5\n0 b c 1\n0 c a 2\n0 b a 2\n1 a c 2\n1 c b 1\n1 b a 0.5\n"
+             "2 a b 3\n2 b c 1\n2 c a 1\n2 a c 1\n")
 # 4-cycle mapped onto itself by a<->d, b<->c: a and d score alike in exact
 # arithmetic, but the solver may leave them an ulp apart
 CYCLE4 = "a b 1\nb a 1\nb c 2\nc b 2\nc d 1\nd c 1\nd a 3\na d 3\n"
@@ -43,6 +50,13 @@ def cycle4(tmp_path):
 def temporal(tmp_path):
     path = tmp_path / "temporal.txt"
     path.write_text(TEMPORAL)
+    return str(path)
+
+
+@pytest.fixture
+def temporal3(tmp_path):
+    path = tmp_path / "temporal3.txt"
+    path.write_text(TEMPORAL3)
     return str(path)
 
 
@@ -81,6 +95,42 @@ class TestRadius:
         assert code == 0
         doc = json.loads(out)
         assert doc["columns"] == ["section", "quantity", "value"]
+
+
+class TestRadiusCalls:
+    """Each snapshot radius is computed once, and the radius of the assembled
+    temporal M is taken from its snapshot blocks, never from M itself."""
+
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        """Orders of the matrices passed to spectral_radius, in call order."""
+        seen = []
+
+        def counted(matrix, *args, **kwargs):
+            seen.append(matrix.shape[0])
+            return spectral_radius(matrix, *args, **kwargs)
+
+        for module in (nbtwalks.cli, nbtwalks.temporal, nbtwalks.edge_level):
+            monkeypatch.setattr(module, "spectral_radius", counted)
+        return seen
+
+    def test_temporal_katz_takes_one_radius_per_snapshot(self, temporal3, orders, capsys):
+        code, _, _ = run_cli(["centrality", "--input", temporal3, "--temporal",
+                              "--measure", "katz", "--t", "0.5r"], capsys)
+        assert code == 0
+        assert orders == [3, 3, 3]
+
+    @pytest.mark.parametrize("command", [
+        ["radius"],
+        ["centrality", "--measure", "nbt-katz", "--t", "0.5r"],
+    ])
+    def test_no_radius_of_the_assembled_transition(self, temporal3, orders, command, capsys):
+        with open(temporal3) as handle:
+            tg = parse_temporal_edge_list(handle)
+        m_total = build_global_transition(tg, BacktrackRegime.FORBID_ALL).m_total
+        code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
+        assert code == 0
+        assert orders and m_total not in orders
 
 
 class TestCentrality:
@@ -298,6 +348,15 @@ class TestOracleCheck:
         assert code == 0
         assert "checks passed" in out
 
+    def test_pole_before_series_radius(self, tmp_path, capsys):
+        # the pair a <-> d puts the elementwise pole at 0.1, below the
+        # series range [0, 10) of the light triangle
+        path = tmp_path / "pole.txt"
+        path.write_text("a b 0.1\nb c 0.1\nc a 0.1\na d 10\nd a 10\n")
+        code, out, _ = run_cli(["oracle-check", "--input", str(path)], capsys)
+        assert code == 0
+        assert "6/6 checks passed" in out
+
     def test_tampered_decomposition_fails_projection(self, rng):
         from conftest import random_digraph
         from nbtwalks.crosschecks import static_battery
@@ -347,9 +406,8 @@ class TestValidationPaths:
 class TestImports:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # only --compare needs scipy.stats, the slowest import of the package
-        env = {**os.environ, "PYTHONPATH": str(Path(nbtwalks.__file__).parents[1])}
         probe = "import sys, nbtwalks.cli; print('scipy.stats' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
+        result = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
@@ -360,6 +418,7 @@ class TestDeterminism:
             [sys.executable, "-m", "nbtwalks.cli", *args],
             capture_output=True,
             check=False,
+            env=cli_env(),
         )
 
     def test_byte_identical_output(self, tmp_path):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nbtwalks.edge_level import (
+    CentralityPlan,
+    CoefficientSeries,
+    apply_shifted_series,
+    generating_matrix_via_line_graph,
+)
 from nbtwalks.errors import NumericalError, ValidationError
+from nbtwalks.graph import WeightedGraph, adjacency, line_graph
 from nbtwalks.linalg import (
     as_csr,
     elementwise_map,
@@ -11,6 +18,13 @@ from nbtwalks.linalg import (
     matmul,
     solve_linear,
     spectral_radius,
+)
+from nbtwalks.node_level import nbt_katz
+from nbtwalks.temporal import (
+    TemporalGraph,
+    build_global_transition,
+    classical_temporal_katz,
+    temporal_f_centrality,
 )
 
 from conftest import rel_dev
@@ -188,3 +202,29 @@ def test_explicit_zeros_do_not_matter():
     m = sp.csr_array(([0.0, 2.0], ([0, 0], [0, 1])), shape=(2, 2))
     assert spectral_radius(m) == 0.0
     assert matmul(m, identity(2)).nnz == 1
+
+
+# A directed 3-cycle of weight 2: its adjacency, V and temporal M all have
+# radius 2, so every permitted range below is [0, 0.5).
+CYCLE = WeightedGraph(["a", "b", "c"], [(0, 1, 2.0), (1, 2, 2.0), (2, 0, 2.0)])
+ONE_SNAPSHOT = TemporalGraph([CYCLE], [0.0])
+RESOLVENT = CoefficientSeries.resolvent()
+GATED = {
+    "apply_shifted_series": lambda t: apply_shifted_series(
+        RESOLVENT, adjacency(CYCLE), t, np.ones(3), rho=2.0),
+    "CentralityPlan": lambda t: CentralityPlan(line_graph(CYCLE), RESOLVENT, t, rho_v=2.0),
+    "generating_matrix_via_line_graph": lambda t: generating_matrix_via_line_graph(
+        line_graph(CYCLE), t, rho_v=2.0),
+    "temporal_f_centrality": lambda t: temporal_f_centrality(
+        build_global_transition(ONE_SNAPSHOT, "forbid-all"), RESOLVENT, t, rho_m=2.0),
+    "classical_temporal_katz": lambda t: classical_temporal_katz(ONE_SNAPSHOT, t),
+    "nbt_katz": lambda t: nbt_katz(adjacency(CYCLE), t, rho_v=2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_every_bound_on_t_is_one_gate(name):
+    GATED[name](0.25)
+    for t in (0.5, -0.1):
+        with pytest.raises(ValidationError, match="permitted range"):
+            GATED[name](t)

@@ -115,22 +115,27 @@ class TestGlobalAssembly:
         assert gd.M[0, 1] == math.sqrt(2.0) * math.sqrt(3.0)
 
     def test_spectrum_is_max_over_diagonal_blocks(self, rng):
+        def dense_radius(b):
+            return max(np.abs(np.linalg.eigvals(b))) if b.size else 0.0
+
         for _ in range(6):
             tg = random_temporal(rng, 3, 4)
-            for regime in (BacktrackRegime.FORBID_ALL, BacktrackRegime.ALLOW_ALL):
+            max_rho_a = max(dense_radius(adjacency(g).toarray()) for g in tg.snapshots)
+            for regime in BacktrackRegime:
                 gd = build_global_transition(tg, regime)
                 if gd.m_total == 0:
                     continue
-                rho = spectral_radius(gd.M)
                 dense_blocks = []
                 for tau, d in enumerate(gd.per_snapshot):
                     lo, hi = gd.offsets[tau], gd.offsets[tau + 1]
                     dense_blocks.append(gd.M[lo:hi, lo:hi].toarray())
-                want = max(
-                    (max(np.abs(np.linalg.eigvals(b))) if b.size else 0.0)
-                    for b in dense_blocks
-                )
-                assert rho == pytest.approx(want, rel=1e-6, abs=1e-8)
+                want = max(dense_radius(b) for b in dense_blocks)
+                assert spectral_radius(gd.M) == pytest.approx(want, rel=1e-6, abs=1e-8)
+                assert gd.transition_radius == pytest.approx(want, rel=1e-6, abs=1e-8)
+                if not regime.forbids_space:
+                    # the half-walk block sqrt(Z) R L^T sqrt(Z) has the
+                    # nonzero spectrum of L^T Z R = A_tau
+                    assert gd.transition_radius == pytest.approx(max_rho_a, rel=1e-8, abs=1e-12)
 
 
 class TestFastConstruction:

@@ -368,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--regime", choices=[r.value for r in BacktrackRegime],
                         default="forbid-all", help="temporal backtracking regime")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
+    common.add_argument("--tol", type=float, default=1e-10,
+                        help="tolerance; bounds the relative residual of every linear solve")
 
     p = sub.add_parser("radius", parents=[common],
                        help="spectral radii and permitted attenuation ranges")

@@ -13,11 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
 from .graph import LineGraphDecomposition
-from .linalg import check_t, identity, matmul, range_end, solve_linear, spectral_radius
+from .linalg import (
+    DENSE_SOLVE_MAX,
+    check_t,
+    identity,
+    matmul,
+    range_end,
+    solve_linear,
+    spectral_radius,
+)
 
 __all__ = [
     "CoefficientSeries",
@@ -221,33 +228,36 @@ def generating_matrix_via_line_graph(
 ) -> np.ndarray:
     """Dense walk generating function reconstructed through the line graph.
 
-    Solves one edge-level resolvent system per node (column-wise, never
-    forming the inverse) and projects back; agrees with the node-level
-    route inside the convergence radius.
+    Solves the edge-level resolvent system against all n weighted target
+    columns in one dense solve and projects back; agrees with the
+    node-level route inside the convergence radius.  Meant for oracle-sized
+    graphs: at most ``DENSE_SOLVE_MAX`` edges.
     """
     d = decomposition
     n = d.n
+    if d.m > DENSE_SOLVE_MAX:
+        raise ValidationError(
+            f"dense generating matrix via the line graph limited to {DENSE_SOLVE_MAX} edges, "
+            f"got {d.m}"
+        )
     if rho_v is None:
         rho_v = spectral_radius(d.V)
     check_t(t, range_end(rho_v))
     if d.m == 0 or t == 0.0:
         return np.eye(n)
 
-    system = sp.csc_matrix(identity(d.m) - t * d.V)
+    system = (identity(d.m) - t * d.V).toarray()
+    targets = (d.sqrt_Z @ d.R).toarray()
     try:
-        factor = spla.splu(system)
-    except RuntimeError as exc:
-        raise NumericalError(f"edge-level resolvent factorization failed: {exc}") from exc
-
-    weighted_targets = sp.csc_array(d.sqrt_Z @ d.R)
-    project = sp.csr_array(matmul(d.L.T, d.sqrt_Z))
-    phi = np.eye(n)
-    for j in range(n):
-        rhs = weighted_targets[:, [j]].toarray().ravel()
-        if not rhs.any():
-            continue
-        phi[:, j] += t * (project @ factor.solve(rhs))
-    return phi
+        y = np.linalg.solve(system, targets)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"edge-level resolvent is singular: {exc}") from exc
+    residual = float(np.max(np.abs(system @ y - targets)))
+    if residual > 1e-6 * float(np.max(np.abs(targets))):
+        raise NumericalError(
+            f"edge-level resolvent is too ill-conditioned (inverse residual {residual:.3e})"
+        )
+    return np.eye(n) + t * (d.L.T @ (d.sqrt_Z @ y))
 
 
 def convergence_radius(decomposition: LineGraphDecomposition) -> float:

@@ -9,6 +9,7 @@ zeros never affect results.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -18,9 +19,15 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
 
-# Direct factorization up to this order; iterative solver above it.
+# Solve policy (see solve_linear).  Dense LU first up to DENSE_CROSSOVER,
+# where it beats GMRES (single-thread BLAS, n = 300: 1.8 ms dense against
+# 3.2 ms GMRES; n = 500: 4.5 ms against 2.2 ms); GMRES above, with the dense
+# LU as certified fallback up to DENSE_SOLVE_MAX.
+DENSE_CROSSOVER = 400
 DENSE_SOLVE_MAX = 2000
-ITERATIVE_MAXITER_FACTOR = 10
+GMRES_RESTART = 30
+ITERATIVE_MAXITER_FACTOR = 10   # GMRES matrix-vector products per unknown
+FALLBACK_CYCLES = 10            # GMRES restart cycles before the dense fallback
 
 POWER_TOL = 1e-8
 POWER_MAXITER = 10000
@@ -126,12 +133,22 @@ def elementwise_map(a, fn, *, dense: bool = False) -> sp.csr_array:
 
 
 def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` with a verified relative residual.
+    """Solve ``matrix @ x = rhs`` with a certified relative residual.
 
-    Uses a dense factorization for orders up to ``DENSE_SOLVE_MAX`` and a
-    restarted GMRES iteration above that.  The residual ``||Mx - b||`` is
-    checked against ``tol * ||b||`` on every call; an unreachable target
-    raises :class:`NumericalError` rather than returning a bad answer.
+    One policy serves every order n:
+
+    - ``n <= DENSE_CROSSOVER``: a dense LU factorization, which is the
+      cheaper solver at these orders;
+    - larger orders: restarted GMRES(30);
+    - if GMRES misses the certificate and ``n <= DENSE_SOLVE_MAX``, the dense
+      LU as fallback.  GMRES then gets at most ``FALLBACK_CYCLES`` restart
+      cycles, so a stalled iteration costs little next to the factorization.
+
+    The certificate is ``||Ax - b|| <= tol * ||b||``, computed once for each
+    path taken.  When no path meets it the call raises
+    :class:`NumericalError`, naming each path tried and the residual ratio
+    ``||Ax - b|| / ||b||`` it reached, with the best solution found as
+    ``estimate``.
     """
     m = as_csr(matrix)
     b = np.asarray(rhs, dtype=np.float64)
@@ -148,26 +165,40 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
     if b_norm == 0.0:
         return np.zeros(n)
 
-    if n <= DENSE_SOLVE_MAX:
-        try:
-            x = scipy.linalg.solve(m.toarray(), b)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NumericalError(f"linear solve failed: {exc}") from exc
-    else:
-        restart = min(n, 30)
-        maxiter = max(1, (ITERATIVE_MAXITER_FACTOR * n) // restart)
-        x, info = spla.gmres(m, b, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter)
-        if info < 0:
-            raise NumericalError(f"iterative solve broke down (info={info})")
+    def ratio(x) -> float:
+        r = float(np.linalg.norm(m @ x - b)) / b_norm
+        return r if math.isfinite(r) else math.inf
 
-    residual = float(np.linalg.norm(m @ x - b))
-    if not np.isfinite(residual) or residual > tol * b_norm:
-        raise NumericalError(
-            f"linear solve residual {residual:.3e} exceeds {tol:.1e} * ||b||; "
-            "matrix is singular or too ill-conditioned",
-            estimate=x,
-        )
-    return x
+    tried = []  # (path, residual ratio, solution or None)
+    if n > DENSE_CROSSOVER:
+        maxiter = max(1, (ITERATIVE_MAXITER_FACTOR * n) // GMRES_RESTART)
+        if n <= DENSE_SOLVE_MAX:
+            maxiter = min(maxiter, FALLBACK_CYCLES)
+        x, _ = spla.gmres(m, b, rtol=tol, atol=0.0, restart=GMRES_RESTART, maxiter=maxiter)
+        tried.append((f"GMRES({GMRES_RESTART})", ratio(x), x))
+        if tried[-1][1] <= tol:
+            return x
+    if n <= DENSE_SOLVE_MAX:
+        # the residual check certifies the result, so scipy's conditioning
+        # warning adds nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            try:
+                x = scipy.linalg.solve(m.toarray(), b)
+            except (scipy.linalg.LinAlgError, ValueError):
+                x = None  # exactly singular or non-finite
+        tried.append(("dense LU", math.inf if x is None else ratio(x), x))
+        if tried[-1][1] <= tol:
+            return x
+
+    report = ", then ".join(f"{path} reached {r:.3e}" if sol is not None else f"{path} failed"
+                            for path, r, sol in tried)
+    best = min(tried, key=lambda attempt: attempt[1])
+    raise NumericalError(
+        f"linear solve residual ||Ax - b|| / ||b|| exceeds tol {tol:.1e}: {report}; "
+        "the matrix is singular or too ill-conditioned",
+        estimate=best[2],
+    )
 
 
 def _acyclic_pattern(m: sp.csr_array) -> bool:

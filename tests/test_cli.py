@@ -149,6 +149,19 @@ class TestCentrality:
         # rho(A) = 2 -> t = 0.25 -> scores 1/(1-2t) = 2
         assert all(line.split(",")[1] == "2" for line in out.splitlines()[1:])
 
+    def test_ill_conditioned_certified_solve_is_silent(self, tmp_path):
+        # one ulp below the radius the Katz system is nearly singular; the
+        # residual check certifies the solve, so stderr stays empty
+        path = tmp_path / "unit_pair.txt"
+        path.write_text("a b 1\nb a 1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "nbtwalks.cli", "centrality", "--input", str(path),
+             "--measure", "katz", "--t", "0.9999999999999999r"],
+            capture_output=True, text=True, check=False, env=cli_env(),
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+
     def test_inadmissible_t_prints_range(self, pair, capsys):
         code, _, err = run_cli(
             ["centrality", "--input", pair, "--measure", "katz", "--t", "0.5"], capsys

@@ -16,7 +16,7 @@ from nbtwalks.edge_level import (
 )
 from nbtwalks.errors import NumericalError, ValidationError
 from nbtwalks.graph import WeightedGraph, adjacency, binarize, line_graph
-from nbtwalks.linalg import spectral_radius
+from nbtwalks.linalg import DENSE_SOLVE_MAX, spectral_radius
 from nbtwalks.node_level import generating_matrix, nbt_katz, nbt_walk_counts
 
 from conftest import (
@@ -185,6 +185,18 @@ class TestGeneratingViaLineGraph:
         d = line_graph(directed_cycle((1, 1, 1)))
         with pytest.raises(ValidationError):
             generating_matrix_via_line_graph(d, 1.0)
+
+    def test_limited_to_dense_order(self):
+        d = line_graph(directed_cycle((1.0,) * (DENSE_SOLVE_MAX + 1)))
+        with pytest.raises(ValidationError, match="limited to 2000 edges"):
+            generating_matrix_via_line_graph(d, 0.5)
+
+    def test_singular_resolvent_raises(self):
+        # unit 3-cycle at t = 1: I - tV is singular; a false radius lets t
+        # past the range gate
+        d = line_graph(directed_cycle((1.0, 1.0, 1.0)))
+        with pytest.raises(NumericalError):
+            generating_matrix_via_line_graph(d, 1.0, rho_v=0.5)
 
 
 class TestRadius:

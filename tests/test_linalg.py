@@ -1,7 +1,12 @@
+import traceback
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import nbtwalks.linalg as linalg
 from nbtwalks.edge_level import (
     CentralityPlan,
     CoefficientSeries,
@@ -27,7 +32,7 @@ from nbtwalks.temporal import (
     temporal_f_centrality,
 )
 
-from conftest import rel_dev
+from conftest import random_digraph, rel_dev
 
 
 def test_matmul_identity():
@@ -115,9 +120,14 @@ def test_elementwise_requires_vanishing_at_zero():
     assert out.toarray().tolist() == [[2, 1], [1, 2]]
 
 
-def test_solve_identity():
+def test_solve_identity(monkeypatch):
+    # a tiny order takes the dense path only, and solves exactly
+    def no_gmres(*args, **kwargs):
+        raise AssertionError("GMRES used")
+
+    monkeypatch.setattr(spla, "gmres", no_gmres)
     b = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(solve_linear(identity(3), b), b, atol=1e-14)
+    assert solve_linear(identity(3), b).tolist() == b.tolist()
 
 
 def test_solve_two_by_two():
@@ -151,6 +161,72 @@ def test_solve_iterative_path():
     b = np.ones(n)
     x = solve_linear(m, b, 1e-10)
     assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _directed_path_system(n: int, t: float = 1.02) -> sp.csr_array:
+    """I - tA for the directed path on n nodes: A is nilpotent (rho = 0), so
+    every t is permitted, yet the solution grows like t^n and GMRES(30)
+    stalls."""
+    a = sp.csr_array((np.ones(n - 1), (np.arange(n - 1), np.arange(1, n))), shape=(n, n))
+    return as_csr(identity(n) - t * a)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that its calls are counted."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_policy_medium_katz_without_dense_factorization(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense factorization used")
+
+    monkeypatch.setattr(scipy.linalg, "solve", no_dense)
+    n = 1000
+    g = random_digraph(np.random.default_rng(3), n, p=4 / n)
+    a = adjacency(g)
+    m = identity(n) - (0.9 / spectral_radius(a)) * a
+    b = np.ones(n)
+    x = solve_linear(m, b, 1e-10)
+    assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_policy_stalled_gmres_falls_back_to_dense(monkeypatch):
+    gmres_calls = _counting(monkeypatch, spla, "gmres")
+    dense_calls = _counting(monkeypatch, scipy.linalg, "solve")
+    m = _directed_path_system(600)
+    b = np.ones(600)
+    x = solve_linear(m, b, 1e-10)
+    assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert (len(gmres_calls), len(dense_calls)) == (1, 1)
+
+
+def test_policy_stall_above_dense_limit_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "ITERATIVE_MAXITER_FACTOR", 1)
+    dense_calls = _counting(monkeypatch, scipy.linalg, "solve")
+    n = linalg.DENSE_SOLVE_MAX + 100
+    with pytest.raises(NumericalError, match="residual") as info:
+        solve_linear(_directed_path_system(n), np.ones(n), 1e-10)
+    assert dense_calls == []
+    assert info.value.estimate is not None and info.value.estimate.shape == (n,)
+    assert "GMRES(30) reached" in str(info.value)
+    assert traceback.extract_tb(info.value.__traceback__)[-1].name == "solve_linear"
+
+
+def test_policy_error_names_every_path_tried(monkeypatch):
+    monkeypatch.setattr(linalg, "DENSE_CROSSOVER", 1)
+    m = as_csr([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(NumericalError, match="residual") as info:
+        solve_linear(m, np.array([1.0, 0.0]))
+    assert "GMRES(30) reached" in str(info.value)
+    assert "then dense LU failed" in str(info.value)
 
 
 def test_radius_zero_matrix():

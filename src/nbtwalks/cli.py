@@ -42,18 +42,32 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def emitted(x: float) -> float:
-    """The value ``fmt(x)`` prints.  Rankings and Kendall tau compare these,
-    so two scores that print alike are a tie."""
-    return float(fmt(x))
+class Printed(float):
+    """A number as the output prints it.  ``text`` is ``fmt(x)``, formatted
+    once, which CSV prints; the float value is what that text reads back as,
+    which JSON prints and rankings and Kendall tau compare, so two scores
+    that print alike are a tie."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, x: float):
+        text = fmt(x)
+        value = super().__new__(cls, text)
+        value.text = text
+        return value
 
 
-def jnum(x: float):
+def jnum(x):
+    """``x`` as printed: a ``Printed`` number, or the string "inf" or "nan",
+    which JSON carries as strings.  A value already printed passes through
+    unchanged."""
+    if isinstance(x, (Printed, str)):
+        return x
     if x == math.inf:
         return "inf"
     if math.isnan(x):
         return "nan"
-    return emitted(x)
+    return Printed(x)
 
 
 def _series_from_name(name: str) -> CoefficientSeries:
@@ -162,11 +176,16 @@ class _Measure:
 
 
 def _ranked(labels, scores):
-    """(label, score, rank) rows, best first.  Nodes are ordered by their
-    emitted score; ties at that precision break by node label."""
-    keys = [emitted(s) for s in scores]
-    order = sorted(range(len(labels)), key=lambda i: (-keys[i], labels[i]))
-    return [(labels[i], float(scores[i]), rank) for rank, i in enumerate(order, start=1)]
+    """(label, printed score, rank) rows, best first.  Nodes are ordered by
+    their printed score (``jnum``); ties at that precision break by node
+    label."""
+    printed = [jnum(s) for s in scores]
+    order = sorted(range(len(labels)), key=lambda i: (-float(printed[i]), labels[i]))
+    return [(labels[i], printed[i], rank) for rank, i in enumerate(order, start=1)]
+
+
+def _cell(value) -> str:
+    return value.text if isinstance(value, Printed) else str(value)
 
 
 def _emit(args, header, rows, extra=None):
@@ -178,10 +197,10 @@ def _emit(args, header, rows, extra=None):
     else:
         print(",".join(header))
         for row in rows:
-            print(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
+            print(",".join(map(_cell, row)))
         if extra:
             for key, value in extra.items():
-                print(f"# {key} = {fmt(value) if isinstance(value, float) else value}")
+                print(f"# {key} = {_cell(value)}")
 
 
 def cmd_radius(args) -> int:
@@ -244,24 +263,20 @@ def cmd_centrality(args) -> int:
         chosen.sort(key=lambda lab: (rows_a[lab][1], lab))
         import scipy.stats  # slow to import, and only --compare needs it
 
-        tau = scipy.stats.kendalltau([emitted(s) for s in sa],
-                                     [emitted(s) for s in sb]).statistic
+        tau = scipy.stats.kendalltau([float(rows_a[lab][0]) for lab in labels],
+                                     [float(rows_b[lab][0]) for lab in labels]).statistic
         header = ["node", f"score_{name_a}", f"rank_{name_a}",
                   f"score_{name_b}", f"rank_{name_b}"]
-        rows = [
-            (lab, jnum(rows_a[lab][0]), rows_a[lab][1], jnum(rows_b[lab][0]), rows_b[lab][1])
-            for lab in chosen
-        ]
+        rows = [(lab, *rows_a[lab], *rows_b[lab]) for lab in chosen]
         _emit(args, header, rows, extra={"kendall_tau": jnum(float(tau))})
         return 0
 
     measure = _measure_for(args, args.measure, mode, data)
     t = _resolve_t(args.t, measure.radius)
     scores = measure.scores(t)
-    ranked = _ranked(measure.labels, scores)
+    rows = _ranked(measure.labels, scores)
     if args.top:
-        ranked = ranked[: args.top]
-    rows = [(lab, jnum(score), rank) for lab, score, rank in ranked]
+        rows = rows[: args.top]
     _emit(args, ["node", "score", "rank"], rows)
     return 0
 
@@ -294,18 +309,16 @@ def cmd_sweep(args) -> int:
     for t in ts:
         scores = measure.scores(t)
         peak = float(np.max(scores)) if len(scores) else 1.0
-        per_t.append((t, scores / peak))
-    chosen = set(labels)
+        per_t.append((jnum(t), (scores / peak).tolist()))
+    order = sorted(range(len(labels)), key=lambda i: labels[i])
     if args.top and per_t:
         # rank on the normalized scores that the last grid point prints
+        last_t, last = per_t[-1]
+        per_t[-1] = (last_t, [jnum(v) for v in last])
         chosen = {lab for lab, _, rank in _ranked(labels, per_t[-1][1]) if rank <= args.top}
+        order = [i for i in order if labels[i] in chosen]
 
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
-    rows = []
-    for t, normalized in per_t:
-        for i in order:
-            if labels[i] in chosen:
-                rows.append((jnum(t), labels[i], jnum(float(normalized[i]))))
+    rows = [(t, labels[i], jnum(normalized[i])) for t, normalized in per_t for i in order]
     _emit(args, ["t", "node", "score"], rows)
     return 0
 

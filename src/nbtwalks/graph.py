@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, count
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,39 +36,58 @@ __all__ = [
 ]
 
 
-@dataclass
 class WeightedGraph:
     """Directed, loop-free graph with positive edge weights.
 
-    ``edges`` holds ``(src, dst, weight)`` triples over 0-based node indices
-    and is kept sorted lexicographically by ``(src, dst)``, which fixes the
-    canonical edge labelling used everywhere downstream.
+    The edges are three read-only arrays over 0-based node indices: ``src``,
+    ``dst`` and ``weight``, sorted lexicographically by ``(src, dst)``, which
+    fixes the canonical edge labelling used everywhere downstream.  The
+    constructor takes ``(src, dst, weight)`` triples in any order, validates
+    them and sorts them.
     """
 
-    node_labels: list[str]
-    edges: list[tuple[int, int, float]]
+    def __init__(self, node_labels, edges):
+        labels = list(node_labels)
+        _check_labels(labels)
+        n = len(labels)
+        edges = list(edges)
+        columns = tuple(zip(*edges)) or ((), (), ())
+        src = np.array(columns[0], dtype=np.int64)
+        dst = np.array(columns[1], dtype=np.int64)
+        weight = np.array(columns[2], dtype=np.float64)
+        order, repeat = _canonical_order(src, dst)
+        _raise_first([
+            ((src < 0) | (src >= n) | (dst < 0) | (dst >= n),
+             lambda i: f"edge ({edges[i][0]}, {edges[i][1]}) out of range for {n} nodes"),
+            (src == dst, lambda i: f"self-loop on node {labels[src[i]]!r}"),
+            (~((weight > 0) & np.isfinite(weight)),
+             lambda i: f"edge ({labels[src[i]]!r}, {labels[dst[i]]!r}) "
+                       f"has non-positive or non-finite weight {edges[i][2]!r}"),
+            (_flag(order[repeat], src.size),
+             lambda i: f"duplicate edge ({labels[src[i]]!r}, {labels[dst[i]]!r})"),
+        ])
+        self._assign(labels, src[order], dst[order], weight[order])
 
-    def __post_init__(self):
-        n = len(self.node_labels)
-        if len(set(self.node_labels)) != n:
-            raise ValidationError("duplicate node labels")
-        seen = set()
-        for src, dst, weight in self.edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValidationError(f"edge ({src}, {dst}) out of range for {n} nodes")
-            if src == dst:
-                raise ValidationError(f"self-loop on node {self.node_labels[src]!r}")
-            if not (weight > 0 and math.isfinite(weight)):
-                raise ValidationError(
-                    f"edge ({self.node_labels[src]!r}, {self.node_labels[dst]!r}) "
-                    f"has non-positive or non-finite weight {weight!r}"
-                )
-            if (src, dst) in seen:
-                raise ValidationError(
-                    f"duplicate edge ({self.node_labels[src]!r}, {self.node_labels[dst]!r})"
-                )
-            seen.add((src, dst))
-        self.edges = sorted((int(s), int(d), float(w)) for s, d, w in self.edges)
+    @classmethod
+    def _canonical(cls, labels, src, dst, weight) -> WeightedGraph:
+        """A graph from edge arrays already validated and sorted by (src, dst)."""
+        graph = cls.__new__(cls)
+        graph._assign(labels, src, dst, weight)
+        return graph
+
+    def _assign(self, labels, src, dst, weight) -> None:
+        self.node_labels = labels
+        self.src, self.dst, self.weight = (
+            np.array(a, dtype=dtype) for a, dtype in
+            ((src, np.int64), (dst, np.int64), (weight, np.float64)))
+        for a in (self.src, self.dst, self.weight):
+            a.flags.writeable = False
+
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """``(src, dst, weight)`` triples of Python numbers in canonical
+        order: a new list made from the arrays on each access."""
+        return list(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
 
     @property
     def n(self) -> int:
@@ -73,7 +95,45 @@ class WeightedGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return int(self.src.size)
+
+    def __repr__(self) -> str:
+        return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def _check_labels(labels: list) -> None:
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate node labels")
+
+
+def _canonical_order(src: np.ndarray, dst: np.ndarray):
+    """Stable order of edge records by ``(src, dst)``, and for each sorted
+    record whether it repeats the pair of the record before it."""
+    order = np.lexsort((dst, src))
+    s, d = src[order], dst[order]
+    repeat = np.zeros(order.size, dtype=bool)
+    repeat[1:] = (s[1:] == s[:-1]) & (d[1:] == d[:-1])
+    return order, repeat
+
+
+def _flag(positions: np.ndarray, size: int) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[positions] = True
+    return mask
+
+
+def _raise_first(checks) -> None:
+    """Raise for the first record, in input order, that fails a check.
+    ``checks`` holds ``(mask, message)`` pairs in the order a record-by-record
+    reader tests them; the first mask set at that record names the fault,
+    with the text ``message(record)``."""
+    failing = [mask for mask, _ in checks if mask.any()]
+    if not failing:
+        return
+    first = min(int(np.argmax(mask)) for mask in failing)
+    for mask, message in checks:
+        if mask[first]:
+            raise ValidationError(message(first))
 
 
 def _read_records(source, *, timed: bool = False, name: str | None = None):
@@ -91,21 +151,22 @@ def _read_records(source, *, timed: bool = False, name: str | None = None):
     records = []
     stamps = []
     for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "," in body:
-            fields = [f.strip() for f in body.split(",") if f.strip()]
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        if "," in line:
+            fields = [f.strip() for f in line.split(",") if f.strip()]
         else:
-            fields = body.split()
+            fields = line.split()
+            if not fields:
+                continue
         arity = len(fields) - lead
-        if arity == 2:
-            weight = 1.0
-        elif arity == 3:
+        if arity == 3:
             try:
                 weight = float(fields[-1])
             except ValueError as exc:
                 raise ValidationError(f"{prefix}line {lineno}: bad weight {fields[-1]!r}") from exc
+        elif arity == 2:
+            weight = 1.0
         else:
             grammar = "time src dst [weight]" if timed else "src dst [weight]"
             raise ValidationError(
@@ -126,7 +187,7 @@ def _read_records(source, *, timed: bool = False, name: str | None = None):
 def _node_labels(records, sort_nodes: bool) -> list[str]:
     """Labels met in ``(src, dst, weight)`` records, in order of first
     appearance, or sorted with ``sort_nodes``."""
-    labels = list(dict.fromkeys(lab for src, dst, _ in records for lab in (src, dst)))
+    labels = list(dict.fromkeys(chain.from_iterable(map(itemgetter(0, 1), records))))
     return sorted(labels) if sort_nodes else labels
 
 
@@ -146,35 +207,78 @@ def graph_from_records(
     with ``sort_nodes``; an explicit ``node_labels`` list pins the universe
     (used for temporal snapshots sharing one node set).
     """
+    records = list(records)
+    labels = _node_labels(records, sort_nodes) if node_labels is None else list(node_labels)
+    codes = {lab: i for i, lab in enumerate(labels)}
+    if node_labels is not None:
+        # a label outside the fixed node set gets a negative code of its own,
+        # so that only equal labels make a self-loop
+        outside = count(-1, -1)
+        for lab in chain.from_iterable(map(itemgetter(0, 1), records)):
+            if lab not in codes:
+                codes[lab] = next(outside)
+
+    def coded(column):
+        return np.fromiter(map(codes.__getitem__, map(itemgetter(column), records)),
+                           np.int64, len(records))
+
+    return _graph_from_codes(
+        labels,
+        coded(0),
+        coded(1),
+        np.array(list(map(itemgetter(2), records)), dtype=np.float64),
+        lambda i: records[i][:2],
+        merge=merge,
+        drop_loops=drop_loops,
+    )
+
+
+def _graph_from_codes(labels, src, dst, weight, pair, *, merge, drop_loops) -> WeightedGraph:
+    """Validate edge records and merge them into a graph.
+
+    ``src`` and ``dst`` index ``labels``; a negative code marks a label
+    outside that node set.  ``pair(i)`` names the labels of record i in
+    messages.  Each record is checked for its weight, a self-loop, unknown
+    labels and a repeated pair, in that order, and the first failing record
+    in input order is reported.  Repeated pairs are summed in record order.
+    """
     if merge not in ("reject", "sum"):
         raise ValidationError(f"unknown merge policy {merge!r}")
-    labels = _node_labels(records, sort_nodes) if node_labels is None else list(node_labels)
-    index = {lab: i for i, lab in enumerate(labels)}
+    loop = src == dst
+    kept = np.flatnonzero(~loop)
+    order, repeat = _canonical_order(src[kept], dst[kept])
 
-    weights: dict[tuple[int, int], float] = {}
-    for src, dst, weight in records:
-        weight = float(weight)
-        if not (weight > 0 and math.isfinite(weight)):
-            raise ValidationError(
-                f"edge ({src!r}, {dst!r}) has non-positive weight {weight!r}"
-            )
-        if src == dst:
-            if drop_loops:
-                continue
-            raise ValidationError(f"self-loop on node {src!r}")
-        try:
-            key = (index[src], index[dst])
-        except KeyError as exc:
-            raise ValidationError(f"node {exc.args[0]!r} not in the fixed node set") from exc
-        if key in weights:
-            if merge == "reject":
-                raise ValidationError(f"duplicate edge ({src!r}, {dst!r})")
-            weights[key] += weight
-        else:
-            weights[key] = weight
+    def missing(i):
+        src_label, dst_label = pair(i)
+        return src_label if src[i] < 0 else dst_label
 
-    edges = [(s, d, w) for (s, d), w in weights.items()]
-    return WeightedGraph(labels, edges)
+    checks = [
+        (~((weight > 0) & np.isfinite(weight)),
+         lambda i: "edge (%r, %r) has non-positive weight %r" % (*pair(i), float(weight[i]))),
+        (loop & (not drop_loops), lambda i: f"self-loop on node {pair(i)[0]!r}"),
+        (~loop & ((src < 0) | (dst < 0)),
+         lambda i: f"node {missing(i)!r} not in the fixed node set"),
+    ]
+    if merge == "reject":
+        checks.append((_flag(kept[order[repeat]], src.size),
+                       lambda i: "duplicate edge (%r, %r)" % pair(i)))
+    _raise_first(checks)
+    _check_labels(labels)
+
+    group = np.empty(order.size, dtype=np.int64)
+    group[order] = np.cumsum(~repeat) - 1
+    total = np.zeros(order.size - int(repeat.sum()))
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        np.add.at(total, group, weight[kept])  # record order within each pair
+    first = kept[order[~repeat]]
+    overflow = np.flatnonzero(~np.isfinite(total))
+    if overflow.size:
+        e = overflow[np.argmin(first[overflow])]
+        raise ValidationError(
+            f"edge ({labels[src[first[e]]]!r}, {labels[dst[first[e]]]!r}) "
+            f"has non-positive or non-finite weight {float(total[e])!r}"
+        )
+    return WeightedGraph._canonical(labels, src[first], dst[first], total)
 
 
 def parse_edge_list(
@@ -199,18 +303,13 @@ def load_edge_list(path, **options) -> WeightedGraph:
 def adjacency(graph: WeightedGraph) -> sp.csr_array:
     """n x n adjacency matrix; entry (i, j) is the weight of edge i -> j."""
     n = graph.n
-    if not graph.edges:
-        return sp.csr_array((n, n), dtype=np.float64)
-    src, dst, w = zip(*graph.edges)
-    return sp.csr_array(
-        (np.asarray(w, dtype=np.float64), (np.asarray(src), np.asarray(dst))),
-        shape=(n, n),
-    )
+    return sp.csr_array((graph.weight, (graph.src, graph.dst)), shape=(n, n))
 
 
 def binarize(graph: WeightedGraph) -> WeightedGraph:
     """Copy of the graph with every weight set to 1."""
-    return WeightedGraph(list(graph.node_labels), [(s, d, 1.0) for s, d, _ in graph.edges])
+    return WeightedGraph._canonical(list(graph.node_labels), graph.src, graph.dst,
+                                    np.ones(graph.m))
 
 
 @dataclass
@@ -236,7 +335,6 @@ class LineGraphDecomposition:
     """
 
     graph: WeightedGraph
-    edge_order: list[tuple[int, int]]
     weights: np.ndarray
     sqrt_weights: np.ndarray
     L: sp.csr_array
@@ -249,19 +347,56 @@ class LineGraphDecomposition:
 
     @property
     def m(self) -> int:
-        return len(self.edge_order)
+        return int(self.weights.size)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
+    @property
+    def edge_order(self) -> list[tuple[int, int]]:
+        """``(src, dst)`` of each edge in canonical order."""
+        return list(zip(self.graph.src.tolist(), self.graph.dst.tolist()))
+
     def half_walk_matrix(self) -> sp.csr_array:
-        """Half-power form of W: ``sqrt(w_e) * sqrt(w_f)`` on W's full pattern."""
-        return matmul(matmul(self.sqrt_Z, matmul(self.R, self.L.T)), self.sqrt_Z)
+        """Half-power form of W: ``sqrt(w_e) * sqrt(w_f)`` on W's full pattern.
+        Built on the first call and kept."""
+        return self._half_walk
+
+    @cached_property
+    def _half_walk(self) -> sp.csr_array:
+        return _on_chain(_chain_pattern(self.graph), self.sqrt_weights)
 
     def edge_labels(self) -> list[str]:
         labels = self.graph.node_labels
         return [f"{labels[s]}->{labels[d]}" for s, d in self.edge_order]
+
+
+def _chain_pattern(graph: WeightedGraph):
+    """CSR pattern of the chain matrix ``R @ L.T``: row e lists, ascending,
+    the edges f that continue e (``src[f] == dst[e]``).  Edges sorted by
+    ``(src, dst)`` keep each node's out-edges in one contiguous run, so row e
+    is the run of node ``dst[e]``.  Returns ``(indptr, indices, rows)`` with
+    the row of every entry."""
+    out_start = np.searchsorted(graph.src, np.arange(graph.n + 1))
+    run = out_start[graph.dst]
+    counts = out_start[graph.dst + 1] - run
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    rows = np.repeat(np.arange(graph.m), counts)
+    indices = np.arange(indptr[-1]) - indptr[rows] + run[rows]
+    return indptr, indices, rows
+
+
+def _on_chain(pattern, x: np.ndarray) -> sp.csr_array:
+    """``diag(x) @ chain @ diag(x)`` on the chain pattern: entry (e, f) is
+    ``x[e] * x[f]``, bit for bit what the sparse products compute, and
+    products that underflow to zero are dropped as they drop them."""
+    indptr, indices, rows = pattern
+    # a copy of the pattern, which eliminate_zeros edits in place
+    out = sp.csr_array((x[rows] * x[indices], indices, indptr), shape=(x.size, x.size),
+                       copy=True)
+    out.eliminate_zeros()
+    return out
 
 
 def _mask_reversals(values: sp.csr_array, pattern: sp.csr_array) -> sp.csr_array:
@@ -277,22 +412,19 @@ def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
     """Build the canonical line-graph decomposition of a graph."""
     n = graph.n
     m = graph.m
-    edge_order = [(s, d) for s, d, _ in graph.edges]
-    weights = np.asarray([w for _, _, w in graph.edges], dtype=np.float64)
+    weights = graph.weight
     sqrt_weights = np.sqrt(weights)
 
     rows = np.arange(m)
     ones = np.ones(m)
-    src = np.asarray([s for s, _ in edge_order], dtype=np.int64)
-    dst = np.asarray([d for _, d in edge_order], dtype=np.int64)
-    L = sp.csr_array((ones, (rows, src)), shape=(m, n))
-    R = sp.csr_array((ones, (rows, dst)), shape=(m, n))
+    L = sp.csr_array((ones, (rows, graph.src)), shape=(m, n))
+    R = sp.csr_array((ones, (rows, graph.dst)), shape=(m, n))
     Z = diag_matrix(weights)
     sqrt_Z = diag_matrix(sqrt_weights)
 
-    chain = matmul(R, L.T)  # 0/1: edge f continues edge e
-    W = matmul(matmul(Z, chain), Z)
-    half = matmul(matmul(sqrt_Z, chain), sqrt_Z)
+    chain = _chain_pattern(graph)  # edge f continues edge e
+    W = _on_chain(chain, weights)
+    half = _on_chain(chain, sqrt_weights)
 
     rebuilt = matmul(matmul(L.T, Z), R)
     if (rebuilt != adjacency(graph)).nnz != 0:
@@ -304,7 +436,6 @@ def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
 
     return LineGraphDecomposition(
         graph=graph,
-        edge_order=edge_order,
         weights=weights,
         sqrt_weights=sqrt_weights,
         L=L,
@@ -326,8 +457,9 @@ def load_matrix_market(
     """Read an adjacency matrix in MatrixMarket coordinate format.
 
     Indices are 1-based per the format; node labels become "1".."n".
-    Diagonal entries are self-loops and follow ``drop_loops``; entries must
-    be positive.
+    Zero entries are skipped.  Diagonal entries are self-loops and follow
+    ``drop_loops``; entries must be positive.  Repeated entries follow
+    ``merge``, summed in file order.
     """
     import scipy.io  # only MatrixMarket input needs it
 
@@ -336,13 +468,13 @@ def load_matrix_market(
     if nrows != ncols:
         raise ValidationError(f"adjacency import requires a square matrix, got {matrix.shape}")
     labels = [str(i + 1) for i in range(nrows)]
-    records = [
-        (labels[i], labels[j], float(v))
-        for i, j, v in zip(matrix.row, matrix.col, matrix.data)
-        if v != 0.0
-    ]
-    return graph_from_records(
-        records, node_labels=labels, merge=merge, drop_loops=drop_loops
+    stored = matrix.data != 0.0
+    src = matrix.row[stored].astype(np.int64)
+    dst = matrix.col[stored].astype(np.int64)
+    return _graph_from_codes(
+        labels, src, dst, matrix.data[stored].astype(np.float64),
+        lambda i: (labels[src[i]], labels[dst[i]]),
+        merge=merge, drop_loops=drop_loops,
     )
 
 

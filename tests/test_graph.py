@@ -1,19 +1,24 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nbtwalks.errors import ValidationError
 from nbtwalks.graph import (
     WeightedGraph,
     adjacency,
     binarize,
+    graph_from_records,
     line_graph,
+    load_edge_list,
     load_matrix_market,
     parse_edge_list,
     save_matrix_market,
 )
-from nbtwalks.linalg import matmul, spectral_radius
+from nbtwalks.linalg import diag_matrix, matmul, spectral_radius
 
 from conftest import (
     directed_cycle,
@@ -63,6 +68,100 @@ class TestParsing:
         assert g.node_labels == ["z", "a", "b"]
         g = parse_edge_list("z a 1\na b 1", sort_nodes=True)
         assert g.node_labels == ["a", "b", "z"]
+
+
+def raises_exactly(message):
+    return pytest.raises(ValidationError, match=f"^{re.escape(message)}$")
+
+
+class TestValidation:
+    """Both constructors report each fault with the same message as before
+    the edge arrays, naming the first offending record in input order."""
+
+    LABELS = ["a", "b", "c"]
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 1.0), (0, 5, 1.0), (7, 0, 1.0)], "edge (0, 5) out of range for 3 nodes"),
+        ([(0, 1, 1.0), (-1, 0, 1.0)], "edge (-1, 0) out of range for 3 nodes"),
+        ([(0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)], "self-loop on node 'b'"),
+        ([(0, 1, 1.0), (1, 2, -1.0), (2, 0, 0.0)],
+         "edge ('b', 'c') has non-positive or non-finite weight -1.0"),
+        ([(0, 1, 1.0), (1, 2, 0)], "edge ('b', 'c') has non-positive or non-finite weight 0"),
+        ([(2, 0, math.inf), (1, 2, math.nan)],
+         "edge ('c', 'a') has non-positive or non-finite weight inf"),
+        ([(0, 1, 1.0), (1, 2, math.nan)],
+         "edge ('b', 'c') has non-positive or non-finite weight nan"),
+        ([(0, 1, 1.0), (2, 1, 1.0), (2, 1, 2.0), (0, 1, 3.0)], "duplicate edge ('c', 'b')"),
+        # one record, two faults: the range and loop tests come before the weight test
+        ([(1, 1, -1.0)], "self-loop on node 'b'"),
+        ([(0, 3, -1.0)], "edge (0, 3) out of range for 3 nodes"),
+        # the first offender wins over an earlier-tested fault further on
+        ([(1, 2, -1.0), (0, 9, 1.0)],
+         "edge ('b', 'c') has non-positive or non-finite weight -1.0"),
+    ])
+    def test_weighted_graph(self, edges, message):
+        with raises_exactly(message):
+            WeightedGraph(self.LABELS, edges)
+
+    @pytest.mark.parametrize("text, options, message", [
+        ("a b 1\nb b 1\nc c 1\n", {}, "self-loop on node 'b'"),
+        ("a b 1\nb c -1\nc a 0\n", {}, "edge ('b', 'c') has non-positive weight -1.0"),
+        ("a b 1\nb c 0\n", {}, "edge ('b', 'c') has non-positive weight 0.0"),
+        ("a b 1\nb c inf\nc a nan\n", {}, "edge ('b', 'c') has non-positive weight inf"),
+        ("a b 1\nb c nan\n", {}, "edge ('b', 'c') has non-positive weight nan"),
+        ("a b 1\nc b 1\nc b 2\na b 3\n", {}, "duplicate edge ('c', 'b')"),
+        # one record, two faults: the weight test comes before the loop test,
+        # and a loop that would be dropped is still checked for its weight
+        ("a b 1\nb b -1\n", {}, "edge ('b', 'b') has non-positive weight -1.0"),
+        ("a b 1\nb b -1\n", {"drop_loops": True},
+         "edge ('b', 'b') has non-positive weight -1.0"),
+        ("a b 1\nb c 1\na b 2\nc c 1\n", {}, "duplicate edge ('a', 'b')"),
+        # a sum that overflows is caught on the merged weight
+        ("a b 1e308\nb a 1\na b 1e308\n", {"merge": "sum"},
+         "edge ('a', 'b') has non-positive or non-finite weight inf"),
+    ])
+    def test_parse_edge_list(self, text, options, message):
+        with raises_exactly(message):
+            parse_edge_list(text, **options)
+
+    def test_labels_outside_the_fixed_node_set(self):
+        fixed = dict(node_labels=self.LABELS)
+        with raises_exactly("node 'x' not in the fixed node set"):
+            graph_from_records([("a", "b", 1.0), ("c", "x", 1.0), ("y", "a", 1.0)], **fixed)
+        with raises_exactly("node 'y' not in the fixed node set"):
+            graph_from_records([("a", "b", 1.0), ("y", "x", 1.0)], **fixed)
+        # an unknown label on both ends is a self-loop, dropped on request
+        with raises_exactly("self-loop on node 'x'"):
+            graph_from_records([("x", "x", 1.0), ("y", "z", 1.0)], **fixed)
+        g = graph_from_records([("x", "x", 1.0), ("a", "b", 2.0)], drop_loops=True, **fixed)
+        assert g.edges == [(0, 1, 2.0)]
+
+    def test_duplicate_node_labels(self):
+        with raises_exactly("duplicate node labels"):
+            WeightedGraph(["a", "a"], [])
+        with raises_exactly("duplicate node labels"):
+            graph_from_records([("a", "b", 1.0)], node_labels=["a", "b", "a"])
+
+    def test_edges_are_python_triples_in_canonical_order(self):
+        g = WeightedGraph(["a", "b", "c"],
+                          [(2, 0, 1.5), (np.int64(0), 2, 2), (0, 1, np.float64(3.0))])
+        assert g.edges == [(0, 1, 3.0), (0, 2, 2.0), (2, 0, 1.5)]
+        assert isinstance(g.edges, list)
+        assert all(type(s) is int and type(d) is int and type(w) is float
+                   for s, d, w in g.edges)
+        parsed = parse_edge_list("c a 1.5\na c 2\na b 3\n", sort_nodes=True)
+        assert parsed.edges == g.edges
+
+    def test_arrays_are_sorted_and_read_only(self):
+        g = parse_edge_list("c a 1.5\na c 2\na b 3\nb c 0.5\n")
+        # labels c, a, b are nodes 0, 1, 2
+        assert g.src.tolist() == [0, 1, 1, 2] and g.dst.tolist() == [1, 0, 2, 0]
+        assert g.weight.tolist() == [1.5, 2.0, 3.0, 0.5]
+        for column in (g.src, g.dst, g.weight):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        g.edges.clear()  # a derived list: clearing it leaves the graph alone
+        assert g.m == 4
 
 
 class TestAdjacency:
@@ -168,6 +267,73 @@ class TestLineGraph:
         assert d.W.shape == (0, 0)
 
 
+
+def product_form(g: WeightedGraph) -> dict:
+    """The line-graph matrices built by sparse products through diagonal
+    weight matrices, the construction ``line_graph`` replaced."""
+    m, n = g.m, g.n
+    src = np.array([s for s, _, _ in g.edges], dtype=np.int64)
+    dst = np.array([d for _, d, _ in g.edges], dtype=np.int64)
+    w = np.array([x for _, _, x in g.edges], dtype=np.float64)
+    rows, ones = np.arange(m), np.ones(m)
+    L = sp.csr_array((ones, (rows, src)), shape=(m, n))
+    R = sp.csr_array((ones, (rows, dst)), shape=(m, n))
+    Z, sqrt_Z = diag_matrix(w), diag_matrix(np.sqrt(w))
+    chain = matmul(R, L.T)
+    W = matmul(matmul(Z, chain), Z)
+    half = matmul(matmul(sqrt_Z, chain), sqrt_Z)
+    reversal = sp.csr_array(W.T != 0)
+
+    def masked(values):
+        out = sp.csr_array(values - values.multiply(reversal))
+        out.eliminate_zeros()
+        out.sort_indices()
+        return out
+
+    return {"W": W, "B": masked(W), "V": masked(half), "half": half,
+            "L": L, "R": R, "Z": Z, "sqrt_Z": sqrt_Z}
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+class TestLineGraphBitwise:
+    """``line_graph`` scales one chain pattern; every matrix must match the
+    product form bit for bit, pattern included."""
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(2000)
+        seeded = random_digraph(rng, 71, p=0.4)  # about 2,000 edges
+        # weights whose products underflow: W drops those entries, the
+        # half-power matrices keep them
+        tiny = WeightedGraph(["a", "b", "c"],
+                             [(0, 1, 1e-170), (1, 0, 1e-170), (1, 2, 1e-3), (2, 0, 1e-200)])
+        golden = Path(__file__).parent / "data" / "golden" / "g300.txt"
+        return [two_node_reciprocated(), undirected_path(), directed_cycle(),
+                directed_cycle((1.5, 0.5, 2.5, 1.0)), WeightedGraph(["a", "b"], []),
+                load_edge_list(golden), seeded, binarize(seeded), tiny]
+
+    def test_matches_product_form(self):
+        graphs = self.graphs()
+        assert 1900 <= graphs[-3].m <= 2100
+        for g in graphs:
+            d = line_graph(g)
+            ref = product_form(g)
+            for name in ("W", "B", "V", "L", "R", "Z", "sqrt_Z"):
+                assert_bitwise_equal(getattr(d, name), ref[name])
+            assert_bitwise_equal(d.half_walk_matrix(), ref["half"])
+
+    def test_half_walk_matrix_is_built_once(self):
+        d = line_graph(undirected_path())
+        assert "_half_walk" not in vars(d)
+        assert d.half_walk_matrix() is d.half_walk_matrix()
+
+
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path, rng):
         g = random_digraph(rng, 5)
@@ -186,3 +352,20 @@ class TestMatrixMarket:
             load_matrix_market(path)
         g = load_matrix_market(path, drop_loops=True)
         assert g.edges == [(0, 1, 2.0)]
+
+    def test_zero_entries_repeats_and_bad_weights(self, tmp_path):
+        path = tmp_path / "repeat.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 6\n"
+            "1 2 0.1\n3 1 0\n1 2 0.2\n2 3 4\n1 2 0.3\n3 1 0\n"
+        )
+        with raises_exactly("duplicate edge ('1', '2')"):
+            load_matrix_market(path)
+        g = load_matrix_market(path, merge="sum")
+        # zero entries are skipped; repeats are summed in file order
+        assert g.edges == [(0, 1, (0.1 + 0.2) + 0.3), (1, 2, 4.0)]
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 2 1\n2 2 -1\n2 1 -2\n"
+        )
+        with raises_exactly("edge ('2', '2') has non-positive weight -1.0"):
+            load_matrix_market(path, drop_loops=True)

@@ -382,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="forbid-all", help="temporal backtracking regime")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--tol", type=float, default=1e-10,
-                        help="tolerance; bounds the relative residual of every linear solve")
+                        help="tolerance; bounds the relative residual of each linear solve, "
+                             "or for the temporal resolvent its componentwise backward error")
 
     p = sub.add_parser("radius", parents=[common],
                        help="spectral radii and permitted attenuation ranges")

@@ -18,7 +18,7 @@ from .edge_level import (
     walk_counts_via_line_graph,
 )
 from .graph import WeightedGraph, adjacency, line_graph
-from .linalg import range_end, spectral_radius
+from .linalg import DENSE_SOLVE_MAX, range_end, spectral_radius
 from .node_level import elementwise_pole, generating_matrix, nbt_katz, nbt_walk_counts
 from .oracle import count_nbt_walks_bruteforce, count_temporal_walks_bruteforce
 from .temporal import (
@@ -27,6 +27,7 @@ from .temporal import (
     build_global_transition,
     classical_temporal_katz,
     forbid_all_transition_fast,
+    temporal_f_centrality,
     temporal_walk_counts,
 )
 
@@ -138,6 +139,7 @@ def temporal_battery(
         results.append(
             CheckResult(f"temporal transition counts vs enumeration [{regime.value}]", dev, tol)
         )
+        results.append(_resolvent_check(gd, tol))
 
     direct = build_global_transition(tg, BacktrackRegime.FORBID_ALL).M
     fast = forbid_all_transition_fast(tg)
@@ -161,3 +163,20 @@ def temporal_battery(
                     deviation(katz, x), tol)
     )
     return results
+
+
+def _resolvent_check(gd, tol: float) -> CheckResult:
+    """The temporal resolvent, solved one snapshot at a time, against one
+    dense solve of the assembled I - tM at half the permitted range; skipped
+    (and passed) above ``DENSE_SOLVE_MAX`` edges."""
+    name = ("temporal resolvent: snapshot back-substitution vs dense solve of "
+            f"assembled I - tM [{gd.regime.value}]")
+    if gd.m_total > DENSE_SOLVE_MAX:
+        return CheckResult(f"{name} (skipped: {gd.m_total} edges > {DENSE_SOLVE_MAX})", 0.0, tol)
+    rho = gd.transition_radius
+    t = 0.5 if rho == 0 else 0.5 / rho
+    scores = temporal_f_centrality(gd, CoefficientSeries.resolvent(), t, tol=min(tol, 1e-12))
+    system = np.eye(gd.m_total) - t * gd.M.toarray()
+    y = np.linalg.solve(system, gd.sqrt_weights)
+    dense = 1.0 + t * (gd.L.T @ (gd.sqrt_weights * y))
+    return CheckResult(name, deviation(scores, dense), tol)

@@ -11,6 +11,7 @@ snapshots share one node universe (the union of node IDs seen anywhere).
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .edge_level import CoefficientSeries, apply_shifted_series
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .graph import (
     LineGraphDecomposition,
     WeightedGraph,
@@ -107,6 +108,8 @@ class GlobalDecomposition:
     block upper-triangular transition matrix in half-power form: entry
     (e, f) equals ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e
     under the regime, so ``sqrt_Z @ M**k @ sqrt_Z`` counts weighted walks.
+    ``M`` is assembled on first access and kept; the radius and the
+    resolvent work on the snapshot blocks and never assemble it.
     """
 
     temporal: TemporalGraph
@@ -119,7 +122,10 @@ class GlobalDecomposition:
     sqrt_weights: np.ndarray
     Z: sp.csr_array
     sqrt_Z: sp.csr_array
-    M: sp.csr_array
+
+    @cached_property
+    def M(self) -> sp.csr_array:
+        return _assemble_transition(self.per_snapshot, self.regime)
 
     @property
     def m_total(self) -> int:
@@ -175,7 +181,27 @@ def _stack(per: list[LineGraphDecomposition], tg: TemporalGraph):
 
 
 def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> GlobalDecomposition:
-    """Assemble the global temporal transition matrix for one regime.
+    """Stack the snapshot line graphs of a temporal graph for one regime; the
+    global transition matrix ``M`` is assembled on first access."""
+    regime = BacktrackRegime(regime)
+    per = [line_graph(g) for g in tg.snapshots]
+    offsets, L, R, weights, sqrt_weights = _stack(per, tg)
+    return GlobalDecomposition(
+        temporal=tg,
+        regime=regime,
+        per_snapshot=per,
+        offsets=offsets,
+        L=L,
+        R=R,
+        weights=weights,
+        sqrt_weights=sqrt_weights,
+        Z=diag_matrix(weights),
+        sqrt_Z=diag_matrix(sqrt_weights),
+    )
+
+
+def _assemble_transition(per: list[LineGraphDecomposition], regime: BacktrackRegime) -> sp.csr_array:
+    """The global temporal transition matrix of one regime.
 
     Diagonal blocks step within a snapshot (backtrack-pruned when the regime
     forbids backtracking in space); upper blocks step from an earlier to a
@@ -183,11 +209,9 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
     backtracking in time).  Blocks below the diagonal are zero: walks may
     not move back in time.
     """
-    regime = BacktrackRegime(regime)
-    per = [line_graph(g) for g in tg.snapshots]
-    offsets, L, R, weights, sqrt_weights = _stack(per, tg)
     count = len(per)
-
+    if not sum(d.m for d in per):
+        return sp.csr_array((0, 0), dtype=np.float64)
     blocks: list[list] = [[None] * count for _ in range(count)]
     for t1, d1 in enumerate(per):
         blocks[t1][t1] = _diagonal_block(d1, regime)
@@ -200,27 +224,9 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
                 reverse_chain = matmul(d2.R, d1.L.T)
                 half = _mask_reversals(half, sp.csr_array(reverse_chain.T != 0))
             blocks[t1][t2] = half
-
-    m_total = int(offsets[-1])
-    if m_total:
-        M = sp.csr_array(sp.block_array(blocks, format="csr"))
-    else:
-        M = sp.csr_array((0, 0), dtype=np.float64)
+    M = sp.csr_array(sp.block_array(blocks, format="csr"))
     M.sort_indices()
-
-    return GlobalDecomposition(
-        temporal=tg,
-        regime=regime,
-        per_snapshot=per,
-        offsets=offsets,
-        L=L,
-        R=R,
-        weights=weights,
-        sqrt_weights=sqrt_weights,
-        Z=diag_matrix(weights),
-        sqrt_Z=diag_matrix(sqrt_weights),
-        M=M,
-    )
+    return M
 
 
 def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
@@ -275,16 +281,106 @@ def temporal_f_centrality(
     """Series-weighted temporal communicability of each node.
 
     Gated on the spectral radius of the transition matrix, ``rho_m`` when
-    given and ``gd.transition_radius`` otherwise.
+    given and ``gd.transition_radius`` otherwise.  The resolvent is solved
+    one snapshot at a time (see ``_back_substitute``); other series act on
+    the assembled ``M``.
     """
     if rho_m is None:
         rho_m = gd.transition_radius
+    if series.kind == "resolvent":
+        check_t(t, range_end(rho_m, series.radius), " for the series to converge")
+        return 1.0 + t * _back_substitute(gd, t, tol)
     # The shifted series acts on the transition matrix (sum_k c_{k+1} t^k M^k,
     # matching the walk-length expansion); applying the shift to the
     # projection instead would not reproduce the length-(k+1) walk counts.
     w = gd.sqrt_Z @ (gd.R @ np.ones(gd.n))
     y = apply_shifted_series(series, gd.M, t, w, tol, rho=rho_m)
     return series.c0 * np.ones(gd.n) + t * (gd.L.T @ (gd.sqrt_Z @ y))
+
+
+# Correction solves against the residual after a block's first solve, before
+# the block counts as failed.
+CORRECTION_SOLVES = 3
+
+
+def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarray:
+    """``L^T sqrt_Z y`` for the solution y of ``(I - tM) y = sqrt_Z R 1``.
+
+    M is block upper-triangular, so the system is solved from the last
+    snapshot to the first without assembling M.  Row block tau reads
+    ``(I - t D_tau) y_tau = b_tau`` with D_tau the diagonal block and
+    ``b_tau = sqrt_w * (1 + t (s[dst] - r[(dst, src)]))``: ``s`` sums
+    ``sqrt_w * y`` over the later edges leaving each node, and ``r`` the
+    same sums per ordered node pair, subtracted only when the regime forbids
+    backtracking in time (the reversal of edge (i, j) is (j, i)).  After all
+    snapshots, ``s`` is the projection ``L^T sqrt_Z y`` itself.
+    """
+    n = gd.n
+    s = np.zeros(n)
+    if gd.regime.forbids_time:
+        pair_keys = np.unique(np.concatenate([d.graph.src * n + d.graph.dst
+                                              for d in gd.per_snapshot]))
+        r = np.zeros(pair_keys.size)
+    for tau in reversed(range(len(gd.per_snapshot))):
+        d = gd.per_snapshot[tau]
+        if d.m == 0:
+            continue
+        src, dst = d.graph.src, d.graph.dst
+        later = s[dst]
+        if gd.regime.forbids_time:
+            reverse = dst * n + src
+            at = np.minimum(np.searchsorted(pair_keys, reverse), pair_keys.size - 1)
+            later = later - np.where(pair_keys[at] == reverse, r[at], 0.0)
+        b = d.sqrt_weights * (1.0 + t * later)
+        y = _certified_block_solve(_diagonal_block(d, gd.regime), t, b, tol, tau)
+        z = d.sqrt_weights * y
+        s += np.bincount(src, weights=z, minlength=n)
+        if gd.regime.forbids_time:
+            r[np.searchsorted(pair_keys, src * n + dst)] += z
+    return s
+
+
+def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int) -> np.ndarray:
+    """Solve ``(I - t D) y = b`` for one snapshot with a componentwise
+    (Oettli-Prager) backward error ``max_i |b + tDy - y|_i / (|b| + |y| +
+    tD|y|)_i`` of at most tol.
+
+    D and b are nonnegative, so on block tau's rows this is the
+    componentwise backward error of the whole system ``(I - tM) y = w``.
+    A first solve that misses it gets up to ``CORRECTION_SOLVES`` correction
+    solves against its residual; then the block fails with
+    :class:`NumericalError` naming the snapshot and the value reached, with
+    the block's best solution as ``estimate``.
+    """
+    system = identity(b.size) - t * block
+
+    def solve(rhs):
+        try:
+            return solve_linear(system, rhs, tol)
+        except NumericalError as exc:   # the componentwise test below decides
+            return np.zeros(rhs.size) if exc.estimate is None else exc.estimate
+
+    def backward_error(y):
+        # every weight is positive, so b > 0 and no scale entry is zero
+        residual = b + t * (block @ y) - y
+        scale = b + np.abs(y) + t * (block @ np.abs(y))
+        return float(np.max(np.abs(residual) / scale)), residual
+
+    y = solve(b)
+    best, best_error = y, math.inf
+    for attempt in range(CORRECTION_SOLVES + 1):
+        error, residual = backward_error(y)
+        if error < best_error:
+            best, best_error = y, error
+        if error <= tol:
+            return y
+        if attempt < CORRECTION_SOLVES:
+            y = y + solve(residual)
+    raise NumericalError(
+        f"snapshot {tau}: componentwise backward error {best_error:.3e} of the temporal "
+        f"resolvent exceeds tol {tol:.1e} after {CORRECTION_SOLVES} correction solves",
+        estimate=best,
+    )
 
 
 def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> np.ndarray:

@@ -62,6 +62,38 @@ def random_oneway(rng, n, p=0.4, wlo=0.5, whi=2.0) -> WeightedGraph:
     return WeightedGraph([str(i) for i in range(n)], edges)
 
 
+def write_uniform_temporal(path, seed, n, m, count):
+    """Write ``count`` snapshots of about m edges on n nodes as ``time src dst
+    weight`` records and return the path.  Each snapshot places distinct node
+    pairs uniformly, links 30% of them in both directions and draws
+    log-normal(0, 0.5) weights printed to six significant digits, all from
+    one ``numpy.random.default_rng(seed)``, in the order the benchmark's
+    ``inputs.random_graph`` draws them, so a seed gives the same file."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for tau in range(count):
+        pairs = int(round(m / 1.3))
+        draw = int(pairs * 1.3) + 64
+        a = rng.integers(0, n, size=draw)
+        b = rng.integers(0, n, size=draw)
+        keep = a != b
+        lo = np.minimum(a[keep], b[keep])
+        hi = np.maximum(a[keep], b[keep])
+        _, first = np.unique(lo.astype(np.int64) * n + hi, return_index=True)
+        chosen = np.sort(first)[:pairs]
+        lo, hi = lo[chosen], hi[chosen]
+        both = rng.random(pairs) < 0.3
+        flip = rng.random(pairs) < 0.5
+        s1 = np.where(flip, hi, lo)
+        d1 = np.where(flip, lo, hi)
+        src = np.concatenate([s1, d1[both]])
+        dst = np.concatenate([d1, s1[both]])
+        weights = rng.lognormal(0.0, 0.5, size=src.size)
+        lines.extend(f"{tau} v{s} v{d} {w:.6g}\n" for s, d, w in zip(src, dst, weights))
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240911)

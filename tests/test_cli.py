@@ -12,7 +12,7 @@ from nbtwalks.cli import _ranked, main
 from nbtwalks.linalg import spectral_radius
 from nbtwalks.temporal import BacktrackRegime, build_global_transition, parse_temporal_edge_list
 
-from conftest import cli_env
+from conftest import cli_env, write_uniform_temporal
 
 TRIANGLE = "a b 1\nb a 1\nb c 1\nc b 1\nc a 1\na c 1\n"
 PAIR = "a b 2\nb a 2\n"
@@ -133,7 +133,50 @@ class TestRadiusCalls:
         assert orders and m_total not in orders
 
 
+class TestTransitionAssembly:
+    """The temporal radius and resolvent work on the snapshot blocks and never
+    assemble the global transition matrix M; walk counts and the oracle
+    battery assemble it on first use."""
+
+    @pytest.mark.parametrize("command", [
+        ["radius"],
+        ["centrality", "--measure", "nbt-katz", "--t", "0.5r"],
+        ["centrality", "--measure", "nbt-katz", "--t", "0.9r", "--regime", "forbid-time"],
+        ["sweep", "--measure", "nbt-katz", "--grid", "0.2r,0.7r"],
+    ])
+    def test_never_assembled(self, temporal3, monkeypatch, command, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the global transition matrix was assembled")
+
+        monkeypatch.setattr(nbtwalks.temporal, "_assemble_transition", refuse)
+        code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("command", [["walk-count", "--kmax", "2"], ["oracle-check"]])
+    def test_assembled_on_demand(self, temporal3, monkeypatch, command, capsys):
+        assembled = []
+        real = nbtwalks.temporal._assemble_transition
+
+        def counted(*args, **kwargs):
+            assembled.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nbtwalks.temporal, "_assemble_transition", counted)
+        code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
+        assert code == 0
+        assert assembled
+
+
 class TestCentrality:
+    def test_temporal_resolvent_near_the_radius(self, tmp_path, capsys):
+        # 500 nodes, 20 snapshots of 500 uniformly placed edges: the global
+        # GMRES solve of I - tM stalled here and exited 3 after a minute
+        path = write_uniform_temporal(tmp_path / "uniform.txt", 1, 500, 500, 20)
+        code, out, err = run_cli(["centrality", "--input", str(path), "--temporal",
+                                  "--measure", "nbt-katz", "--t", "0.7r", "--top", "3"], capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 4
+
     def test_tie_break_by_label(self, pair, capsys):
         code, out, _ = run_cli(
             ["centrality", "--input", pair, "--measure", "nbt-katz", "--t", "0.1"], capsys

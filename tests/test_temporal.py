@@ -1,11 +1,15 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbtwalks.crosschecks
+import nbtwalks.temporal
+from nbtwalks.crosschecks import temporal_battery
 from nbtwalks.edge_level import CentralityPlan, CoefficientSeries, f_centrality
-from nbtwalks.errors import ValidationError
+from nbtwalks.errors import NumericalError, ValidationError
 from nbtwalks.graph import WeightedGraph, adjacency, line_graph
 from nbtwalks.linalg import spectral_radius
 from nbtwalks.oracle import count_temporal_walks_bruteforce
@@ -15,6 +19,7 @@ from nbtwalks.temporal import (
     build_global_transition,
     classical_temporal_katz,
     forbid_all_transition_fast,
+    load_temporal_edge_list,
     load_temporal_manifest,
     parse_temporal_edge_list,
     permitted_t_range,
@@ -22,7 +27,7 @@ from nbtwalks.temporal import (
     temporal_walk_counts,
 )
 
-from conftest import random_digraph, rel_dev
+from conftest import random_digraph, rel_dev, write_uniform_temporal
 
 RESOLVENT = CoefficientSeries.resolvent()
 
@@ -229,6 +234,163 @@ class TestCentrality:
         gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
         v = temporal_f_centrality(gd, CoefficientSeries.exponential(), 0.2, tol=1e-12)
         assert np.all(v >= 1.0 - 1e-12)
+
+
+def dense_resolvent_scores(gd, t) -> np.ndarray:
+    """Scores from one dense solve of the assembled I - tM."""
+    system = np.eye(gd.m_total) - t * gd.M.toarray()
+    y = np.linalg.solve(system, gd.sqrt_weights)
+    return 1.0 + t * (gd.L.T @ (gd.sqrt_weights * y))
+
+
+class TestSnapshotBackSubstitution:
+    """The resolvent solved one snapshot block at a time, last to first,
+    near the radius, where a global solve of I - tM failed."""
+
+    @pytest.mark.parametrize("seed, fraction", [
+        (6, 0.9), (2, 0.99), (4, 0.99), (5, 0.99), (6, 0.99),
+    ])
+    def test_near_the_radius_matches_dense_solve(self, tmp_path, seed, fraction):
+        # 150 nodes, 8 snapshots of 150 edges; the largest score reaches 1e11
+        path = write_uniform_temporal(tmp_path / "t.txt", seed, 150, 150, 8)
+        gd = build_global_transition(load_temporal_edge_list(path), BacktrackRegime.FORBID_ALL)
+        t = fraction / gd.transition_radius
+        scores = temporal_f_centrality(gd, RESOLVENT, t)
+        np.testing.assert_allclose(scores, dense_resolvent_scores(gd, t), rtol=1e-9, atol=0)
+
+
+# Two snapshots.  Edge b->d of snapshot 0 weighs 1e-12 and no later edge
+# leaves d, so its entry of the solution is 1e-6 while the others are near
+# 1: a solution whose residual meets tol * ||b|| can still be far off there.
+CERTIFICATE_EXAMPLE = "0 a b 2\n0 b c 1\n0 c a 3\n0 b d 1e-12\n1 b c 2\n1 a b 1\n"
+
+
+class TestBlockCertificate:
+    """Each snapshot block is accepted on its componentwise (Oettli-Prager)
+    backward error; a block that misses it gets correction solves, then
+    fails naming the snapshot."""
+
+    @staticmethod
+    def componentwise(matrix, rhs, y) -> float:
+        """max_i |b - Ay|_i / (|A||y| + |b|)_i."""
+        a = matrix.toarray()
+        return float(np.max(np.abs(rhs - a @ y) / (np.abs(a) @ np.abs(y) + np.abs(rhs))))
+
+    @pytest.fixture
+    def example(self):
+        gd = build_global_transition(parse_temporal_edge_list(CERTIFICATE_EXAMPLE),
+                                     BacktrackRegime.FORBID_ALL)
+        assert [d.m for d in gd.per_snapshot] == [4, 2]
+        small = gd.per_snapshot[0].edge_labels().index("b->d")
+        return gd, 0.5 / gd.transition_radius, small
+
+    def stub_solver(self, monkeypatch, perturb):
+        """Replace the block solver by an exact dense solve; on snapshot 0's
+        block (order 4) ``perturb(matrix, rhs, x, call)`` alters the answer.
+        Returns the list of (matrix, rhs, answer) given for that block."""
+        calls = []
+
+        def solve(matrix, rhs, tol=1e-10):
+            x = np.linalg.solve(matrix.toarray(), rhs)
+            if matrix.shape[0] == 4:
+                x = perturb(matrix, rhs, x, len(calls))
+                calls.append((matrix, rhs, x))
+            return x
+
+        monkeypatch.setattr(nbtwalks.temporal, "solve_linear", solve)
+        return calls
+
+    def test_refinement_repairs_a_normwise_certified_block(self, example, monkeypatch):
+        gd, t, small = example
+        tol = 1e-10
+
+        def first_off_on_the_small_entry(matrix, rhs, x, call):
+            if call > 0:
+                return x
+            column = matrix.toarray()[:, small]
+            out = x.copy()
+            out[small] += 0.5 * tol * np.linalg.norm(rhs) / np.linalg.norm(column)
+            return out
+
+        calls = self.stub_solver(monkeypatch, first_off_on_the_small_entry)
+        scores = temporal_f_centrality(gd, RESOLVENT, t, tol=tol)
+        matrix, rhs, first = calls[0]
+        # the first answer passes the normwise test and fails the componentwise one
+        assert np.linalg.norm(rhs - matrix @ first) <= tol * np.linalg.norm(rhs)
+        assert self.componentwise(matrix, rhs, first) > 1e3 * tol
+        assert len(calls) == 2  # one correction solve
+        np.testing.assert_allclose(scores, dense_resolvent_scores(gd, t), rtol=1e-14)
+
+    def test_unrepairable_block_names_snapshot_and_value(self, example, monkeypatch):
+        gd, t, small = example
+        offset = np.zeros(4)
+        offset[small] = 1e-7
+
+        def always_offset(matrix, rhs, x, call):
+            # the same error each time, so every correction solve cancels out
+            return x + offset
+
+        calls = self.stub_solver(monkeypatch, always_offset)
+        with pytest.raises(NumericalError, match=r"^snapshot 0: componentwise backward error") as info:
+            temporal_f_centrality(gd, RESOLVENT, t)
+        matrix, rhs, first = calls[0]
+        achieved = self.componentwise(matrix, rhs, first)
+        assert achieved > 1e-3
+        assert f"{achieved:.3e}" in str(info.value)
+        np.testing.assert_array_equal(info.value.estimate, first)
+
+    def test_block_missing_the_normwise_check_is_certified(self, monkeypatch):
+        # 1e-8 below the radius the dense LU of a snapshot block leaves a
+        # residual of about 8e-9 * ||b||, which the normwise check of
+        # solve_linear rejects; the componentwise bound still holds
+        text = "0 a b 1\n0 b c 1\n0 c a 1\n1 a b 2\n1 b c 1\n1 c a 1\n"
+        gd = build_global_transition(parse_temporal_edge_list(text), BacktrackRegime.FORBID_ALL)
+        t = (1.0 - 1e-8) / gd.transition_radius
+        rejected = []
+        real = nbtwalks.temporal.solve_linear
+
+        def solve(matrix, rhs, tol=1e-10):
+            try:
+                return real(matrix, rhs, tol)
+            except NumericalError as exc:
+                rejected.append(exc)
+                raise
+
+        monkeypatch.setattr(nbtwalks.temporal, "solve_linear", solve)
+        scores = temporal_f_centrality(gd, RESOLVENT, t)
+        assert rejected
+        np.testing.assert_allclose(scores, dense_resolvent_scores(gd, t), rtol=1e-9)
+
+
+class TestResolventIdentity:
+    """The oracle battery's check of the snapshot back-substitution against
+    a dense solve of the assembled I - tM, once per regime."""
+
+    NAME = "temporal resolvent: snapshot back-substitution vs dense solve of assembled I - tM"
+
+    def test_passes_on_the_fixtures(self, rng):
+        golden = load_temporal_edge_list(Path(__file__).parent / "data" / "golden" / "temporal.txt")
+        for tg in (golden, two_snapshot_example(), random_temporal(rng, 3, 5)):
+            checks = [r for r in temporal_battery(tg) if r.name.startswith(self.NAME)]
+            assert [r.name for r in checks] == [
+                f"{self.NAME} [{regime.value}]" for regime in BacktrackRegime
+            ]
+            assert all(r.passed for r in checks)
+
+    def test_detects_a_wrong_block_solve(self, rng, monkeypatch):
+        tg = random_temporal(rng, 3, 5)
+        monkeypatch.setattr(nbtwalks.temporal, "_certified_block_solve",
+                            lambda block, t, b, tol, tau: 1.01 * b)
+        gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
+        assert not nbtwalks.crosschecks._resolvent_check(gd, 1e-10).passed
+
+    def test_skipped_above_dense_solve_max(self, tmp_path):
+        path = write_uniform_temporal(tmp_path / "t.txt", 1, 300, 700, 3)
+        gd = build_global_transition(load_temporal_edge_list(path), BacktrackRegime.FORBID_ALL)
+        assert gd.m_total > 2000
+        result = nbtwalks.crosschecks._resolvent_check(gd, 1e-10)
+        assert result.name == f"{self.NAME} [forbid-all] (skipped: {gd.m_total} edges > 2000)"
+        assert result.passed and "M" not in vars(gd)
 
 
 class TestClassicalKatz:

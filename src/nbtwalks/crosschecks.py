@@ -140,6 +140,11 @@ def temporal_battery(
             CheckResult(f"temporal transition counts vs enumeration [{regime.value}]", dev, tol)
         )
         results.append(_resolvent_check(gd, tol))
+        results.append(CheckResult(
+            f"spectral radius of assembled M vs largest snapshot-block radius [{regime.value}]",
+            deviation(np.array([spectral_radius(gd.M)]), np.array([gd.transition_radius])),
+            tol,
+        ))
 
     direct = build_global_transition(tg, BacktrackRegime.FORBID_ALL).M
     fast = forbid_all_transition_fast(tg)

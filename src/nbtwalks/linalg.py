@@ -31,6 +31,8 @@ FALLBACK_CYCLES = 10            # GMRES restart cycles before the dense fallback
 
 POWER_TOL = 1e-8
 POWER_MAXITER = 10000
+DENSE_START_MAX = 64    # blocks up to this order start from a dense Perron vector
+ARNOLDI_RESTARTS = 50     # restart cycles of the Arnoldi fallback
 
 
 def as_csr(matrix) -> sp.csr_array:
@@ -201,27 +203,26 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
     )
 
 
-def _acyclic_pattern(m: sp.csr_array) -> bool:
-    """True when the sparsity pattern has no directed cycle (so the matrix is
-    nilpotent; exact for nonnegative matrices)."""
-    if m.diagonal().any():
-        return False
-    ncomp, _ = csgraph.connected_components(m, directed=True, connection="strong")
-    return ncomp == m.shape[0]
-
-
 def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITER) -> float:
-    """Spectral radius of a nonnegative square matrix by power iteration.
+    """Spectral radius of a nonnegative square matrix, one irreducible block
+    at a time.
 
-    The iteration runs on the diagonally shifted matrix ``M + sI`` (s equal to
-    the largest entry), which is aperiodic and whose radius exceeds that of M
-    by exactly s; this keeps the iteration convergent even for cyclic
-    patterns.  The iterate stays strictly positive, so every step yields
-    two-sided bounds ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``;
-    convergence is declared when the bracket closes to the requested relative
-    tolerance, with a stabilization window as fallback for reducible patterns
-    whose lower bound stagnates.  Nilpotent matrices are detected up front
-    from the pattern (and from iterate collapse) and report exactly 0.
+    The radius of a nonnegative matrix is the largest radius over the
+    irreducible diagonal blocks of its Frobenius normal form, which are the
+    strongly connected components of its pattern.  One strongly-connected-
+    components pass finds them.  A component of one node contributes its
+    diagonal entry, so a pattern without cycles (a nilpotent matrix) reports
+    exactly 0.  The other components are visited in descending order of the
+    exact bound min(max row sum, max column sum) of their block; a block whose
+    bound is no larger than the largest radius found so far is skipped.
+
+    Each visited block runs a shifted power iteration (``_block_radius``).  On
+    an irreducible block its Collatz–Wielandt bracket closes: the radius is
+    certified to the relative tolerance ``tol``, and the iteration then runs
+    on until the estimate is stationary to machine precision.  A block that
+    misses the certificate within ``max_iter`` steps falls back to restarted
+    Arnoldi; when that fails too, :class:`NumericalError` names the block's
+    order, its first node and the last estimate, kept as ``estimate``.
     """
     m = as_csr(matrix)
     if m.shape[0] != m.shape[1]:
@@ -235,37 +236,100 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
         return 0.0
     if np.any(m.data < 0):
         raise ValidationError("spectral_radius requires nonnegative entries")
-    if _acyclic_pattern(m):
-        return 0.0
 
+    ncomp, labels = csgraph.connected_components(m, directed=True, connection="strong")
+    single = np.bincount(labels, minlength=ncomp)[labels] == 1
+    best = float(m.diagonal()[single].max(initial=0.0))
+    if single.all():
+        return best
+    # the nodes of the other components, each component contiguous, and the
+    # entries inside them: a block-diagonal matrix of irreducible blocks
+    nodes = np.flatnonzero(~single)
+    nodes = nodes[np.argsort(labels[nodes], kind="stable")]
+    k = nodes.size
+    pos = np.empty(n, dtype=np.intp)
+    pos[nodes] = np.arange(k)
+    row = np.repeat(np.arange(n), np.diff(m.indptr))
+    keep = (labels[row] == labels[m.indices]) & ~single[row]
+    rows, cols, vals = pos[row[keep]], pos[m.indices[keep]], m.data[keep]
+    blocks = sp.csr_array((vals, (rows, cols)), shape=(k, k))
+    comp = labels[nodes]
+    starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+    ends = np.r_[starts[1:], k]
+    bounds = np.minimum(
+        np.maximum.reduceat(np.bincount(rows, weights=vals, minlength=k), starts),
+        np.maximum.reduceat(np.bincount(cols, weights=vals, minlength=k), starts),
+    )
+    for b in np.argsort(-bounds, kind="stable"):
+        if bounds[b] <= best:
+            break
+        lo, hi = int(starts[b]), int(ends[b])
+        block = blocks if hi - lo == k else blocks[lo:hi, lo:hi]
+        try:
+            rho = _block_radius(block, tol, max_iter)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"spectral radius of the strongly connected block of order {hi - lo} "
+                f"starting at node {int(nodes[lo])} did not converge: power iteration "
+                f"and Arnoldi both missed tol {tol:.1e} (last estimate {exc.estimate})",
+                estimate=exc.estimate,
+            ) from exc
+        best = max(best, rho)
+    return best
+
+
+def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> float:
+    """Radius of an irreducible nonnegative block by shifted power iteration.
+
+    The iteration runs on ``M + sI`` (s the largest entry), which is primitive
+    and whose radius exceeds that of M by exactly s.  The iterate stays
+    strictly positive, so every step brackets the radius:
+    ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``.  Once the bracket
+    closes to ``tol`` the radius is certified; the iteration then runs on
+    until the upper end is stationary to 8 eps over a 9-step window, which
+    leaves the result accurate to machine precision (at ``max_iter`` steps
+    the last certified value is returned).  Blocks of order up to
+    ``DENSE_START_MAX`` start from the Perron vector of a dense
+    eigendecomposition.  Without a certificate after ``max_iter`` steps,
+    restarted Arnoldi decides.
+    """
+    n = m.shape[0]
     shift = float(m.data.max())
-    x = np.full(n, 1.0 / np.sqrt(n))
+    x = np.ones(n)
+    if n <= DENSE_START_MAX:
+        values, vectors = np.linalg.eig(m.toarray())
+        perron = np.abs(vectors[:, int(np.argmax(values.real))].real)
+        if np.all(perron > 0) and np.all(np.isfinite(perron)):
+            x = perron
+    x /= np.linalg.norm(x)
     floor = np.finfo(np.float64).tiny
     eps = np.finfo(np.float64).eps
     window: list[float] = []
-    estimate = None
+    certified = estimate = None
     for _ in range(max_iter):
-        y = m @ x + shift * x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0
-        positive = x > floor  # components may underflow on reducible patterns
-        ratios = y[positive] / x[positive]
+        y = m @ x
+        y += shift * x
+        positive = float(x.min()) > floor
+        if positive:
+            ratios = y / x
+        else:  # components may underflow on graded blocks
+            live = x > floor
+            ratios = y[live] / x[live]
         upper = float(ratios.max())
         lower = float(ratios.min())
         estimate = upper - shift
-        if bool(positive.all()) and lower > shift and upper - lower <= tol * (lower - shift):
-            return 0.5 * (upper + lower) - shift
+        if positive and lower > shift and upper - lower <= tol * (lower - shift):
+            certified = 0.5 * (upper + lower) - shift
         window.append(upper)
         if len(window) > 8:
             window.pop(0)
-            # stationary to machine precision: reducible pattern whose
-            # bracket cannot close although the estimate has converged
-            if max(window) - min(window) <= 8 * eps * max(estimate, floor):
-                return max(estimate, 0.0)
-        x = y / norm
-    # Stalled: nearly equal competing block radii or a defective dominant
-    # eigenvalue make plain power iteration converge like 1/k.
+            if certified is not None and max(window) - min(window) <= 8 * eps * max(estimate, floor):
+                return estimate
+        x = y / float(np.linalg.norm(y))
+    if certified is not None:
+        return certified
+    # Uncertified: a defective or badly separated dominant eigenvalue, or a
+    # Perron vector graded below the floating-point range.
     return _radius_arnoldi(m, tol, estimate)
 
 
@@ -281,7 +345,7 @@ def _radius_arnoldi(m: sp.csr_array, tol: float, last_estimate) -> float:
     tiny = np.finfo(np.float64).tiny
     v = np.full(n, 1.0 / np.sqrt(n))
     estimate = last_estimate
-    for _ in range(50):
+    for _ in range(ARNOLDI_RESTARTS):
         depth = min(n, 60)
         basis = np.zeros((depth + 1, n))
         hess = np.zeros((depth + 1, depth))

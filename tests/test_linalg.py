@@ -1,4 +1,5 @@
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from nbtwalks.edge_level import (
     generating_matrix_via_line_graph,
 )
 from nbtwalks.errors import NumericalError, ValidationError
-from nbtwalks.graph import WeightedGraph, adjacency, line_graph
+from nbtwalks.graph import (
+    WeightedGraph,
+    adjacency,
+    binarize,
+    line_graph,
+    load_edge_list,
+    load_matrix_market,
+)
 from nbtwalks.linalg import (
     as_csr,
     elementwise_map,
@@ -26,13 +34,16 @@ from nbtwalks.linalg import (
 )
 from nbtwalks.node_level import nbt_katz
 from nbtwalks.temporal import (
+    BacktrackRegime,
     TemporalGraph,
+    _diagonal_block,
     build_global_transition,
     classical_temporal_katz,
+    load_temporal_edge_list,
     temporal_f_centrality,
 )
 
-from conftest import random_digraph, rel_dev
+from conftest import random_digraph, rel_dev, write_uniform_temporal
 
 
 def test_matmul_identity():
@@ -304,3 +315,92 @@ def test_every_bound_on_t_is_one_gate(name):
     for t in (0.5, -0.1):
         with pytest.raises(ValidationError, match="permitted range"):
             GATED[name](t)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _golden_matrices():
+    """Adjacency and V of the static golden inputs, and every snapshot
+    adjacency and diagonal block of M of the temporal one."""
+    g300 = load_edge_list(GOLDEN / "g300.txt")
+    mtx = load_matrix_market(GOLDEN / "small.mtx", drop_loops=True, merge="sum")
+    for name, g in (("g300", g300), ("g300 binarized", binarize(g300)), ("small.mtx", mtx)):
+        yield f"{name} A", adjacency(g)
+        yield f"{name} V", line_graph(g).V
+    tg = load_temporal_edge_list(GOLDEN / "temporal.txt")
+    for tau, g in enumerate(tg.snapshots):
+        yield f"temporal snapshot {tau} A", adjacency(g)
+    for regime in BacktrackRegime:
+        gd = build_global_transition(tg, regime)
+        for tau, d in enumerate(gd.per_snapshot):
+            yield f"temporal {regime.value} block {tau}", _diagonal_block(d, regime)
+
+
+def test_radius_matches_dense_eigenvalues_to_machine_precision():
+    # every printed digit of a radius holds: on small.mtx the bracket alone,
+    # certified to 1e-8, got the 10th digit wrong
+    for name, m in _golden_matrices():
+        dense = float(np.max(np.abs(np.linalg.eigvals(m.toarray())), initial=0.0))
+        got = spectral_radius(m)
+        assert abs(got - dense) <= 1e-13 * dense, (name, got, dense)
+
+
+@pytest.fixture(scope="module")
+def seed8_temporal(tmp_path_factory):
+    """500 nodes, 20 snapshots of 500 edges: a reducible M whose snapshot
+    blocks have nearly equal radii."""
+    path = write_uniform_temporal(tmp_path_factory.mktemp("seed8") / "t.txt", 8, 500, 500, 20)
+    return load_temporal_edge_list(path)
+
+
+@pytest.mark.parametrize("regime", list(BacktrackRegime), ids=lambda r: r.value)
+def test_radius_of_reducible_transition(seed8_temporal, regime):
+    gd = build_global_transition(seed8_temporal, regime)
+    want = gd.transition_radius
+    assert abs(spectral_radius(gd.M) - want) <= 1e-12 * want
+
+
+def test_radius_is_largest_over_strong_components():
+    # a 2-cycle of radius 2 feeding a 3-cycle of radius 6 ** (1/3), a
+    # self-loop of weight 1.5 and a node with no cycle
+    dense = np.zeros((7, 7))
+    dense[0, 1] = dense[1, 0] = 2.0
+    dense[1, 2] = 5.0
+    dense[2, 3], dense[3, 4], dense[4, 2] = np.sqrt(2), np.sqrt(6), np.sqrt(3)
+    dense[4, 5] = dense[5, 5] = 1.5
+    dense[5, 6] = 1.0
+    assert spectral_radius(as_csr(dense)) == pytest.approx(2.0, rel=1e-15)
+    dense[5, 5] = 2.5
+    assert spectral_radius(as_csr(dense)) == 2.5
+    dense[0, 1] = dense[1, 0] = 0.0
+    dense[5, 5] = 0.0
+    assert spectral_radius(as_csr(dense)) == pytest.approx(6 ** (1 / 3), rel=1e-14)
+
+
+def test_radius_does_not_call_itself(monkeypatch):
+    calls = []
+    real = linalg.spectral_radius
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "spectral_radius", counted)
+    dense = np.kron(np.eye(3), np.ones((2, 2)))  # three blocks of radius 2
+    dense[1, 2] = dense[3, 4] = 1.0
+    assert linalg.spectral_radius(as_csr(dense)) == pytest.approx(2.0, rel=1e-15)
+    assert len(calls) == 1
+
+
+def test_radius_failure_names_the_block(rng, monkeypatch):
+    # three nodes without a cycle, then a positive block of order 80 at node 3
+    n = 83
+    dense = np.zeros((n, n))
+    dense[0, 1] = dense[1, 2] = dense[2, 3] = 1.0
+    dense[3:, 3:] = rng.uniform(0.5, 1.5, size=(80, 80))
+    monkeypatch.setattr(linalg, "ARNOLDI_RESTARTS", 0)
+    with pytest.raises(NumericalError, match="block of order 80 starting at node 3") as info:
+        spectral_radius(as_csr(dense), max_iter=1)
+    estimate = info.value.estimate
+    assert estimate is not None and f"last estimate {estimate}" in str(info.value)

@@ -393,6 +393,30 @@ class TestResolventIdentity:
         assert result.passed and "M" not in vars(gd)
 
 
+class TestAssembledRadiusIdentity:
+    """The oracle battery's check of rho(M), taken from the assembled M, against
+    the largest snapshot-block radius, once per regime."""
+
+    NAME = "spectral radius of assembled M vs largest snapshot-block radius"
+
+    def test_passes_on_the_fixtures(self, rng):
+        golden = load_temporal_edge_list(Path(__file__).parent / "data" / "golden" / "temporal.txt")
+        for tg in (golden, two_snapshot_example(), random_temporal(rng, 3, 5)):
+            checks = [r for r in temporal_battery(tg) if r.name.startswith(self.NAME)]
+            assert [r.name for r in checks] == [
+                f"{self.NAME} [{regime.value}]" for regime in BacktrackRegime
+            ]
+            assert all(r.passed for r in checks)
+
+    def test_detects_a_wrong_block_radius(self, monkeypatch):
+        real = nbtwalks.temporal._max_radius
+        monkeypatch.setattr(nbtwalks.temporal, "_max_radius",
+                            lambda matrices: 1.001 * real(matrices))
+        tg = load_temporal_edge_list(Path(__file__).parent / "data" / "golden" / "temporal.txt")
+        checks = [r for r in temporal_battery(tg) if r.name.startswith(self.NAME)]
+        assert len(checks) == 4 and not any(r.passed for r in checks)
+
+
 class TestClassicalKatz:
     def test_single_snapshot_is_static_katz(self, rng):
         g = random_digraph(rng, 5)

@@ -184,53 +184,6 @@ def _ranked(labels, scores):
     return [(labels[i], printed[i], rank) for rank, i in enumerate(order, start=1)]
 
 
-def _discordant_pairs(y: np.ndarray) -> int:
-    """Number of pairs i < j with y[i] > y[j], counted by a bottom-up merge
-    sort of the nonnegative integers ``y``."""
-    y = np.asarray(y, dtype=np.int64)
-    n = y.size
-    span = int(y.max(initial=0)) + 1
-    pos = np.arange(n)
-    count = 0
-    width = 1
-    while width < n:
-        block = pos // (2 * width)
-        right = (pos // width) % 2 == 1
-        key = block * span + y
-        # each left run is sorted and the blocks ascend, so the left keys are
-        # sorted; a right element's block has a full left run of `width`
-        below = np.searchsorted(key[~right], key[right], side="right")
-        count += int((width - (below - block[right] * width)).sum())
-        y = np.sort(key) % span  # merge each pair of runs
-        width *= 2
-    return count
-
-
-def _kendall_tau_b(x, y) -> float:
-    """Kendall's tau-b of two equal-length vectors, as
-    ``scipy.stats.kendalltau(x, y).statistic`` computes it, bit for bit: the
-    same integer counts of discordant and tied pairs and the same final
-    expression.  NaN when either vector is constant or has under two entries."""
-    rx = np.unique(np.asarray(x, dtype=np.float64), return_inverse=True)[1]
-    ry = np.unique(np.asarray(y, dtype=np.float64), return_inverse=True)[1]
-    size = rx.size
-    order = np.lexsort((ry, rx))
-    dis = _discordant_pairs(ry[order])
-
-    def tied(codes) -> int:
-        cnt = np.unique(codes, return_counts=True)[1].astype(np.int64)
-        return int((cnt * (cnt - 1) // 2).sum())
-
-    xtie, ytie = tied(rx), tied(ry)
-    ntie = tied(rx.astype(np.int64) * size + ry)
-    tot = (size * (size - 1)) // 2
-    if xtie == tot or ytie == tot:
-        return math.nan
-    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
-    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
-    return float(np.minimum(1.0, max(-1.0, tau)))
-
-
 def _cell(value) -> str:
     return value.text if isinstance(value, Printed) else str(value)
 
@@ -308,8 +261,10 @@ def cmd_centrality(args) -> int:
             chosen = [lab for lab in labels
                       if min(rows_a[lab][1], rows_b[lab][1]) <= args.top]
         chosen.sort(key=lambda lab: (rows_a[lab][1], lab))
-        tau = _kendall_tau_b([float(rows_a[lab][0]) for lab in labels],
-                             [float(rows_b[lab][0]) for lab in labels])
+        import scipy.stats  # slow to import, and only --compare needs it
+
+        tau = scipy.stats.kendalltau([float(rows_a[lab][0]) for lab in labels],
+                                     [float(rows_b[lab][0]) for lab in labels]).statistic
         header = ["node", f"score_{name_a}", f"rank_{name_a}",
                   f"score_{name_b}", f"rank_{name_b}"]
         rows = [(lab, *rows_a[lab], *rows_b[lab]) for lab in chosen]

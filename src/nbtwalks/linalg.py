@@ -31,8 +31,7 @@ FALLBACK_CYCLES = 10            # GMRES restart cycles before the dense fallback
 
 POWER_TOL = 1e-8
 POWER_MAXITER = 10000
-DENSE_START_MAX = 64    # blocks up to this order start from a dense Perron vector
-ARNOLDI_RESTARTS = 50     # restart cycles of the Arnoldi fallback
+ARNOLDI_RESTARTS = 50   # restart cycles of the Arnoldi fallback
 
 
 def as_csr(matrix) -> sp.csr_array:
@@ -219,7 +218,8 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
     Each visited block runs a shifted power iteration (``_block_radius``).  On
     an irreducible block its Collatz–Wielandt bracket closes: the radius is
     certified to the relative tolerance ``tol``, and the iteration then runs
-    on until the estimate is stationary to machine precision.  A block that
+    on until the estimate stops moving, within a few ulp of the radius unless
+    the block's largest entry dwarfs its radius.  A block that
     misses the certificate within ``max_iter`` steps falls back to restarted
     Arnoldi; when that fails too, :class:`NumericalError` names the block's
     order, its first node and the last estimate, kept as ``estimate``.
@@ -286,22 +286,14 @@ def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> float:
     strictly positive, so every step brackets the radius:
     ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``.  Once the bracket
     closes to ``tol`` the radius is certified; the iteration then runs on
-    until the upper end is stationary to 8 eps over a 9-step window, which
-    leaves the result accurate to machine precision (at ``max_iter`` steps
-    the last certified value is returned).  Blocks of order up to
-    ``DENSE_START_MAX`` start from the Perron vector of a dense
-    eigendecomposition.  Without a certificate after ``max_iter`` steps,
-    restarted Arnoldi decides.
+    over a 9-step window until the upper end is stationary to 8 eps of the
+    radius, or has stopped decreasing because it reached the rounding of
+    rho + s, and returns it (at ``max_iter`` steps the last certified value).
+    Without a certificate after ``max_iter`` steps, restarted Arnoldi decides.
     """
     n = m.shape[0]
     shift = float(m.data.max())
-    x = np.ones(n)
-    if n <= DENSE_START_MAX:
-        values, vectors = np.linalg.eig(m.toarray())
-        perron = np.abs(vectors[:, int(np.argmax(values.real))].real)
-        if np.all(perron > 0) and np.all(np.isfinite(perron)):
-            x = perron
-    x /= np.linalg.norm(x)
+    x = np.full(n, 1.0 / np.sqrt(n))
     floor = np.finfo(np.float64).tiny
     eps = np.finfo(np.float64).eps
     window: list[float] = []
@@ -323,7 +315,12 @@ def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> float:
         window.append(upper)
         if len(window) > 8:
             window.pop(0)
-            if certified is not None and max(window) - min(window) <= 8 * eps * max(estimate, floor):
+            # stationary to 8 eps of the radius, or at the rounding floor of
+            # rho + s: the upper end, nonincreasing in exact arithmetic, has
+            # made no progress over the window
+            if certified is not None and (
+                max(window) - min(window) <= 8 * eps * estimate or min(window) == window[0]
+            ):
                 return estimate
         x = y / float(np.linalg.norm(y))
     if certified is not None:

@@ -1,5 +1,4 @@
 import json
-import math
 import subprocess
 import sys
 
@@ -9,7 +8,7 @@ import pytest
 import nbtwalks.cli
 import nbtwalks.edge_level
 import nbtwalks.temporal
-from nbtwalks.cli import _kendall_tau_b, _ranked, main
+from nbtwalks.cli import _ranked, main
 from nbtwalks.linalg import spectral_radius
 from nbtwalks.temporal import BacktrackRegime, build_global_transition, parse_temporal_edge_list
 
@@ -462,55 +461,11 @@ class TestValidationPaths:
 
 class TestImports:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is the slowest import in reach of the package
+        # only --compare needs scipy.stats, the slowest import of the package
         probe = "import sys, nbtwalks.cli; print('scipy.stats' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
-
-    def test_compare_leaves_scipy_stats_unloaded(self, triangle):
-        probe = ("import sys; from nbtwalks.cli import main; "
-                 f"code = main(['centrality', '--input', {triangle!r}, "
-                 "'--compare', 'katz:nbt-katz', '--t', '0.5r']); "
-                 "print(code, 'scipy.stats' in sys.modules, file=sys.stderr)")
-        result = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
-                                capture_output=True, text=True, check=True)
-        assert "kendall_tau" in result.stdout
-        assert result.stderr.strip() == "0 False"
-
-
-class TestKendallTau:
-    """The CLI's tau-b equals scipy.stats.kendalltau's statistic bit for bit."""
-
-    @staticmethod
-    def _scipy(x, y) -> float:
-        import scipy.stats
-
-        return float(scipy.stats.kendalltau(x, y).statistic)
-
-    @pytest.mark.parametrize("levels", [2, 5, 40, None])
-    def test_bitwise_equal_to_scipy(self, rng, levels):
-        for size in (2, 3, 17, 300, 1000):
-            if levels is None:  # tie-free
-                x = rng.random(size)
-                y = x + rng.random(size) * rng.random()
-            else:  # tie-heavy
-                x = rng.integers(0, levels, size).astype(float)
-                y = np.where(rng.random(size) < 0.5, x, rng.integers(0, levels, size))
-            for b in (y, -y):
-                want = self._scipy(x, b)
-                got = _kendall_tau_b(x, b)
-                assert got == want or (math.isnan(got) and math.isnan(want))
-
-    def test_all_tied_side_is_nan(self):
-        assert math.isnan(_kendall_tau_b([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
-        assert math.isnan(_kendall_tau_b([1.0, 2.0], [5.0, 5.0]))
-        assert math.isnan(_kendall_tau_b([1.0], [2.0]))
-
-    def test_reversed_order_is_minus_one(self):
-        x = np.arange(50.0)
-        assert _kendall_tau_b(x, x[::-1]) == -1.0
-        assert _kendall_tau_b(x, x) == 1.0
 
 
 class TestDeterminism:

@@ -393,6 +393,28 @@ def test_radius_does_not_call_itself(monkeypatch):
     assert len(calls) == 1
 
 
+class _CountedCSR(sp.csr_array):
+    """A CSR array that counts its matrix-vector products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def test_radius_of_graded_block_stops_at_the_rounding_floor():
+    # a 2-cycle with weights 100 and 0.01: rho = 1, but the shift is the
+    # largest entry, so the iteration converges slowly and the bracket's upper
+    # end can settle no closer than the rounding of rho + 100.  Certifying
+    # 1e-8 alone takes 991 products; running on must stop far short of
+    # POWER_MAXITER
+    block = _CountedCSR(np.array([[0.0, 100.0], [0.01, 0.0]]))
+    rho = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
+    assert rho == pytest.approx(1.0, rel=1e-12)
+    assert block.products < 2000
+
+
 def test_radius_failure_names_the_block(rng, monkeypatch):
     # three nodes without a cycle, then a positive block of order 80 at node 3
     n = 83

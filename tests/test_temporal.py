@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nbtwalks.crosschecks
+import nbtwalks.linalg
 import nbtwalks.temporal
 from nbtwalks.crosschecks import temporal_battery
 from nbtwalks.edge_level import CentralityPlan, CoefficientSeries, f_centrality
@@ -394,10 +395,11 @@ class TestResolventIdentity:
 
 
 class TestAssembledRadiusIdentity:
-    """The oracle battery's check of rho(M), taken from the assembled M, against
-    the largest snapshot-block radius, once per regime."""
+    """The oracle battery's check of rho(M), taken from the assembled M by
+    spectral_radius, against the dense eigenvalues of M's snapshot blocks,
+    once per regime."""
 
-    NAME = "spectral radius of assembled M vs largest snapshot-block radius"
+    NAME = "spectral radius of assembled M vs dense eigenvalues of its snapshot blocks"
 
     def test_passes_on_the_fixtures(self, rng):
         golden = load_temporal_edge_list(Path(__file__).parent / "data" / "golden" / "temporal.txt")
@@ -409,12 +411,20 @@ class TestAssembledRadiusIdentity:
             assert all(r.passed for r in checks)
 
     def test_detects_a_wrong_block_radius(self, monkeypatch):
-        real = nbtwalks.temporal._max_radius
-        monkeypatch.setattr(nbtwalks.temporal, "_max_radius",
-                            lambda matrices: 1.001 * real(matrices))
+        real = nbtwalks.linalg._block_radius
+        monkeypatch.setattr(nbtwalks.linalg, "_block_radius",
+                            lambda block, tol, max_iter: 1.001 * real(block, tol, max_iter))
         tg = load_temporal_edge_list(Path(__file__).parent / "data" / "golden" / "temporal.txt")
         checks = [r for r in temporal_battery(tg) if r.name.startswith(self.NAME)]
         assert len(checks) == 4 and not any(r.passed for r in checks)
+
+    def test_skipped_above_dense_solve_max(self, tmp_path):
+        path = write_uniform_temporal(tmp_path / "t.txt", 1, 300, 700, 3)
+        gd = build_global_transition(load_temporal_edge_list(path), BacktrackRegime.FORBID_ALL)
+        assert gd.m_total > 2000
+        result = nbtwalks.crosschecks._assembled_radius_check(gd, 1e-10)
+        assert result.name == f"{self.NAME} [forbid-all] (skipped: {gd.m_total} edges > 2000)"
+        assert result.passed and "M" not in vars(gd)
 
 
 class TestClassicalKatz:

@@ -323,12 +323,14 @@ class LineGraphDecomposition:
     - ``Z``: m x m diagonal matrix of edge weights; ``sqrt_Z`` its square root.
     - ``W``: line-graph weight matrix, ``W[e, f] = w_e * w_f`` when edge f
       continues edge e (end of e equals start of f).
-    - ``B``: W with mutually reversing edge pairs zeroed out (the Hashimoto
+    - ``B``: W without the steps from an edge to its reversal (the Hashimoto
       matrix); only chains that do not backtrack survive.
-    - ``V``: half-power form of B whose entries are ``sqrt(w_e) * sqrt(w_f)``
-      on B's pattern, so that ``sqrt_Z @ V**k @ sqrt_Z`` carries true
+    - ``V``: half-power form of B, ``sqrt(w_e) * sqrt(w_f)`` on the same
+      pruned chain pattern, so that ``sqrt_Z @ V**k @ sqrt_Z`` carries true
       multiplicative walk weights.
 
+    All three scale one chain pattern (``_chain_pattern``); f reverses e
+    when ``dst[f] == src[e]``, a test on indices that no underflow can miss.
     ``V`` (and every half-power matrix in the package) is assembled from the
     square-rooted weights rather than by square-rooting products, so that
     independently built edge-level constructions agree bitwise.
@@ -372,39 +374,38 @@ class LineGraphDecomposition:
         return [f"{labels[s]}->{labels[d]}" for s, d in self.edge_order]
 
 
-def _chain_pattern(graph: WeightedGraph):
-    """CSR pattern of the chain matrix ``R @ L.T``: row e lists, ascending,
-    the edges f that continue e (``src[f] == dst[e]``).  Edges sorted by
-    ``(src, dst)`` keep each node's out-edges in one contiguous run, so row e
-    is the run of node ``dst[e]``.  Returns ``(indptr, indices, rows)`` with
-    the row of every entry."""
-    out_start = np.searchsorted(graph.src, np.arange(graph.n + 1))
-    run = out_start[graph.dst]
-    counts = out_start[graph.dst + 1] - run
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    rows = np.repeat(np.arange(graph.m), counts)
-    indices = np.arange(indptr[-1]) - indptr[rows] + run[rows]
-    return indptr, indices, rows
+def _chain_pattern(first: WeightedGraph, then: WeightedGraph | None = None, *,
+                   prune: bool = False):
+    """CSR pattern of the chain matrix ``R_first @ L_then.T``: row e lists,
+    ascending, the edges f of ``then`` (default ``first``) that continue edge
+    e of ``first`` (``then.src[f] == first.dst[e]``), the contiguous run of
+    node ``first.dst[e]``'s out-edges in ``(src, dst)`` order.  ``prune``
+    drops the reversals by index (``then.dst[f] == first.src[e]``), so no
+    weight enters the test.  Returns ``(indptr, indices, rows, ncols)``."""
+    then = first if then is None else then
+    out_start = np.searchsorted(then.src, np.arange(first.n + 1))
+    run = out_start[first.dst]
+    counts = out_start[first.dst + 1] - run
+    rows = np.repeat(np.arange(first.m), counts)
+    indices = np.arange(rows.size) + (run - (np.cumsum(counts) - counts))[rows]
+    if prune:
+        keep = then.dst[indices] != first.src[rows]
+        rows, indices = rows[keep], indices[keep]
+    indptr = np.searchsorted(rows, np.arange(first.m + 1))
+    return indptr, indices, rows, then.m
 
 
-def _on_chain(pattern, x: np.ndarray) -> sp.csr_array:
-    """``diag(x) @ chain @ diag(x)`` on the chain pattern: entry (e, f) is
-    ``x[e] * x[f]``, bit for bit what the sparse products compute, and
-    products that underflow to zero are dropped as they drop them."""
-    indptr, indices, rows = pattern
+def _on_chain(pattern, x: np.ndarray, y: np.ndarray | None = None) -> sp.csr_array:
+    """``diag(x) @ chain @ diag(y)`` on a chain pattern (``y`` defaults to
+    ``x``): entry (e, f) is ``x[e] * y[f]``, bit for bit what the sparse
+    products compute, and products that underflow to zero are dropped as
+    they drop them."""
+    indptr, indices, rows, ncols = pattern
+    y = x if y is None else y
     # a copy of the pattern, which eliminate_zeros edits in place
-    out = sp.csr_array((x[rows] * x[indices], indices, indptr), shape=(x.size, x.size),
+    out = sp.csr_array((x[rows] * y[indices], indices, indptr), shape=(x.size, ncols),
                        copy=True)
     out.eliminate_zeros()
-    return out
-
-
-def _mask_reversals(values: sp.csr_array, pattern: sp.csr_array) -> sp.csr_array:
-    # Subtracting the masked copy removes exactly the flagged entries; the
-    # survivors keep their original bit pattern.
-    out = sp.csr_array(values - values.multiply(pattern))
-    out.eliminate_zeros()
-    out.sort_indices()
     return out
 
 
@@ -422,17 +423,14 @@ def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
     Z = diag_matrix(weights)
     sqrt_Z = diag_matrix(sqrt_weights)
 
-    chain = _chain_pattern(graph)  # edge f continues edge e
-    W = _on_chain(chain, weights)
-    half = _on_chain(chain, sqrt_weights)
+    W = _on_chain(_chain_pattern(graph), weights)
+    pruned = _chain_pattern(graph, prune=True)  # no edge followed by its reversal
+    B = _on_chain(pruned, weights)
+    V = _on_chain(pruned, sqrt_weights)
 
     rebuilt = matmul(matmul(L.T, Z), R)
     if (rebuilt != adjacency(graph)).nnz != 0:
         raise AssertionError("edge incidence factorization does not reproduce the adjacency")
-
-    reversal = sp.csr_array((W.T != 0))  # pattern of mutually reversing pairs
-    B = _mask_reversals(W, reversal)
-    V = _mask_reversals(half, reversal)
 
     return LineGraphDecomposition(
         graph=graph,

@@ -24,8 +24,9 @@ from .errors import NumericalError, ValidationError
 from .graph import (
     LineGraphDecomposition,
     WeightedGraph,
-    _mask_reversals,
+    _chain_pattern,
     _node_labels,
+    _on_chain,
     _read_records,
     adjacency,
     graph_from_records,
@@ -108,8 +109,12 @@ class GlobalDecomposition:
     block upper-triangular transition matrix in half-power form: entry
     (e, f) equals ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e
     under the regime, so ``sqrt_Z @ M**k @ sqrt_Z`` counts weighted walks.
-    ``M`` is assembled on first access and kept; the radius and the
-    resolvent work on the snapshot blocks and never assemble it.
+    Every block scales a chain pattern of ``graph._chain_pattern``, pruned
+    of reversals (``dst[f] == src[e]``, by node index) within a snapshot
+    when the regime forbids backtracking in space and across snapshots when
+    it forbids backtracking in time.  ``M`` is assembled on first access and
+    kept; the radius and the resolvent work on the snapshot blocks and never
+    assemble it.
     """
 
     temporal: TemporalGraph
@@ -118,9 +123,7 @@ class GlobalDecomposition:
     offsets: np.ndarray
     L: sp.csr_array
     R: sp.csr_array
-    weights: np.ndarray
     sqrt_weights: np.ndarray
-    Z: sp.csr_array
     sqrt_Z: sp.csr_array
 
     @cached_property
@@ -171,13 +174,10 @@ def _stack(per: list[LineGraphDecomposition], tg: TemporalGraph):
     n = tg.n
     L = sp.csr_array(sp.vstack([d.L for d in per], format="csr"), shape=(offsets[-1], n))
     R = sp.csr_array(sp.vstack([d.R for d in per], format="csr"), shape=(offsets[-1], n))
-    weights = (
-        np.concatenate([d.weights for d in per]) if offsets[-1] else np.zeros(0)
-    )
     sqrt_weights = (
         np.concatenate([d.sqrt_weights for d in per]) if offsets[-1] else np.zeros(0)
     )
-    return offsets, L, R, weights, sqrt_weights
+    return offsets, L, R, sqrt_weights
 
 
 def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> GlobalDecomposition:
@@ -185,7 +185,7 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
     global transition matrix ``M`` is assembled on first access."""
     regime = BacktrackRegime(regime)
     per = [line_graph(g) for g in tg.snapshots]
-    offsets, L, R, weights, sqrt_weights = _stack(per, tg)
+    offsets, L, R, sqrt_weights = _stack(per, tg)
     return GlobalDecomposition(
         temporal=tg,
         regime=regime,
@@ -193,9 +193,7 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
         offsets=offsets,
         L=L,
         R=R,
-        weights=weights,
         sqrt_weights=sqrt_weights,
-        Z=diag_matrix(weights),
         sqrt_Z=diag_matrix(sqrt_weights),
     )
 
@@ -205,9 +203,9 @@ def _assemble_transition(per: list[LineGraphDecomposition], regime: BacktrackReg
 
     Diagonal blocks step within a snapshot (backtrack-pruned when the regime
     forbids backtracking in space); upper blocks step from an earlier to a
-    later snapshot (pruned of reversal pairs when the regime forbids
-    backtracking in time).  Blocks below the diagonal are zero: walks may
-    not move back in time.
+    later snapshot on the chain pattern between the two (pruned of
+    reversals when the regime forbids backtracking in time).  Blocks below
+    the diagonal are zero: walks may not move back in time.
     """
     count = len(per)
     if not sum(d.m for d in per):
@@ -217,13 +215,8 @@ def _assemble_transition(per: list[LineGraphDecomposition], regime: BacktrackReg
         blocks[t1][t1] = _diagonal_block(d1, regime)
         for t2 in range(t1 + 1, count):
             d2 = per[t2]
-            chain = matmul(d1.R, d2.L.T)
-            half = matmul(matmul(d1.sqrt_Z, chain), d2.sqrt_Z)
-            if regime.forbids_time:
-                # Reversal pairs across snapshots: f runs opposite to e.
-                reverse_chain = matmul(d2.R, d1.L.T)
-                half = _mask_reversals(half, sp.csr_array(reverse_chain.T != 0))
-            blocks[t1][t2] = half
+            chain = _chain_pattern(d1.graph, d2.graph, prune=regime.forbids_time)
+            blocks[t1][t2] = _on_chain(chain, d1.sqrt_weights, d2.sqrt_weights)
     M = sp.csr_array(sp.block_array(blocks, format="csr"))
     M.sort_indices()
     return M
@@ -238,14 +231,15 @@ def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
     Identical, entry for entry, to ``build_global_transition(tg, FORBID_ALL).M``.
     """
     per = [line_graph(g) for g in tg.snapshots]
-    offsets, L, R, _, sqrt_weights = _stack(per, tg)
+    offsets, L, R, sqrt_weights = _stack(per, tg)
     m_total = int(offsets[-1])
     if m_total == 0:
         return sp.csr_array((0, 0), dtype=np.float64)
 
     chain = matmul(R, L.T)
-    reversal = sp.csr_array(matmul(L, R.T) != 0)
-    pruned = _mask_reversals(chain, reversal)
+    # subtracting the masked copy removes exactly the reversal entries
+    pruned = sp.csr_array(chain - chain.multiply(matmul(L, R.T) != 0))
+    pruned.eliminate_zeros()
     sqrt_z = diag_matrix(sqrt_weights)
     hat = matmul(matmul(sqrt_z, pruned), sqrt_z)
 

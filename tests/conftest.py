@@ -1,5 +1,5 @@
-"""Shared test helpers: random instances, deviation measures and the
-environment of CLI subprocesses."""
+"""Shared test helpers: random instances, deviation and bitwise comparison
+of matrices, and the environment of CLI subprocesses."""
 
 import os
 from pathlib import Path
@@ -25,6 +25,14 @@ def rel_dev(a, b) -> float:
         return 0.0
     scale = max(1.0, float(np.max(np.abs(da))), float(np.max(np.abs(db))))
     return float(np.max(np.abs(da - db))) / scale
+
+
+def assert_bitwise_equal(a, b):
+    """Two sparse matrices with the same shape, pattern and value bits."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
 
 
 def random_digraph(rng, n, p=0.4, wlo=0.5, whi=2.0, integer=False) -> WeightedGraph:

@@ -21,6 +21,7 @@ from nbtwalks.graph import (
 from nbtwalks.linalg import diag_matrix, matmul, spectral_radius
 
 from conftest import (
+    assert_bitwise_equal,
     directed_cycle,
     random_digraph,
     rel_dev,
@@ -270,7 +271,8 @@ class TestLineGraph:
 
 def product_form(g: WeightedGraph) -> dict:
     """The line-graph matrices built by sparse products through diagonal
-    weight matrices, the construction ``line_graph`` replaced."""
+    weight matrices, the construction ``line_graph`` replaced, with the
+    reversals found by the weight-free incidence product ``L @ R.T``."""
     m, n = g.m, g.n
     src = np.array([s for s, _, _ in g.edges], dtype=np.int64)
     dst = np.array([d for _, d, _ in g.edges], dtype=np.int64)
@@ -282,7 +284,7 @@ def product_form(g: WeightedGraph) -> dict:
     chain = matmul(R, L.T)
     W = matmul(matmul(Z, chain), Z)
     half = matmul(matmul(sqrt_Z, chain), sqrt_Z)
-    reversal = sp.csr_array(W.T != 0)
+    reversal = sp.csr_array(matmul(L, R.T) != 0)
 
     def masked(values):
         out = sp.csr_array(values - values.multiply(reversal))
@@ -294,13 +296,6 @@ def product_form(g: WeightedGraph) -> dict:
             "L": L, "R": R, "Z": Z, "sqrt_Z": sqrt_Z}
 
 
-def assert_bitwise_equal(a, b):
-    assert a.shape == b.shape
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
-
-
 class TestLineGraphBitwise:
     """``line_graph`` scales one chain pattern; every matrix must match the
     product form bit for bit, pattern included."""
@@ -309,8 +304,8 @@ class TestLineGraphBitwise:
     def graphs():
         rng = np.random.default_rng(2000)
         seeded = random_digraph(rng, 71, p=0.4)  # about 2,000 edges
-        # weights whose products underflow: W drops those entries, the
-        # half-power matrices keep them
+        # weights whose products underflow: W and B drop those entries, the
+        # half-power matrices keep them, and V still drops the reversals
         tiny = WeightedGraph(["a", "b", "c"],
                              [(0, 1, 1e-170), (1, 0, 1e-170), (1, 2, 1e-3), (2, 0, 1e-200)])
         golden = Path(__file__).parent / "data" / "golden" / "g300.txt"
@@ -327,6 +322,13 @@ class TestLineGraphBitwise:
             for name in ("W", "B", "V", "L", "R", "Z", "sqrt_Z"):
                 assert_bitwise_equal(getattr(d, name), ref[name])
             assert_bitwise_equal(d.half_walk_matrix(), ref["half"])
+
+    def test_v_holds_no_reversal(self):
+        # f reverses e when dst[f] == src[e]; V keeps no such step, even where
+        # the weight product w_e * w_f underflows to zero
+        for g in self.graphs():
+            v = line_graph(g).V.tocoo()
+            assert not np.any(g.dst[v.col] == g.src[v.row])
 
     def test_half_walk_matrix_is_built_once(self):
         d = line_graph(undirected_path())

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import nbtwalks.crosschecks
 import nbtwalks.linalg
@@ -12,7 +13,7 @@ from nbtwalks.crosschecks import temporal_battery
 from nbtwalks.edge_level import CentralityPlan, CoefficientSeries, f_centrality
 from nbtwalks.errors import NumericalError, ValidationError
 from nbtwalks.graph import WeightedGraph, adjacency, line_graph
-from nbtwalks.linalg import spectral_radius
+from nbtwalks.linalg import matmul, spectral_radius
 from nbtwalks.oracle import count_temporal_walks_bruteforce
 from nbtwalks.temporal import (
     BacktrackRegime,
@@ -28,7 +29,7 @@ from nbtwalks.temporal import (
     temporal_walk_counts,
 )
 
-from conftest import random_digraph, rel_dev, write_uniform_temporal
+from conftest import assert_bitwise_equal, random_digraph, rel_dev, write_uniform_temporal
 
 RESOLVENT = CoefficientSeries.resolvent()
 
@@ -158,10 +159,76 @@ class TestFastConstruction:
         for _ in range(10):
             tg = random_temporal(rng)
             direct = build_global_transition(tg, BacktrackRegime.FORBID_ALL).M
-            fast = forbid_all_transition_fast(tg)
-            assert np.array_equal(direct.indptr, fast.indptr)
-            assert np.array_equal(direct.indices, fast.indices)
-            assert np.array_equal(direct.data, fast.data)
+            assert_bitwise_equal(direct, forbid_all_transition_fast(tg))
+
+    def test_underflowing_reciprocated_pair(self):
+        # w_e * w_f underflows on snapshot 0's reciprocated pair; the pair's
+        # backtracking step must still be pruned from the diagonal block
+        checks = {r.name: r for r in temporal_battery(underflow_example())}
+        assert checks["fast forbid-all assembly vs block assembly"].passed
+
+
+def underflow_example(weight=1.0) -> TemporalGraph:
+    """Snapshot 0 holds a reciprocated pair of weight 1e-170, whose weight
+    product underflows to zero; snapshot 1 repeats one edge of the pair."""
+    labels = ["a", "b", "c"]
+    g0 = WeightedGraph(labels, [(0, 1, 1e-170), (1, 0, 1e-170), (1, 2, 1e-3), (2, 0, 1e-200)])
+    g1 = WeightedGraph(labels, [(0, 1, weight)])
+    return TemporalGraph([g0, g1], [0.0, 1.0])
+
+
+def product_block_form(tg: TemporalGraph, regime: BacktrackRegime) -> sp.csr_array:
+    """M built block by block from incidence products, the construction
+    ``_assemble_transition`` replaced: each upper block is ``sqrt_Z1 R1 L2^T
+    sqrt_Z2``, with the reversals of ``R2 L1^T`` masked out when the regime
+    forbids backtracking in time."""
+    per = [line_graph(g) for g in tg.snapshots]
+    if not sum(d.m for d in per):
+        return sp.csr_array((0, 0), dtype=np.float64)
+    blocks = [[None] * len(per) for _ in per]
+    for t1, d1 in enumerate(per):
+        blocks[t1][t1] = d1.V if regime.forbids_space else d1.half_walk_matrix()
+        for t2 in range(t1 + 1, len(per)):
+            d2 = per[t2]
+            half = matmul(matmul(d1.sqrt_Z, matmul(d1.R, d2.L.T)), d2.sqrt_Z)
+            if regime.forbids_time:
+                reversal = sp.csr_array(matmul(d2.R, d1.L.T).T != 0)
+                half = sp.csr_array(half - half.multiply(reversal))
+                half.eliminate_zeros()
+                half.sort_indices()
+            blocks[t1][t2] = half
+    M = sp.csr_array(sp.block_array(blocks, format="csr"))
+    M.sort_indices()
+    return M
+
+
+class TestBlockAssemblyBitwise:
+    """Every block of M scales a chain pattern between two snapshots; M must
+    match the incidence-product block form bit for bit under every regime."""
+
+    @staticmethod
+    def instances(tmp_path):
+        # the smallest subnormal weight meets the tiny ones across snapshots
+        out = [two_snapshot_example(), underflow_example(), underflow_example(5e-324)]
+        for seed in (1, 3, 8):
+            tg = load_temporal_edge_list(
+                write_uniform_temporal(tmp_path / f"u{seed}.txt", seed, 40, 60, 4))
+            empty = WeightedGraph(tg.node_labels, [])
+            snaps = tg.snapshots[:2] + [empty] + tg.snapshots[2:]
+            out.append(TemporalGraph(snaps, [float(i) for i in range(len(snaps))]))
+        rng = np.random.default_rng(77)
+        out.extend(random_temporal(rng, 3, 5) for _ in range(4))
+        labels = ["a", "b"]
+        out.append(TemporalGraph([WeightedGraph(labels, [])] * 2, [0.0, 1.0]))
+        return out
+
+    def test_matches_product_block_form(self, tmp_path):
+        instances = self.instances(tmp_path)
+        assert any(g.m == 0 for tg in instances for g in tg.snapshots)
+        for tg in instances:
+            for regime in BacktrackRegime:
+                assert_bitwise_equal(build_global_transition(tg, regime).M,
+                                     product_block_form(tg, regime))
 
 
 class TestWalkCounts:

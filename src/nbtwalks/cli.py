@@ -3,8 +3,10 @@
 Subcommands: ``radius``, ``centrality``, ``sweep``, ``walk-count``,
 ``oracle-check``.  Output goes to stdout as CSV (default) or JSON with all
 floats printed to 12 significant digits, so identical inputs produce
-byte-identical output.  Exit codes: 0 success, 2 validation error,
-3 numerical failure.
+byte-identical output.  Every table goes through ``_emit``, which takes its
+rows as columns of printed cells (``Rows``) and writes them in one write.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, 141 when
+the reader of stdout closed it early (as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -42,32 +45,46 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-class Printed(float):
-    """A number as the output prints it.  ``text`` is ``fmt(x)``, formatted
-    once, which CSV prints; the float value is what that text reads back as,
-    which JSON prints and rankings and Kendall tau compare, so two scores
-    that print alike are a tie."""
-
-    __slots__ = ("text",)
-
-    def __new__(cls, x: float):
-        text = fmt(x)
-        value = super().__new__(cls, text)
-        value.text = text
-        return value
+def printed(values) -> list[str]:
+    """Each of ``values`` as the output prints it, formatted once."""
+    return [f"{x:.12g}" for x in np.asarray(values, dtype=float).tolist()]
 
 
-def jnum(x):
-    """``x`` as printed: a ``Printed`` number, or the string "inf" or "nan",
-    which JSON carries as strings.  A value already printed passes through
-    unchanged."""
-    if isinstance(x, (Printed, str)):
-        return x
-    if x == math.inf:
-        return "inf"
-    if math.isnan(x):
-        return "nan"
-    return Printed(x)
+def read_back(texts) -> np.ndarray:
+    """The numbers that printed texts read back as.  Rankings and Kendall tau
+    compare these, so two scores that print alike are a tie."""
+    return np.array(texts, dtype=float)
+
+
+def _json_number(text: str):
+    """A printed cell as JSON carries it: the number its text reads back as.
+    "inf" and "nan", which JSON has no literal for, and text that is no
+    number (a range) stay strings."""
+    if text in ("inf", "nan"):
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+class Rows:
+    """Table rows held as columns, which is how ``_emit`` writes them.
+
+    Each column is a kind and a list of cells as CSV prints them.  The kind
+    says how JSON carries the cells: "text" as strings, "int" as integers,
+    "number" as ``_json_number`` reads them."""
+
+    def __init__(self, *columns: tuple[str, list[str]]):
+        self.kinds = [kind for kind, _ in columns]
+        self.cells = [cells for _, cells in columns]
+
+    def __len__(self) -> int:
+        return len(self.cells[0])
+
+    def json(self) -> list[tuple]:
+        read = {"text": str, "int": int, "number": _json_number}
+        return list(zip(*(map(read[kind], cells) for kind, cells in zip(self.kinds, self.cells))))
 
 
 def _series_from_name(name: str) -> CoefficientSeries:
@@ -175,32 +192,91 @@ class _Measure:
         return self.graph.node_labels if self.mode == "static" else self.tg.node_labels
 
 
-def _ranked(labels, scores):
-    """(label, printed score, rank) rows, best first.  Nodes are ordered by
-    their printed score (``jnum``); ties at that precision break by node
-    label."""
-    printed = [jnum(s) for s in scores]
-    order = sorted(range(len(labels)), key=lambda i: (-float(printed[i]), labels[i]))
-    return [(labels[i], printed[i], rank) for rank, i in enumerate(order, start=1)]
+def _ranking(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Node indices best first: by printed score (``values``, as
+    ``read_back`` gives them), highest first; ties break by node label."""
+    return np.lexsort((labels, -values))
 
 
-def _cell(value) -> str:
-    return value.text if isinstance(value, Printed) else str(value)
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """Each node's rank, 1 for the best, from its ``_ranking`` order."""
+    ranks = np.empty(order.size, dtype=np.intp)
+    ranks[order] = np.arange(1, order.size + 1)
+    return ranks
 
 
-def _emit(args, header, rows, extra=None):
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b of two paired samples, equal to
+    ``scipy.stats.kendalltau(x, y).statistic`` bit for bit.
+
+    It takes scipy's steps: dense ranks (y by value, then x by a stable sort,
+    so equal x keep y ascending), tie counts joint and per sample, and the
+    discordant pairs, which are the inversions of y in that order (Knight,
+    JASA 1966).  A bottom-up merge counts them, each level for all blocks at
+    once.  Every count is an exact integer, so the final float operations
+    are scipy's on the same operands.  NaN for fewer than two pairs, a NaN
+    entry or a constant sample.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    size = x.size
+    if size < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return math.nan
+    perm = np.argsort(y)
+    x, y = x[perm], y[perm]
+    y = np.r_[True, y[1:] != y[:-1]].cumsum(dtype=np.intp)
+    perm = np.argsort(x, kind="mergesort")
+    x, y = x[perm], y[perm]
+    x = np.r_[True, x[1:] != x[:-1]].cumsum(dtype=np.intp)
+
+    # inversions of y: merge sorted blocks of width w pairwise, counting for
+    # each right-block entry the left-block entries above it.  An offset per
+    # pair keeps the pairs apart, so one sort and one search serve them all.
+    dis = 0
+    span = int(y.max()) + 1
+    merged = y.astype(np.int64)
+    index = np.arange(size)
+    width = 1
+    while width < size:
+        pair = index // (2 * width)
+        keyed = merged + pair * span
+        right = index % (2 * width) >= width
+        # the left block of pair p holds keyed[~right] from p * width on
+        at_most = np.searchsorted(keyed[~right], keyed[right], side="right")
+        dis += int(((pair[right] + 1) * width - at_most).sum())
+        merged = np.sort(keyed) - pair * span
+        width *= 2
+
+    def tied_pairs(counts) -> int:
+        return int((counts * (counts - 1) // 2).sum())
+
+    obs = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
+    ntie = tied_pairs(np.diff(np.flatnonzero(obs)))
+    xtie, ytie = tied_pairs(np.bincount(x)), tied_pairs(np.bincount(y))
+    tot = (size * (size - 1)) // 2
+    if xtie == tot or ytie == tot:
+        return math.nan
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))
+
+
+def _emit(args, header, rows: Rows, extra=None):
+    """Write a table to stdout in one write, as CSV or as one JSON document.
+    ``extra`` maps names to printed numbers, which CSV appends as comment
+    lines after the rows."""
+    extra = extra or {}
     if args.format == "json":
-        doc = {"columns": header, "rows": rows}
-        if extra:
-            doc.update(extra)
-        print(json.dumps(doc, sort_keys=True))
+        doc = {"columns": header, "rows": rows.json()}
+        doc.update((key, _json_number(text)) for key, text in extra.items())
+        text = json.dumps(doc, sort_keys=True)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(map(_cell, row)))
-        if extra:
-            for key, value in extra.items():
-                print(f"# {key} = {_cell(value)}")
+        lines = [",".join(header)]
+        if len(rows):
+            lines.append("\n".join(map(",".join, zip(*rows.cells))))
+        lines.extend(f"# {key} = {text}" for key, text in extra.items())
+        text = "\n".join(lines)
+    sys.stdout.write(text + "\n")
 
 
 def cmd_radius(args) -> int:
@@ -211,25 +287,29 @@ def cmd_radius(args) -> int:
         sections.append(("binarized", _binarized(mode, data)))
     resolvent = CoefficientSeries.resolvent()
     regime = BacktrackRegime(args.regime)
-    rows = []
+    tags, quantities, values = [], [], []
     for tag, graph in sections:
         katz = _Measure("katz", mode, graph, resolvent, regime, args.tol)
         nbt = _Measure("nbt-katz", mode, graph, resolvent, regime, args.tol)
         katz_range = f"[0, {fmt(katz.radius)})"
         nbt_range = f"[0, {fmt(nbt.radius)})"
         if mode == "static":
-            rows.append((tag, "rho_adjacency", jnum(katz.rho)))
-            rows.append((tag, "rho_nbt_transition", jnum(nbt.rho)))
-            rows.append((tag, "katz_t_range", katz_range))
-            rows.append((tag, "nbt_t_range", nbt_range))
+            section = [("rho_adjacency", fmt(katz.rho)),
+                       ("rho_nbt_transition", fmt(nbt.rho)),
+                       ("katz_t_range", katz_range),
+                       ("nbt_t_range", nbt_range)]
         else:
-            rows.append((tag, "rho_transition", jnum(nbt.rho)))
-            rows.append((tag, "max_rho_adjacency", jnum(katz.rho)))
-            rows.append((tag, "max_rho_diagonal_block", jnum(nbt.gd.block_radius_bound)))
-            rows.append((tag, "nbt_t_range", nbt_range))
-            rows.append((tag, "katz_t_range", katz_range))
+            section = [("rho_transition", fmt(nbt.rho)),
+                       ("max_rho_adjacency", fmt(katz.rho)),
+                       ("max_rho_diagonal_block", fmt(nbt.gd.block_radius_bound)),
+                       ("nbt_t_range", nbt_range),
+                       ("katz_t_range", katz_range)]
+        tags += [tag] * len(section)
+        quantities += [quantity for quantity, _ in section]
+        values += [value for _, value in section]
 
-    _emit(args, ["section", "quantity", "value"], rows)
+    _emit(args, ["section", "quantity", "value"],
+          Rows(("text", tags), ("text", quantities), ("number", values)))
     return 0
 
 
@@ -251,32 +331,36 @@ def cmd_centrality(args) -> int:
         mb = _measure_for(args, name_b, mode, data)
         ta = _resolve_t(args.t, ma.radius)
         tb = _resolve_t(args.t, mb.radius)
-        sa = ma.scores(ta)
-        sb = mb.scores(tb)
-        labels = ma.labels
-        rows_a = {lab: (s, r) for lab, s, r in _ranked(labels, sa)}
-        rows_b = {lab: (s, r) for lab, s, r in _ranked(labels, sb)}
-        chosen = list(labels)
+        labels = np.asarray(ma.labels)
+        texts_a, texts_b = printed(ma.scores(ta)), printed(mb.scores(tb))
+        values_a, values_b = read_back(texts_a), read_back(texts_b)
+        chosen = _ranking(labels, values_a)
+        ranks_a, ranks_b = _ranks(chosen), _ranks(_ranking(labels, values_b))
         if args.top:
-            chosen = [lab for lab in labels
-                      if min(rows_a[lab][1], rows_b[lab][1]) <= args.top]
-        chosen.sort(key=lambda lab: (rows_a[lab][1], lab))
-        import scipy.stats  # slow to import, and only --compare needs it
-
-        tau = scipy.stats.kendalltau([float(rows_a[lab][0]) for lab in labels],
-                                     [float(rows_b[lab][0]) for lab in labels]).statistic
+            chosen = chosen[np.minimum(ranks_a, ranks_b)[chosen] <= args.top]
+        chosen = chosen.tolist()
+        tau = _kendall_tau_b(values_a, values_b)
         header = ["node", f"score_{name_a}", f"rank_{name_a}",
                   f"score_{name_b}", f"rank_{name_b}"]
-        rows = [(lab, *rows_a[lab], *rows_b[lab]) for lab in chosen]
-        _emit(args, header, rows, extra={"kendall_tau": jnum(float(tau))})
+        rows = Rows(("text", labels[chosen].tolist()),
+                    ("number", [texts_a[i] for i in chosen]),
+                    ("int", list(map(str, ranks_a[chosen].tolist()))),
+                    ("number", [texts_b[i] for i in chosen]),
+                    ("int", list(map(str, ranks_b[chosen].tolist()))))
+        _emit(args, header, rows, extra={"kendall_tau": fmt(tau)})
         return 0
 
     measure = _measure_for(args, args.measure, mode, data)
     t = _resolve_t(args.t, measure.radius)
-    scores = measure.scores(t)
-    rows = _ranked(measure.labels, scores)
+    texts = printed(measure.scores(t))
+    labels = np.asarray(measure.labels)
+    order = _ranking(labels, read_back(texts))
     if args.top:
-        rows = rows[: args.top]
+        order = order[: args.top]
+    order = order.tolist()
+    rows = Rows(("text", labels[order].tolist()),
+                ("number", [texts[i] for i in order]),
+                ("int", [str(rank) for rank in range(1, len(order) + 1)]))
     _emit(args, ["node", "score", "rank"], rows)
     return 0
 
@@ -304,21 +388,22 @@ def cmd_sweep(args) -> int:
                 f"grid point {fmt(t)} is outside [0, {fmt(0.99 * measure.radius)}]"
             )
 
-    labels = measure.labels
+    labels = np.asarray(measure.labels)
     per_t = []
     for t in ts:
         scores = measure.scores(t)
         peak = float(np.max(scores)) if len(scores) else 1.0
-        per_t.append((jnum(t), (scores / peak).tolist()))
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
+        per_t.append(scores / peak)
+    order = np.argsort(labels, kind="stable")
     if args.top and per_t:
         # rank on the normalized scores that the last grid point prints
-        last_t, last = per_t[-1]
-        per_t[-1] = (last_t, [jnum(v) for v in last])
-        chosen = {lab for lab, _, rank in _ranked(labels, per_t[-1][1]) if rank <= args.top}
-        order = [i for i in order if labels[i] in chosen]
+        ranks = _ranks(_ranking(labels, read_back(printed(per_t[-1]))))
+        order = order[ranks[order] <= args.top]
 
-    rows = [(t, labels[i], jnum(normalized[i])) for t, normalized in per_t for i in order]
+    nodes = labels[order].tolist()
+    rows = Rows(("number", [text for text in map(fmt, ts) for _ in nodes]),
+                ("text", nodes * len(ts)),
+                ("number", [text for normalized in per_t for text in printed(normalized[order])]))
     _emit(args, ["t", "node", "score"], rows)
     return 0
 
@@ -334,12 +419,17 @@ def cmd_walk_count(args) -> int:
         tables = ((k, temporal_walk_counts(gd, k - 1)) for k in range(1, args.kmax + 1))
         labels = gd.edge_labels()
         header = ["length", "from_edge", "to_edge", "count"]
-    rows = []
+    labels = np.asarray(labels)
+    lengths, sources, targets, counts = [], [], [], []
     for length, matrix in tables:
         coo = matrix.tocoo()
-        triples = sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1]))
-        rows.extend((length, labels[i], labels[j], jnum(float(v))) for i, j, v in triples)
-    _emit(args, header, rows)
+        order = np.lexsort((coo.col, coo.row))
+        lengths += [str(length)] * order.size
+        sources += labels[coo.row[order]].tolist()
+        targets += labels[coo.col[order]].tolist()
+        counts += printed(coo.data[order])
+    _emit(args, header, Rows(("int", lengths), ("text", sources), ("text", targets),
+                             ("number", counts)))
     return 0
 
 
@@ -424,7 +514,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -281,6 +281,13 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
 def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> float:
     """Radius of an irreducible nonnegative block by shifted power iteration.
 
+    The block is first scaled in place by the power of two that brings its
+    largest entry into [0.5, 1), and scaled back after the iteration.  Every
+    step of the iteration commutes with that scaling, so the radius comes out
+    the same to the bit, but the squares in the iterate's norm can neither
+    underflow nor overflow: blocks with entries from about 1e-300 to 1e300
+    are in range.
+
     The iteration runs on ``M + sI`` (s the largest entry), which is primitive
     and whose radius exceeds that of M by exactly s.  The iterate stays
     strictly positive, so every step brackets the radius:
@@ -291,6 +298,20 @@ def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> float:
     rho + s, and returns it (at ``max_iter`` steps the last certified value).
     Without a certificate after ``max_iter`` steps, restarted Arnoldi decides.
     """
+    scale = int(np.frexp(m.data.max())[1])
+    np.ldexp(m.data, -scale, out=m.data)
+    rho, estimate = _power_radius(m, tol, max_iter)
+    np.ldexp(m.data, scale, out=m.data)
+    if rho is not None:
+        return float(np.ldexp(rho, scale))
+    # Uncertified: a defective or badly separated dominant eigenvalue, or a
+    # Perron vector graded below the floating-point range.
+    return _radius_arnoldi(m, tol, float(np.ldexp(estimate, scale)))
+
+
+def _power_radius(m: sp.csr_array, tol: float, max_iter: int) -> tuple:
+    """The shifted power iteration of ``_block_radius``: the radius, or None
+    without a certificate, and the last estimate."""
     n = m.shape[0]
     shift = float(m.data.max())
     x = np.full(n, 1.0 / np.sqrt(n))
@@ -321,13 +342,9 @@ def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> float:
             if certified is not None and (
                 max(window) - min(window) <= 8 * eps * estimate or min(window) == window[0]
             ):
-                return estimate
+                return estimate, estimate
         x = y / float(np.linalg.norm(y))
-    if certified is not None:
-        return certified
-    # Uncertified: a defective or badly separated dominant eigenvalue, or a
-    # Perron vector graded below the floating-point range.
-    return _radius_arnoldi(m, tol, estimate)
+    return certified, estimate
 
 
 def _radius_arnoldi(m: sp.csr_array, tol: float, last_estimate) -> float:

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ import pytest
 import nbtwalks.cli
 import nbtwalks.edge_level
 import nbtwalks.temporal
-from nbtwalks.cli import _ranked, main
+from nbtwalks.cli import _kendall_tau_b, _ranking, main, printed, read_back
 from nbtwalks.linalg import spectral_radius
 from nbtwalks.temporal import BacktrackRegime, build_global_transition, parse_temporal_edge_list
 
 from conftest import cli_env, write_uniform_temporal
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 TRIANGLE = "a b 1\nb a 1\nb c 1\nc b 1\nc a 1\na c 1\n"
 PAIR = "a b 2\nb a 2\n"
@@ -287,6 +291,31 @@ class TestCentrality:
         assert float(rows["2"]) == pytest.approx(1.3, abs=1e-9)
 
 
+class TestTinyWeights:
+    """A temporal graph whose first snapshot is a 2-cycle of weight 1e-170:
+    the squares of such entries underflow in a 2-norm."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        path = tmp_path / "tiny.txt"
+        path.write_text("0 a b 1e-170\n0 b a 1e-170\n1 a b 1\n")
+        return str(path)
+
+    def test_radius(self, tiny, capsys):
+        code, out, _ = run_cli(["radius", "--input", tiny, "--temporal"], capsys)
+        assert code == 0
+        assert "original,max_rho_adjacency,1e-170" in out.splitlines()
+
+    def test_temporal_katz(self, tiny, capsys):
+        code, _, _ = run_cli(["centrality", "--input", tiny, "--temporal", "--measure", "katz",
+                              "--t", "0.1"], capsys)
+        assert code == 0
+
+    def test_oracle_check_fails_only_as_a_numerical_failure(self, tiny, capsys):
+        code, _, err = run_cli(["oracle-check", "--input", tiny, "--temporal"], capsys)
+        assert code == 0 or (code == 3 and "numerical failure:" in err)
+
+
 class TestSweep:
     def test_grid_zero_only(self, triangle, capsys):
         code, out, _ = run_cli(
@@ -335,15 +364,54 @@ class TestSweep:
         assert {line.split(",")[1] for line in out.splitlines()[1:]} == {"a"}
 
 
+def ranked(labels, scores):
+    """(label, printed score, rank) rows, best first, as the CLI ranks them."""
+    labels, texts = np.array(labels), printed(scores)
+    order = _ranking(labels, read_back(texts))
+    return [(labels[i], texts[i], rank) for rank, i in enumerate(order, start=1)]
+
+
 class TestRanked:
     def test_one_ulp_apart_is_a_tie(self):
         hi = float(np.nextafter(1.2, 2.0))
-        assert [row[0] for row in _ranked(["a", "b"], [1.2, hi])] == ["a", "b"]
-        assert [row[0] for row in _ranked(["b", "a"], [hi, 1.2])] == ["a", "b"]
+        assert [row[0] for row in ranked(["a", "b"], [1.2, hi])] == ["a", "b"]
+        assert [row[0] for row in ranked(["b", "a"], [hi, 1.2])] == ["a", "b"]
 
     def test_distinct_printed_scores_keep_score_order(self):
-        rows = _ranked(["a", "b", "c"], [1.0, 1.00000000001, 1.0])
-        assert rows == [("b", 1.00000000001, 1), ("a", 1.0, 2), ("c", 1.0, 3)]
+        rows = ranked(["a", "b", "c"], [1.0, 1.00000000001, 1.0])
+        assert rows == [("b", "1.00000000001", 1), ("a", "1", 2), ("c", "1", 3)]
+
+
+class TestKendallTauB:
+    """The in-package tau-b against scipy's, compared with ``==``."""
+
+    @staticmethod
+    def samples(n, rng):
+        x, y = rng.random(n), rng.random(n)
+        yield x, y                                           # no ties
+        yield x, x + 0.2 * y                                 # correlated
+        yield -x, x + 0.2 * y                                # anticorrelated
+        yield rng.integers(0, 3, n) * 1.0, rng.integers(0, 4, n) * 1.0   # heavy ties
+        yield np.round(x, 1), np.round(x + 0.3 * y, 1)       # printed-alike ties
+        yield np.full(n, 2.5), y                             # constant column
+        yield x, np.zeros(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1001, 20000])
+    def test_equals_scipy(self, n):
+        import scipy.stats
+
+        rng = np.random.default_rng(n)
+        for x, y in self.samples(n, rng):
+            ours = _kendall_tau_b(x, y)
+            theirs = float(scipy.stats.kendalltau(x, y).statistic)
+            if math.isnan(theirs):
+                assert math.isnan(ours)
+            else:
+                assert ours == theirs
+
+    def test_fewer_than_two_pairs_is_nan(self):
+        assert math.isnan(_kendall_tau_b([], []))
+        assert math.isnan(_kendall_tau_b([1.0], [2.0]))
 
 
 class TestWalkCount:
@@ -461,11 +529,98 @@ class TestValidationPaths:
 
 class TestImports:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # only --compare needs scipy.stats, the slowest import of the package
+        # scipy.stats is the slowest import there is, and nbtwalks needs none of it
         probe = "import sys, nbtwalks.cli; print('scipy.stats' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_compare_leaves_scipy_stats_unloaded(self, triangle):
+        # Kendall tau is computed in the package
+        probe = ("import io, sys, contextlib\n"
+                 "from nbtwalks.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = main(['centrality', '--input', {triangle!r}, '--t', '0.4r',"
+                 " '--compare', 'katz:nbt-katz'])\n"
+                 "print(code, 'scipy.stats' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "0 False"
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_141_without_traceback(self):
+        # the table (170 kB) outgrows the pipe, so the reader closes it with
+        # most of the output unwritten.  Under PYTHONUNBUFFERED a cut-short
+        # write returns a short count instead of raising, so stdout keeps its
+        # default buffer here
+        env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
+        args = ["walk-count", "--input", str(GOLDEN / "g300.txt"), "--kmax", "3"]
+        proc = subprocess.Popen([sys.executable, "-m", "nbtwalks.cli", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"length,source,target,count\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+# each table command, in CSV and in JSON, on the golden inputs
+FORMAT_CASES = {
+    "centrality": ["centrality", "--input", str(GOLDEN / "g300.txt"), "--measure", "nbt-katz",
+                   "--t", "0.9r", "--top", "40"],
+    "centrality_mtx": ["centrality", "--input", str(GOLDEN / "small.mtx"), "--drop-loops",
+                       "--merge", "sum", "--measure", "katz", "--t", "0.5r"],
+    "compare": ["centrality", "--input", str(GOLDEN / "g300.txt"), "--binarize",
+                "--compare", "katz:nbt-katz", "--t", "0.5r"],
+    "sweep": ["sweep", "--input", str(GOLDEN / "g300.txt"), "--measure", "katz",
+              "--grid", "0,0.3r,0.6r", "--top", "20"],
+    "walk_count": ["walk-count", "--input", str(GOLDEN / "small.mtx"), "--drop-loops",
+                   "--merge", "sum", "--kmax", "3"],
+    "walk_count_temporal": ["walk-count", "--input", str(GOLDEN / "temporal.txt"),
+                            "--temporal", "--kmax", "2"],
+    "radius": ["radius", "--input", str(GOLDEN / "g300.txt"), "--binarize"],
+    "radius_temporal": ["radius", "--input", str(GOLDEN / "temporal.txt"), "--temporal"],
+}
+TEXT_COLUMNS = {"node", "source", "target", "from_edge", "to_edge", "section", "quantity"}
+
+
+def read_cell(column, text):
+    """A CSV cell read back as JSON should carry it: labels as strings, ranks
+    and lengths as integers, numbers as floats except "inf", "nan" and a
+    range, which stay strings."""
+    if column in TEXT_COLUMNS:
+        return text
+    if column == "length" or column.startswith("rank"):
+        return int(text)
+    if text in ("inf", "nan"):
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+class TestFormats:
+    @pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+    def test_json_cells_are_csv_cells_read_back(self, case, capsys):
+        assert main(FORMAT_CASES[case]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main([*FORMAT_CASES[case], "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        header = lines[0].split(",")
+        extra = dict(l[2:].split(" = ") for l in lines[1:] if l.startswith("# "))
+        csv_rows = [l for l in lines[1:] if not l.startswith("# ")]
+        assert doc.pop("columns") == header
+        json_rows = doc.pop("rows")
+        assert len(json_rows) == len(csv_rows) > 0
+        for text, cells in zip(csv_rows, json_rows):
+            # a range such as "[0, 0.28)" holds the one comma that is no separator
+            texts = text.split(",", len(header) - 1)
+            expected = [read_cell(column, t) for column, t in zip(header, texts)]
+            assert cells == expected and list(map(type, cells)) == list(map(type, expected))
+        assert doc == {key: read_cell(key, value) for key, value in extra.items()}
 
 
 class TestDeterminism:

@@ -45,6 +45,16 @@ CASES = {
                                      "--measure", "nbt-katz", "--t", "0.5r"],
     "centrality_temporal_katz": ["centrality", "--input", TEMPORAL, "--temporal",
                                  "--measure", "katz", "--t", "0.5r", "--top", "15"],
+    "centrality_compare_top_json": ["centrality", "--input", G300, "--compare",
+                                    "katz:nbt-katz", "--t", "0.5r", "--top", "10",
+                                    "--format", "json"],
+    "centrality_compare_binarized": ["centrality", "--input", G300, "--binarize",
+                                     "--compare", "katz:nbt-katz", "--t", "0.5r"],
+    "sweep_nbt_katz_top_json": ["sweep", "--input", G300, "--measure", "nbt-katz",
+                                "--grid", "0,0.3r,0.6r", "--top", "20", "--format", "json"],
+    "walk_count_static_json": ["walk-count", "--input", G300, "--kmax", "3",
+                               "--format", "json"],
+    "radius_static_json": ["radius", "--input", G300, "--binarize", "--format", "json"],
 }
 
 

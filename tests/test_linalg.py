@@ -393,6 +393,21 @@ def test_radius_does_not_call_itself(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("weight", [1e-300, 1e-170, 1e170, 1e300])
+def test_radius_of_block_beyond_the_norms_range(weight):
+    # the squares of these entries under- or overflow in a 2-norm
+    pair = as_csr(np.array([[0.0, weight], [weight, 0.0]]))
+    assert spectral_radius(pair) == pytest.approx(weight, rel=1e-14)
+
+
+def test_radius_commutes_with_power_of_two_scaling(rng):
+    dense = rng.uniform(0.5, 1.5, size=(30, 30)) * (rng.random((30, 30)) < 0.2)
+    dense[np.arange(30), np.roll(np.arange(30), 1)] = 1.0   # irreducible
+    rho = spectral_radius(as_csr(dense))
+    for e in (-900, -1, 1, 900):
+        assert spectral_radius(as_csr(np.ldexp(dense, e))) == np.ldexp(rho, e)
+
+
 class _CountedCSR(sp.csr_array):
     """A CSR array that counts its matrix-vector products."""
 

@@ -473,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--tol", type=float, default=1e-10,
                         help="tolerance; bounds the relative residual of each linear solve, "
-                             "or for the temporal resolvent its componentwise backward error")
+                             "or the componentwise backward error of a temporal snapshot solve")
 
     p = sub.add_parser("radius", parents=[common],
                        help="spectral radii and permitted attenuation ranges")

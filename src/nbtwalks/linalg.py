@@ -31,7 +31,8 @@ FALLBACK_CYCLES = 10            # GMRES restart cycles before the dense fallback
 
 POWER_TOL = 1e-8
 POWER_MAXITER = 10000
-ARNOLDI_RESTARTS = 50   # restart cycles of the Arnoldi fallback
+BALANCE_SPAN = 10     # balance radius blocks whose entries span 2^10 or more
+BALANCE_SWEEPS = 30   # at most this many balancing sweeps
 
 
 def as_csr(matrix) -> sp.csr_array:
@@ -162,6 +163,10 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
         )
     if n == 0:
         return np.zeros(0)
+    # solve for b / 2^e, which brings max|b| into [0.5, 1): every path is
+    # linear in b, so the scaling is exact, and no norm over- or underflows
+    e = int(np.frexp(np.abs(b).max())[1])
+    b = np.ldexp(b, -e)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n)
@@ -178,7 +183,7 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
         x, _ = spla.gmres(m, b, rtol=tol, atol=0.0, restart=GMRES_RESTART, maxiter=maxiter)
         tried.append((f"GMRES({GMRES_RESTART})", ratio(x), x))
         if tried[-1][1] <= tol:
-            return x
+            return np.ldexp(x, e)
     if n <= DENSE_SOLVE_MAX:
         # the residual check certifies the result, so scipy's conditioning
         # warning adds nothing
@@ -190,7 +195,7 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
                 x = None  # exactly singular or non-finite
         tried.append(("dense LU", math.inf if x is None else ratio(x), x))
         if tried[-1][1] <= tol:
-            return x
+            return np.ldexp(x, e)
 
     report = ", then ".join(f"{path} reached {r:.3e}" if sol is not None else f"{path} failed"
                             for path, r, sol in tried)
@@ -198,7 +203,7 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
     raise NumericalError(
         f"linear solve residual ||Ax - b|| / ||b|| exceeds tol {tol:.1e}: {report}; "
         "the matrix is singular or too ill-conditioned",
-        estimate=best[2],
+        estimate=None if best[2] is None else np.ldexp(best[2], e),
     )
 
 
@@ -215,14 +220,14 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
     exact bound min(max row sum, max column sum) of their block; a block whose
     bound is no larger than the largest radius found so far is skipped.
 
-    Each visited block runs a shifted power iteration (``_block_radius``).  On
-    an irreducible block its Collatz–Wielandt bracket closes: the radius is
-    certified to the relative tolerance ``tol``, and the iteration then runs
-    on until the estimate stops moving, within a few ulp of the radius unless
-    the block's largest entry dwarfs its radius.  A block that
-    misses the certificate within ``max_iter`` steps falls back to restarted
-    Arnoldi; when that fails too, :class:`NumericalError` names the block's
-    order, its first node and the last estimate, kept as ``estimate``.
+    Each visited block is balanced by a diagonal similarity in powers of two
+    when its entries span at least 2^``BALANCE_SPAN``, then runs a shifted
+    power iteration (``_block_radius``).  Its Collatz–Wielandt bracket
+    certifies the radius to the relative tolerance ``tol``; the iteration
+    then runs on until the estimate stops moving, within a few ulp of the
+    radius.  A block without a certificate after ``max_iter`` steps raises
+    :class:`NumericalError`, which names the block's order, its first node
+    and the last estimate, kept as ``estimate``.
     """
     m = as_csr(matrix)
     if m.shape[0] != m.shape[1]:
@@ -265,53 +270,86 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
             break
         lo, hi = int(starts[b]), int(ends[b])
         block = blocks if hi - lo == k else blocks[lo:hi, lo:hi]
-        try:
-            rho = _block_radius(block, tol, max_iter)
-        except NumericalError as exc:
+        rho, estimate = _block_radius(block, tol, max_iter)
+        if rho is None:
             raise NumericalError(
                 f"spectral radius of the strongly connected block of order {hi - lo} "
                 f"starting at node {int(nodes[lo])} did not converge: power iteration "
-                f"and Arnoldi both missed tol {tol:.1e} (last estimate {exc.estimate})",
-                estimate=exc.estimate,
-            ) from exc
+                f"missed tol {tol:.1e} in {max_iter} steps (last estimate {estimate})",
+                estimate=estimate,
+            )
         best = max(best, rho)
     return best
 
 
-def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> float:
-    """Radius of an irreducible nonnegative block by shifted power iteration.
+def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> tuple:
+    """Radius of an irreducible nonnegative block, or None without a
+    certificate after ``max_iter`` steps, and the last estimate.
 
-    The block is first scaled in place by the power of two that brings its
-    largest entry into [0.5, 1), and scaled back after the iteration.  Every
-    step of the iteration commutes with that scaling, so the radius comes out
-    the same to the bit, but the squares in the iterate's norm can neither
-    underflow nor overflow: blocks with entries from about 1e-300 to 1e300
-    are in range.
-
-    The iteration runs on ``M + sI`` (s the largest entry), which is primitive
-    and whose radius exceeds that of M by exactly s.  The iterate stays
-    strictly positive, so every step brackets the radius:
-    ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``.  Once the bracket
-    closes to ``tol`` the radius is certified; the iteration then runs on
-    over a 9-step window until the upper end is stationary to 8 eps of the
-    radius, or has stopped decreasing because it reached the rounding of
-    rho + s, and returns it (at ``max_iter`` steps the last certified value).
-    Without a certificate after ``max_iter`` steps, restarted Arnoldi decides.
+    The block is replaced in place by ``D^-1 B D / 2^top``, an exact
+    similarity in powers of two: ``D = diag(2^k)`` from ``_balance_exponents``,
+    and 2^top brings the largest entry into [0.5, 1), so no norm of the
+    iterate under- or overflows.  k = 0 below a span of 2^``BALANCE_SPAN``:
+    the radius is at least the smallest entry, so there the largest entry,
+    the iteration's shift, cannot dwarf it.  ``_power_radius`` commutes with
+    power-of-two scaling, so 2^top changes no bit of the radius.
     """
-    scale = int(np.frexp(m.data.max())[1])
-    np.ldexp(m.data, -scale, out=m.data)
+    lo, hi = float(m.data.min()), float(m.data.max())
+    if math.log2(hi) - math.log2(lo) >= BALANCE_SPAN:
+        exponents = _balance_exponents(m)
+        top = int(np.max(np.frexp(m.data)[1] + exponents))
+    else:
+        exponents, top = 0, int(np.frexp(hi)[1])
+    np.ldexp(m.data, exponents - top, out=m.data)
     rho, estimate = _power_radius(m, tol, max_iter)
-    np.ldexp(m.data, scale, out=m.data)
-    if rho is not None:
-        return float(np.ldexp(rho, scale))
-    # Uncertified: a defective or badly separated dominant eigenvalue, or a
-    # Perron vector graded below the floating-point range.
-    return _radius_arnoldi(m, tol, float(np.ldexp(estimate, scale)))
+    return (None if rho is None else float(np.ldexp(rho, top))), float(np.ldexp(estimate, top))
+
+
+def _balance_exponents(m: sp.csr_array) -> np.ndarray:
+    """Exponent ``k[j] - k[i]`` of each stored entry (i, j) of an irreducible
+    block B such that ``D^-1 B D``, ``D = diag(2^k)``, is nearly balanced
+    (Osborne, JACM 1960; Parlett & Reinsch, Numer. Math. 13, 1969).
+
+    Damped Jacobi steps move each log d_i by a quarter of the log ratio of
+    its off-diagonal row and column sums, half of Osborne's step, until all
+    agree to a factor e or after ``BALANCE_SWEEPS`` sweeps.  The sums are
+    log-sum-exps, so no scaled entry need be representable.  Rounding log2 d
+    to integers, as LAPACK's ``gebal`` does, keeps the similarity exact.
+    """
+    n = m.shape[0]
+    row = np.repeat(np.arange(n), np.diff(m.indptr))
+    off = m.indices != row
+    i, j = row[off], m.indices[off]
+    log_b = np.log(m.data[off])
+    # entries stay in row order; a stable sort by column groups the columns
+    by_col = np.argsort(j, kind="stable")
+    row_starts = np.searchsorted(i, np.arange(n))
+    col_starts = np.searchsorted(j[by_col], np.arange(n))
+    log_d = np.zeros(n)
+    for _ in range(BALANCE_SWEEPS):
+        log_entries = log_b + log_d[j] - log_d[i]
+        imbalance = (np.logaddexp.reduceat(log_entries, row_starts)
+                     - np.logaddexp.reduceat(log_entries[by_col], col_starts))
+        if np.abs(imbalance).max() < 1.0:
+            break
+        log_d += 0.25 * imbalance
+    k = np.rint(log_d / math.log(2.0)).astype(np.int64)
+    return k[m.indices] - k[row]
 
 
 def _power_radius(m: sp.csr_array, tol: float, max_iter: int) -> tuple:
-    """The shifted power iteration of ``_block_radius``: the radius, or None
-    without a certificate, and the last estimate."""
+    """Shifted power iteration: the radius, or None without a certificate,
+    and the last estimate.
+
+    It runs on ``M + sI`` (s the largest entry), which is primitive and whose
+    radius exceeds that of M by exactly s.  The iterate stays strictly
+    positive, so every step brackets the radius:
+    ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``.  Once the bracket
+    closes to ``tol`` the radius is certified; the iteration then runs on over
+    a 9-step window until the upper end is stationary to 8 eps of the radius,
+    or has stopped decreasing because it reached the rounding of rho + s (at
+    ``max_iter`` steps it returns the last certified value).
+    """
     n = m.shape[0]
     shift = float(m.data.max())
     x = np.full(n, 1.0 / np.sqrt(n))
@@ -345,55 +383,3 @@ def _power_radius(m: sp.csr_array, tol: float, max_iter: int) -> tuple:
                 return estimate, estimate
         x = y / float(np.linalg.norm(y))
     return certified, estimate
-
-
-def _radius_arnoldi(m: sp.csr_array, tol: float, last_estimate) -> float:
-    """Dominant eigenvalue magnitude by restarted Arnoldi iteration.
-
-    Fully deterministic: fixed start vector, explicit restarts with the
-    dominant Ritz vector, dense eigensolve of the small Hessenberg matrix.
-    A happy breakdown means the Krylov space is invariant and the Ritz
-    values are exact.
-    """
-    n = m.shape[0]
-    tiny = np.finfo(np.float64).tiny
-    v = np.full(n, 1.0 / np.sqrt(n))
-    estimate = last_estimate
-    for _ in range(ARNOLDI_RESTARTS):
-        depth = min(n, 60)
-        basis = np.zeros((depth + 1, n))
-        hess = np.zeros((depth + 1, depth))
-        basis[0] = v
-        size = depth
-        exact = False
-        for j in range(depth):
-            w = m @ basis[j]
-            for i in range(j + 1):
-                hess[i, j] = basis[i] @ w
-                w -= hess[i, j] * basis[i]
-            norm = float(np.linalg.norm(w))
-            hess[j + 1, j] = norm
-            if norm <= 1e-14 * max(1.0, float(np.abs(hess).max())):
-                size = j + 1
-                exact = True
-                break
-            basis[j + 1] = w / norm
-        values, vectors = np.linalg.eig(hess[:size, :size])
-        idx = int(np.argmax(np.abs(values)))
-        estimate = float(np.abs(values[idx]))
-        if exact:
-            return estimate
-        residual = float(abs(hess[size, size - 1]) * abs(vectors[-1, idx]))
-        if residual <= tol * max(estimate, tiny):
-            return estimate
-        ritz = (basis[:size].T @ vectors[:, idx]).real
-        v = np.abs(ritz) + tiny
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            v = np.full(n, 1.0 / np.sqrt(n))
-        else:
-            v /= norm
-    raise NumericalError(
-        f"spectral radius estimation did not converge (last estimate {estimate})",
-        estimate=estimate,
-    )

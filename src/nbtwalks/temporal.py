@@ -149,7 +149,12 @@ class GlobalDecomposition:
     def transition_radius(self) -> float:
         """Spectral radius of ``M``: the largest radius over its diagonal
         snapshot blocks, which is exact because walks cannot go back in time,
-        so ``M`` is block upper-triangular.  Computed once per decomposition."""
+        so ``M`` is block upper-triangular.  Under allow-all and forbid-time
+        a block is the half-walk matrix ``sqrt_Z R . L^T sqrt_Z``, with the
+        nonzero spectrum of ``L^T Z R``, the snapshot's adjacency matrix, so
+        the radius is ``temporal.max_adjacency_radius``."""
+        if not self.regime.forbids_space:
+            return self.temporal.max_adjacency_radius
         return _max_radius(_diagonal_block(d, self.regime) for d in self.per_snapshot)
 
     @cached_property
@@ -371,8 +376,8 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
         if attempt < CORRECTION_SOLVES:
             y = y + solve(residual)
     raise NumericalError(
-        f"snapshot {tau}: componentwise backward error {best_error:.3e} of the temporal "
-        f"resolvent exceeds tol {tol:.1e} after {CORRECTION_SOLVES} correction solves",
+        f"snapshot {tau}: componentwise backward error {best_error:.3e} of the resolvent "
+        f"solve exceeds tol {tol:.1e} after {CORRECTION_SOLVES} correction solves",
         estimate=best,
     )
 
@@ -380,12 +385,18 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
 def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> np.ndarray:
     """Backtracking-permitted temporal Katz: the ordered product of snapshot
     resolvents applied to the all-ones vector, right to left, one sparse
-    solve per snapshot."""
+    solve per snapshot.  A solve that misses ``solve_linear``'s normwise
+    certificate may still meet the componentwise one of
+    ``_certified_block_solve``, which decides."""
     check_t(t, range_end(tg.max_adjacency_radius), " for the classical temporal measure")
     x = np.ones(tg.n)
     eye = identity(tg.n)
-    for g in reversed(tg.snapshots):
-        x = solve_linear(eye - t * adjacency(g), x, tol)
+    for tau in reversed(range(len(tg.snapshots))):
+        a = adjacency(tg.snapshots[tau])
+        try:
+            x = solve_linear(eye - t * a, x, tol)
+        except NumericalError:   # A and x are nonnegative, as the resolvent's are
+            x = _certified_block_solve(a, t, x, tol, tau)
     return x
 
 

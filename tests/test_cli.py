@@ -311,9 +311,18 @@ class TestTinyWeights:
                               "--t", "0.1"], capsys)
         assert code == 0
 
-    def test_oracle_check_fails_only_as_a_numerical_failure(self, tiny, capsys):
-        code, _, err = run_cli(["oracle-check", "--input", tiny, "--temporal"], capsys)
-        assert code == 0 or (code == 3 and "numerical failure:" in err)
+    def test_temporal_katz_at_half_range(self, tiny, capsys):
+        # t = 5e169: snapshot 1's I - tA cancels 5e169 against itself in a
+        # normwise residual, although its solve is exact componentwise
+        code, out, _ = run_cli(["centrality", "--input", tiny, "--temporal", "--measure", "katz",
+                                "--t", "0.5r"], capsys)
+        assert code == 0
+        assert "a,6.66666666667e+169,1" in out.splitlines()
+
+    def test_oracle_check_passes(self, tiny, capsys):
+        code, out, _ = run_cli(["oracle-check", "--input", tiny, "--temporal"], capsys)
+        assert code == 0
+        assert "FAIL" not in out
 
 
 class TestSweep:

@@ -174,6 +174,23 @@ def test_solve_iterative_path():
     assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("n", [50, 600], ids=["dense", "gmres"])
+def test_solve_commutes_with_power_of_two_scaling(n, monkeypatch):
+    # a right-hand side near 1e271 overflows the squares of a 2-norm, one
+    # near 1e-271 underflows them; the solution scales with b to the bit
+    if n > linalg.DENSE_CROSSOVER:
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense factorization used")
+
+        monkeypatch.setattr(scipy.linalg, "solve", no_dense)
+    rng = np.random.default_rng(11)
+    m = as_csr(identity(n) - 0.05 * adjacency(random_digraph(rng, n, p=4 / n)))
+    b = rng.uniform(0.5, 2.0, n)
+    x = solve_linear(m, b)
+    for k in (-900, 900):
+        assert np.array_equal(solve_linear(m, np.ldexp(b, k)), np.ldexp(x, k))
+
+
 def _directed_path_system(n: int, t: float = 1.02) -> sp.csr_array:
     """I - tA for the directed path on n nodes: A is nilpotent (rho = 0), so
     every t is permitted, yet the solution grows like t^n and GMRES(30)
@@ -419,25 +436,55 @@ class _CountedCSR(sp.csr_array):
 
 
 def test_radius_of_graded_block_stops_at_the_rounding_floor():
-    # a 2-cycle with weights 100 and 0.01: rho = 1, but the shift is the
-    # largest entry, so the iteration converges slowly and the bracket's upper
-    # end can settle no closer than the rounding of rho + 100.  Certifying
-    # 1e-8 alone takes 991 products; running on must stop far short of
-    # POWER_MAXITER
-    block = _CountedCSR(np.array([[0.0, 100.0], [0.01, 0.0]]))
-    rho = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
+    # a 2-cycle with weights 30 and 1/30, a span below the balancing gate:
+    # rho = 1, but the shift is the largest entry, so the iteration converges
+    # slowly and the bracket's upper end can settle no closer than the
+    # rounding of rho + 30.  It stops after 503 products, far short of
+    # POWER_MAXITER; the block counts the products the iteration makes
+    block = _CountedCSR(np.array([[0.0, 30.0], [1.0 / 30.0, 0.0]]))
+    rho, _ = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
     assert rho == pytest.approx(1.0, rel=1e-12)
-    assert block.products < 2000
+    assert block.products < 1000
 
 
-def test_radius_failure_names_the_block(rng, monkeypatch):
-    # three nodes without a cycle, then a positive block of order 80 at node 3
+@pytest.mark.parametrize("weights, want", [
+    ((1e-85, 1.0, 1e-85), 10.0 ** (-170 / 3)),   # 3-cycle, radius cbrt(1e-170)
+    ((1e4, 1e-4), 1.0),                           # 2-cycle
+], ids=["3-cycle", "2-cycle"])
+def test_radius_of_graded_cycle(weights, want):
+    # the largest entry dwarfs the radius until the block is balanced
+    n = len(weights)
+    dense = np.zeros((n, n))
+    dense[np.arange(n), np.roll(np.arange(n), -1)] = weights
+    assert abs(spectral_radius(as_csr(dense)) - want) <= 1e-13 * want
+    block = _CountedCSR(dense)
+    rho, _ = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
+    assert abs(rho - want) <= 1e-13 * want
+    assert block.products < 100
+
+
+@pytest.mark.parametrize("sigma, seed", [(2, 5), (3, 0)])
+def test_radius_of_log_normal_block_against_dense_eigenvalues(sigma, seed):
+    # order 400, density 6/n plus a Hamiltonian cycle, log-normal(0, sigma)
+    # weights: entries spanning many orders of magnitude
+    n = 400
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((n, n)) < 6 / n) * rng.lognormal(0.0, sigma, (n, n))
+    dense[np.arange(n), np.roll(np.arange(n), 1)] = rng.lognormal(0.0, sigma, n)
+    want = float(np.abs(np.linalg.eigvals(dense)).max())
+    assert abs(spectral_radius(as_csr(dense)) - want) <= 1e-13 * want
+
+
+def test_radius_failure_names_the_block(rng):
+    # three nodes without a cycle, then a positive block of order 80 at node
+    # 3; one power step cannot certify its radius
     n = 83
     dense = np.zeros((n, n))
     dense[0, 1] = dense[1, 2] = dense[2, 3] = 1.0
     dense[3:, 3:] = rng.uniform(0.5, 1.5, size=(80, 80))
-    monkeypatch.setattr(linalg, "ARNOLDI_RESTARTS", 0)
     with pytest.raises(NumericalError, match="block of order 80 starting at node 3") as info:
         spectral_radius(as_csr(dense), max_iter=1)
     estimate = info.value.estimate
     assert estimate is not None and f"last estimate {estimate}" in str(info.value)
+    # on the block's own scale, not on that of the block the iteration saw
+    assert estimate == pytest.approx(float(np.abs(np.linalg.eigvals(dense)).max()), rel=0.1)

@@ -143,6 +143,7 @@ class TestGlobalAssembly:
                     # the half-walk block sqrt(Z) R L^T sqrt(Z) has the
                     # nonzero spectrum of L^T Z R = A_tau
                     assert gd.transition_radius == pytest.approx(max_rho_a, rel=1e-8, abs=1e-12)
+                    assert gd.transition_radius == tg.max_adjacency_radius
 
 
 class TestFastConstruction:
@@ -166,6 +167,21 @@ class TestFastConstruction:
         # backtracking step must still be pruned from the diagonal block
         checks = {r.name: r for r in temporal_battery(underflow_example())}
         assert checks["fast forbid-all assembly vs block assembly"].passed
+
+
+class TestGradedRadius:
+    def test_underflow_example_snapshot_radii(self):
+        # snapshot 0's cycle a -> b -> c -> a has weight product 1e-373, and
+        # its 2-cycle 1e-340 (below the smallest subnormal), so the
+        # adjacency, its half-walk block and V all have radius 10^(-373/3)
+        want = 10.0 ** (-373 / 3)
+        tg = underflow_example()
+        d = line_graph(tg.snapshots[0])
+        for m in (adjacency(tg.snapshots[0]), d.half_walk_matrix(), d.V):
+            assert abs(spectral_radius(m) - want) <= 1e-13 * want
+        for regime in BacktrackRegime:
+            rho = build_global_transition(tg, regime).transition_radius
+            assert abs(rho - want) <= 1e-13 * want
 
 
 def underflow_example(weight=1.0) -> TemporalGraph:
@@ -479,8 +495,12 @@ class TestAssembledRadiusIdentity:
 
     def test_detects_a_wrong_block_radius(self, monkeypatch):
         real = nbtwalks.linalg._block_radius
-        monkeypatch.setattr(nbtwalks.linalg, "_block_radius",
-                            lambda block, tol, max_iter: 1.001 * real(block, tol, max_iter))
+
+        def wrong(block, tol, max_iter):
+            rho, estimate = real(block, tol, max_iter)
+            return 1.001 * rho, estimate
+
+        monkeypatch.setattr(nbtwalks.linalg, "_block_radius", wrong)
         tg = load_temporal_edge_list(Path(__file__).parent / "data" / "golden" / "temporal.txt")
         checks = [r for r in temporal_battery(tg) if r.name.startswith(self.NAME)]
         assert len(checks) == 4 and not any(r.passed for r in checks)

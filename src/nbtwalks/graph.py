@@ -331,6 +331,8 @@ class LineGraphDecomposition:
 
     All three scale one chain pattern (``_chain_pattern``); f reverses e
     when ``dst[f] == src[e]``, a test on indices that no underflow can miss.
+    ``W`` and ``B`` are built on first access and kept; no static route
+    reads them.
     ``V`` (and every half-power matrix in the package) is assembled from the
     square-rooted weights rather than by square-rooting products, so that
     independently built edge-level constructions agree bitwise.
@@ -343,8 +345,6 @@ class LineGraphDecomposition:
     R: sp.csr_array
     Z: sp.csr_array
     sqrt_Z: sp.csr_array
-    W: sp.csr_array
-    B: sp.csr_array
     V: sp.csr_array
 
     @property
@@ -368,6 +368,14 @@ class LineGraphDecomposition:
     @cached_property
     def _half_walk(self) -> sp.csr_array:
         return _on_chain(_chain_pattern(self.graph), self.sqrt_weights)
+
+    @cached_property
+    def W(self) -> sp.csr_array:
+        return _on_chain(_chain_pattern(self.graph), self.weights)
+
+    @cached_property
+    def B(self) -> sp.csr_array:
+        return _on_chain(_chain_pattern(self.graph, prune=True), self.weights)
 
     def edge_labels(self) -> list[str]:
         labels = self.graph.node_labels
@@ -423,10 +431,8 @@ def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
     Z = diag_matrix(weights)
     sqrt_Z = diag_matrix(sqrt_weights)
 
-    W = _on_chain(_chain_pattern(graph), weights)
-    pruned = _chain_pattern(graph, prune=True)  # no edge followed by its reversal
-    B = _on_chain(pruned, weights)
-    V = _on_chain(pruned, sqrt_weights)
+    # no edge followed by its reversal
+    V = _on_chain(_chain_pattern(graph, prune=True), sqrt_weights)
 
     rebuilt = matmul(matmul(L.T, Z), R)
     if (rebuilt != adjacency(graph)).nnz != 0:
@@ -440,8 +446,6 @@ def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
         R=R,
         Z=Z,
         sqrt_Z=sqrt_Z,
-        W=W,
-        B=B,
         V=V,
     )
 

@@ -9,6 +9,7 @@ zeros never affect results.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -31,18 +32,23 @@ FALLBACK_CYCLES = 10            # GMRES restart cycles before the dense fallback
 
 POWER_TOL = 1e-8
 POWER_MAXITER = 10000
+EXIT_MARGIN = 1e-12   # a block whose bracket ends this far below the largest
+                      # radius found so far stops iterating
 BALANCE_SPAN = 10     # balance radius blocks whose entries span 2^10 or more
 BALANCE_SWEEPS = 30   # at most this many balancing sweeps
 
 
 def as_csr(matrix) -> sp.csr_array:
-    """Coerce to a canonical float64 CSR array with sorted indices."""
+    """Coerce to a canonical float64 CSR array with sorted indices.  The
+    result may share the input's arrays; a copy is made before summing
+    duplicates or sorting, so the input is never changed."""
     if sp.issparse(matrix):
         out = sp.csr_array(matrix, dtype=np.float64)
     else:
         out = sp.csr_array(np.asarray(matrix, dtype=np.float64))
-    out.sum_duplicates()
-    out.sort_indices()
+    if not out.has_canonical_format:
+        out = out.copy()
+        out.sum_duplicates()
     return out
 
 
@@ -220,14 +226,18 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
     exact bound min(max row sum, max column sum) of their block; a block whose
     bound is no larger than the largest radius found so far is skipped.
 
-    Each visited block is balanced by a diagonal similarity in powers of two
-    when its entries span at least 2^``BALANCE_SPAN``, then runs a shifted
-    power iteration (``_block_radius``).  Its Collatz–Wielandt bracket
-    certifies the radius to the relative tolerance ``tol``; the iteration
-    then runs on until the estimate stops moving, within a few ulp of the
-    radius.  A block without a certificate after ``max_iter`` steps raises
-    :class:`NumericalError`, which names the block's order, its first node
-    and the last estimate, kept as ``estimate``.
+    A block with one entry per row is one simple cycle, whose radius is the
+    geometric mean of its entries.  Any other visited block is balanced by a
+    diagonal similarity in powers of two when its entries span at least
+    2^``BALANCE_SPAN``, then runs a shifted power iteration
+    (``_block_radius``).  Its Collatz–Wielandt bracket certifies the radius
+    to the relative tolerance ``tol``; the iteration then runs on until the
+    estimate stops moving, within a few ulp of the radius.  A block whose
+    bracket ends below the largest radius found so far cannot hold the
+    maximum and stops there, certified or not.  A block without a
+    certificate after ``max_iter`` steps raises :class:`NumericalError`,
+    which names the block's order, its first node and the last estimate,
+    kept as ``estimate``.
     """
     m = as_csr(matrix)
     if m.shape[0] != m.shape[1]:
@@ -270,7 +280,7 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
             break
         lo, hi = int(starts[b]), int(ends[b])
         block = blocks if hi - lo == k else blocks[lo:hi, lo:hi]
-        rho, estimate = _block_radius(block, tol, max_iter)
+        rho, estimate = _block_radius(block, tol, max_iter, best)
         if rho is None:
             raise NumericalError(
                 f"spectral radius of the strongly connected block of order {hi - lo} "
@@ -282,18 +292,25 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
     return best
 
 
-def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> tuple:
+def _block_radius(m: sp.csr_array, tol: float, max_iter: int, below: float = 0.0) -> tuple:
     """Radius of an irreducible nonnegative block, or None without a
-    certificate after ``max_iter`` steps, and the last estimate.
+    certificate after ``max_iter`` steps, and the last estimate.  A block
+    that cannot reach ``below`` returns an upper bound of its radius under
+    ``below`` instead, as soon as its bracket shows it.
 
-    The block is replaced in place by ``D^-1 B D / 2^top``, an exact
-    similarity in powers of two: ``D = diag(2^k)`` from ``_balance_exponents``,
-    and 2^top brings the largest entry into [0.5, 1), so no norm of the
-    iterate under- or overflows.  k = 0 below a span of 2^``BALANCE_SPAN``:
-    the radius is at least the smallest entry, so there the largest entry,
-    the iteration's shift, cannot dwarf it.  ``_power_radius`` commutes with
+    A block with one entry per row is one simple cycle: its radius is
+    ``_cycle_radius`` of the entries, with no iteration.  Any other block is
+    replaced in place by ``D^-1 B D / 2^top``, an exact similarity in powers
+    of two: ``D = diag(2^k)`` from ``_balance_exponents``, and 2^top brings
+    the largest entry into [0.5, 1), so no norm of the iterate under- or
+    overflows.  k = 0 below a span of 2^``BALANCE_SPAN``: the radius is at
+    least the smallest entry, so there the largest entry, which sets the
+    iteration's shift, cannot dwarf it.  ``_power_radius`` commutes with
     power-of-two scaling, so 2^top changes no bit of the radius.
     """
+    if m.nnz == m.shape[0]:
+        rho = _cycle_radius(m.data)
+        return rho, rho
     lo, hi = float(m.data.min()), float(m.data.max())
     if math.log2(hi) - math.log2(lo) >= BALANCE_SPAN:
         exponents = _balance_exponents(m)
@@ -301,8 +318,23 @@ def _block_radius(m: sp.csr_array, tol: float, max_iter: int) -> tuple:
     else:
         exponents, top = 0, int(np.frexp(hi)[1])
     np.ldexp(m.data, exponents - top, out=m.data)
-    rho, estimate = _power_radius(m, tol, max_iter)
+    try:
+        below = math.ldexp(below, -top)
+    except OverflowError:  # far above the scaled block's row sums
+        below = sys.float_info.max
+    rho, estimate = _power_radius(m, tol, max_iter, below)
     return (None if rho is None else float(np.ldexp(rho, top))), float(np.ldexp(estimate, top))
+
+
+def _cycle_radius(data: np.ndarray) -> float:
+    """Radius of a block that is one simple cycle: the geometric mean of its
+    entries.  With each entry ``f * 2^e``, f in [0.5, 1), and the exponents'
+    sum ``q * n + r``, the mean is ``2^q * exp((sum log f + r log 2) / n)``,
+    whose argument lies in [-log 2, log 2), so the result is within a few ulp
+    whatever the entries' scale or grading."""
+    fractions, exponents = np.frexp(data)
+    q, r = divmod(int(exponents.sum()), data.size)
+    return math.ldexp(math.exp((math.fsum(np.log(fractions)) + r * math.log(2.0)) / data.size), q)
 
 
 def _balance_exponents(m: sp.csr_array) -> np.ndarray:
@@ -337,21 +369,29 @@ def _balance_exponents(m: sp.csr_array) -> np.ndarray:
     return k[m.indices] - k[row]
 
 
-def _power_radius(m: sp.csr_array, tol: float, max_iter: int) -> tuple:
+def _power_radius(m: sp.csr_array, tol: float, max_iter: int, below: float) -> tuple:
     """Shifted power iteration: the radius, or None without a certificate,
     and the last estimate.
 
-    It runs on ``M + sI`` (s the largest entry), which is primitive and whose
-    radius exceeds that of M by exactly s.  The iterate stays strictly
-    positive, so every step brackets the radius:
-    ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``.  Once the bracket
-    closes to ``tol`` the radius is certified; the iteration then runs on over
-    a 9-step window until the upper end is stationary to 8 eps of the radius,
-    or has stopped decreasing because it reached the rounding of rho + s (at
-    ``max_iter`` steps it returns the last certified value).
+    It runs on ``M + sI``, s one eighth of the largest entry, which is
+    primitive and whose radius exceeds that of M by exactly s.  A smaller s
+    gives a smaller convergence ratio max |lambda + s| / (rho + s) over the
+    other eigenvalues, unless some lambda lies near -rho, and a lower
+    rounding floor eps (rho + s); s is a power of two times the entry, so
+    the radius still commutes with power-of-two scaling.  The iterate stays
+    strictly positive, so every step brackets the radius:
+    ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``.  When the upper
+    end falls below ``below + s`` by the relative ``EXIT_MARGIN``, which
+    outweighs its rounding, M cannot reach ``below`` and the upper end, less
+    s, is returned at once.  Once the bracket closes to ``tol`` the radius
+    is certified; the iteration then runs on over a 9-step window until the
+    upper end is stationary to 8 eps of the radius, or has stopped
+    decreasing because it reached the rounding of rho + s (at ``max_iter``
+    steps it returns the last certified value).
     """
     n = m.shape[0]
-    shift = float(m.data.max())
+    shift = 0.125 * float(m.data.max())
+    exit_at = (below + shift) * (1.0 - EXIT_MARGIN)
     x = np.full(n, 1.0 / np.sqrt(n))
     floor = np.finfo(np.float64).tiny
     eps = np.finfo(np.float64).eps
@@ -369,6 +409,8 @@ def _power_radius(m: sp.csr_array, tol: float, max_iter: int) -> tuple:
         upper = float(ratios.max())
         lower = float(ratios.min())
         estimate = upper - shift
+        if positive and upper < exit_at:
+            return estimate, estimate
         if positive and lower > shift and upper - lower <= tol * (lower - shift):
             certified = 0.5 * (upper + lower) - shift
         window.append(upper)

@@ -164,8 +164,13 @@ class GlobalDecomposition:
 
 
 def _max_radius(matrices) -> float:
-    """Largest spectral radius over square matrices; 0 for none."""
-    return max((spectral_radius(m) for m in matrices), default=0.0)
+    """Largest spectral radius over square matrices; 0 for none.  One
+    ``spectral_radius`` call on their block-diagonal matrix, whose radius is
+    the largest of theirs: its visit of the irreducible blocks in descending
+    order of their bounds skips, or stops early on, every matrix that cannot
+    hold the maximum."""
+    matrices = list(matrices)
+    return spectral_radius(sp.block_diag(matrices, format="csr")) if matrices else 0.0
 
 
 def _diagonal_block(d: LineGraphDecomposition, regime: BacktrackRegime) -> sp.csr_array:

@@ -6,13 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import nbtwalks.cli
 import nbtwalks.edge_level
 import nbtwalks.temporal
 from nbtwalks.cli import _kendall_tau_b, _ranking, main, printed, read_back
+from nbtwalks.graph import adjacency
 from nbtwalks.linalg import spectral_radius
-from nbtwalks.temporal import BacktrackRegime, build_global_transition, parse_temporal_edge_list
+from nbtwalks.temporal import (
+    BacktrackRegime,
+    _diagonal_block,
+    build_global_transition,
+    parse_temporal_edge_list,
+)
 
 from conftest import cli_env, write_uniform_temporal
 
@@ -102,39 +109,55 @@ class TestRadius:
 
 
 class TestRadiusCalls:
-    """Each snapshot radius is computed once, and the radius of the assembled
-    temporal M is taken from its snapshot blocks, never from M itself."""
+    """Each snapshot block enters the radius computation once, and no radius
+    is taken of a matrix that holds an entry of the temporal M between two
+    snapshots."""
 
     @pytest.fixture
-    def orders(self, monkeypatch):
-        """Orders of the matrices passed to spectral_radius, in call order."""
+    def matrices(self, monkeypatch):
+        """Matrices passed to spectral_radius, in call order."""
         seen = []
 
         def counted(matrix, *args, **kwargs):
-            seen.append(matrix.shape[0])
+            seen.append(matrix)
             return spectral_radius(matrix, *args, **kwargs)
 
         for module in (nbtwalks.cli, nbtwalks.temporal, nbtwalks.edge_level):
             monkeypatch.setattr(module, "spectral_radius", counted)
         return seen
 
-    def test_temporal_katz_takes_one_radius_per_snapshot(self, temporal3, orders, capsys):
+    @staticmethod
+    def temporal_graph(path):
+        with open(path) as handle:
+            return parse_temporal_edge_list(handle)
+
+    def test_temporal_katz_takes_one_radius_per_snapshot(self, temporal3, matrices, capsys):
         code, _, _ = run_cli(["centrality", "--input", temporal3, "--temporal",
                               "--measure", "katz", "--t", "0.5r"], capsys)
         assert code == 0
-        assert orders == [3, 3, 3]
+        # the snapshot adjacencies, each once and in order, on the diagonal
+        want = sp.block_diag([adjacency(g) for g in self.temporal_graph(temporal3).snapshots])
+        got = sp.block_diag(matrices)
+        assert got.shape == want.shape and (got != want).nnz == 0
 
     @pytest.mark.parametrize("command", [
         ["radius"],
         ["centrality", "--measure", "nbt-katz", "--t", "0.5r"],
     ])
-    def test_no_radius_of_the_assembled_transition(self, temporal3, orders, command, capsys):
-        with open(temporal3) as handle:
-            tg = parse_temporal_edge_list(handle)
-        m_total = build_global_transition(tg, BacktrackRegime.FORBID_ALL).m_total
+    def test_no_radius_of_the_assembled_transition(self, temporal3, matrices, command, capsys):
+        gd = build_global_transition(self.temporal_graph(temporal3), BacktrackRegime.FORBID_ALL)
+        snapshot = np.searchsorted(gd.offsets, np.arange(gd.m_total), side="right") - 1
+        between = gd.M.tocoo()
+        assert np.any(snapshot[between.row] != snapshot[between.col])
         code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
         assert code == 0
-        assert orders and m_total not in orders
+        edge_level = [m for m in matrices if m.shape[0] == gd.m_total]
+        for m in edge_level:
+            coo = sp.coo_array(m)
+            assert np.all(snapshot[coo.row] == snapshot[coo.col])
+        # the snapshot blocks of M, each once, enter one call
+        blocks = sp.block_diag([_diagonal_block(d, gd.regime) for d in gd.per_snapshot])
+        assert sum((m != blocks).nnz == 0 for m in edge_level) == 1
 
 
 class TestTransitionAssembly:

@@ -496,8 +496,8 @@ class TestAssembledRadiusIdentity:
     def test_detects_a_wrong_block_radius(self, monkeypatch):
         real = nbtwalks.linalg._block_radius
 
-        def wrong(block, tol, max_iter):
-            rho, estimate = real(block, tol, max_iter)
+        def wrong(block, *args):
+            rho, estimate = real(block, *args)
             return 1.001 * rho, estimate
 
         monkeypatch.setattr(nbtwalks.linalg, "_block_radius", wrong)

@@ -34,6 +34,8 @@ POWER_TOL = 1e-8
 POWER_MAXITER = 10000
 EXIT_MARGIN = 1e-12   # a block whose bracket ends this far below the largest
                       # radius found so far stops iterating
+SHIFT_STEPS = 200     # a block without a certificate after this many steps
+                      # goes on with half its radius estimate as the shift
 BALANCE_SPAN = 10     # balance radius blocks whose entries span 2^10 or more
 BALANCE_SWEEPS = 30   # at most this many balancing sweeps
 
@@ -237,7 +239,7 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
     maximum and stops there, certified or not.  A block without a
     certificate after ``max_iter`` steps raises :class:`NumericalError`,
     which names the block's order, its first node and the last estimate,
-    kept as ``estimate``.
+    kept as ``node`` and ``estimate``.
     """
     m = as_csr(matrix)
     if m.shape[0] != m.shape[1]:
@@ -287,6 +289,7 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
                 f"starting at node {int(nodes[lo])} did not converge: power iteration "
                 f"missed tol {tol:.1e} in {max_iter} steps (last estimate {estimate})",
                 estimate=estimate,
+                node=int(nodes[lo]),
             )
         best = max(best, rho)
     return best
@@ -305,8 +308,10 @@ def _block_radius(m: sp.csr_array, tol: float, max_iter: int, below: float = 0.0
     the largest entry into [0.5, 1), so no norm of the iterate under- or
     overflows.  k = 0 below a span of 2^``BALANCE_SPAN``: the radius is at
     least the smallest entry, so there the largest entry, which sets the
-    iteration's shift, cannot dwarf it.  ``_power_radius`` commutes with
-    power-of-two scaling, so 2^top changes no bit of the radius.
+    iteration's first shift, exceeds it less than 2^``BALANCE_SPAN`` times
+    (a block that stalls on that changes its shift).  ``_power_radius``
+    commutes with power-of-two scaling, so 2^top changes no bit of the
+    radius.
     """
     if m.nnz == m.shape[0]:
         rho = _cycle_radius(m.data)
@@ -376,10 +381,19 @@ def _power_radius(m: sp.csr_array, tol: float, max_iter: int, below: float) -> t
     It runs on ``M + sI``, s one eighth of the largest entry, which is
     primitive and whose radius exceeds that of M by exactly s.  A smaller s
     gives a smaller convergence ratio max |lambda + s| / (rho + s) over the
-    other eigenvalues, unless some lambda lies near -rho, and a lower
-    rounding floor eps (rho + s); s is a power of two times the entry, so
-    the radius still commutes with power-of-two scaling.  The iterate stays
-    strictly positive, so every step brackets the radius:
+    other eigenvalues when they lie well inside the circle |lambda| = rho,
+    and a lower rounding floor eps (rho + s); s is a power of two times the
+    entry, so the radius still commutes with power-of-two scaling.  Two
+    kinds of block stall under s/8: those with an eigenvalue on or near that
+    circle, such as -rho in a bipartite block (an undirected star or tree),
+    where a larger shift helps up to s = rho, and those where s/8 dwarfs
+    rho, with a ratio near 1 - (rho - Re lambda) / s.  A block without a
+    certificate after ``SHIFT_STEPS`` steps therefore goes on with s = half
+    its current estimate of rho: that takes -rho to a ratio of 1/3, and
+    takes about 3/2 the steps of a vanishing shift on a real positive
+    lambda.  The estimate, too, commutes with power-of-two scaling.
+
+    The iterate stays strictly positive, so every step brackets the radius:
     ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``.  When the upper
     end falls below ``below + s`` by the relative ``EXIT_MARGIN``, which
     outweighs its rounding, M cannot reach ``below`` and the upper end, less
@@ -391,13 +405,15 @@ def _power_radius(m: sp.csr_array, tol: float, max_iter: int, below: float) -> t
     """
     n = m.shape[0]
     shift = 0.125 * float(m.data.max())
-    exit_at = (below + shift) * (1.0 - EXIT_MARGIN)
     x = np.full(n, 1.0 / np.sqrt(n))
     floor = np.finfo(np.float64).tiny
     eps = np.finfo(np.float64).eps
     window: list[float] = []
     certified = estimate = None
-    for _ in range(max_iter):
+    for step in range(max_iter):
+        if step == SHIFT_STEPS and certified is None and estimate > 0:
+            shift = 0.5 * estimate
+            window.clear()
         y = m @ x
         y += shift * x
         positive = float(x.min()) > floor
@@ -409,7 +425,7 @@ def _power_radius(m: sp.csr_array, tol: float, max_iter: int, below: float) -> t
         upper = float(ratios.max())
         lower = float(ratios.min())
         estimate = upper - shift
-        if positive and upper < exit_at:
+        if positive and upper < (below + shift) * (1.0 - EXIT_MARGIN):
             return estimate, estimate
         if positive and lower > shift and upper - lower <= tol * (lower - shift):
             certified = 0.5 * (upper + lower) - shift

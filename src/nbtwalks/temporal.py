@@ -168,9 +168,20 @@ def _max_radius(matrices) -> float:
     ``spectral_radius`` call on their block-diagonal matrix, whose radius is
     the largest of theirs: its visit of the irreducible blocks in descending
     order of their bounds skips, or stops early on, every matrix that cannot
-    hold the maximum."""
+    hold the maximum.  A :class:`NumericalError` from it names the snapshot
+    whose matrix failed and the node in that matrix's own numbering."""
     matrices = list(matrices)
-    return spectral_radius(sp.block_diag(matrices, format="csr")) if matrices else 0.0
+    if not matrices:
+        return 0.0
+    try:
+        return spectral_radius(sp.block_diag(matrices, format="csr"))
+    except NumericalError as exc:
+        starts = np.cumsum([0] + [m.shape[0] for m in matrices])
+        tau = int(np.searchsorted(starts, exc.node, side="right")) - 1
+        node = exc.node - int(starts[tau])
+        message = str(exc).replace(f"starting at node {exc.node} ", f"starting at node {node} ")
+        raise NumericalError(f"snapshot {tau}: {message}", estimate=exc.estimate,
+                             node=node) from exc
 
 
 def _diagonal_block(d: LineGraphDecomposition, regime: BacktrackRegime) -> sp.csr_array:

@@ -454,16 +454,82 @@ class _CountedCSR(sp.csr_array):
 
 
 def test_radius_of_graded_block_stops_at_the_rounding_floor():
-    # a 2-cycle with weights 30 and 1/30 and a loop of 1/30 on one node, a
-    # span below the balancing gate: rho = (1/30 + sqrt(1/900 + 4)) / 2, but
-    # the shift is 30/8, so the bracket's upper end can settle no closer than
-    # the rounding of rho + 30/8.  It stops after 71 products (505 with the
-    # shift 30), far short of POWER_MAXITER; the block counts the products
-    # the iteration makes
-    block = _CountedCSR(np.array([[1.0 / 30.0, 30.0], [1.0 / 30.0, 0.0]]))
+    # entries 1 and one entry 1000, a span below the balancing gate: rho is
+    # the real root of l^3 - 3 l - 2000, about 12.68, but the shift is
+    # 1000/8, so the bracket's upper end can settle no closer than the
+    # rounding of rho + 125, about 11 eps rho.  It is certified within
+    # SHIFT_STEPS and stops after 247 products; without the test for an
+    # upper end that has stopped decreasing it runs to POWER_MAXITER
+    block = _CountedCSR(np.array([
+        [0.0, 0.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0, 1.0],
+        [1.0, 1.0, 0.0, 0.0],
+        [1.0, 0.0, 1000.0, 0.0],
+    ]))
     rho, _ = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
-    assert rho == pytest.approx((1.0 / 30.0 + np.sqrt(1.0 / 900.0 + 4.0)) / 2.0, rel=1e-14)
-    assert block.products < 1000
+    want = 12.67857950822675720319919186
+    assert abs(rho - want) <= 8 * np.spacing(want)
+    assert block.products < 500
+
+
+def _undirected(n, src, dst):
+    w = np.ones(2 * len(src))
+    return sp.csr_array((w, (np.r_[src, dst], np.r_[dst, src])), shape=(n, n))
+
+
+def _star():
+    return _undirected(20001, np.zeros(20000, dtype=int), np.arange(1, 20001)), np.sqrt(20000.0)
+
+
+def _random_bipartite():
+    rng = np.random.default_rng(7)
+    a = _undirected(600, rng.integers(0, 300, 1500), rng.integers(300, 600, 1500))
+    return a, scipy.linalg.eigvalsh(a.toarray())[-1]
+
+
+def _random_tree():
+    rng = np.random.default_rng(7)
+    parents = [int(rng.integers(0, i)) for i in range(1, 1000)]
+    a = _undirected(1000, np.array(parents), np.arange(1, 1000))
+    return a, scipy.linalg.eigvalsh(a.toarray())[-1]
+
+
+def _graded_cycle_with_a_loop():
+    dense = np.eye(10, k=1)
+    dense[9, 0], dense[0, 0] = 1000.0, 1.0
+    return sp.csr_array(dense), float(np.abs(np.linalg.eigvals(dense)).max())
+
+
+@pytest.mark.parametrize("make, within, rel", [
+    (_star, 300, 1e-12),
+    (_random_bipartite, 400, 1e-14),
+    (_random_tree, 600, 1e-14),
+    (_graded_cycle_with_a_loop, 1000, 1e-14),
+], ids=["star", "bipartite", "tree", "graded-cycle"])
+def test_radius_of_block_that_stalls_under_the_small_shift(monkeypatch, make, within, rel):
+    # the shift s/8 stalls where an eigenvalue lies near -rho, as in the
+    # bipartite blocks of undirected graphs: the ratio is
+    # (rho - s/8) / (rho + s/8), for the star K_{1,20000} (rho = sqrt(20000),
+    # s = 1) 0.99823, too slow to certify within POWER_MAXITER.  It also
+    # stalls where s/8 dwarfs rho: the 10-cycle with one entry 1000 and a
+    # loop has rho = 2.13 and s/8 = 125.  Past SHIFT_STEPS the shift is half
+    # the radius estimate; the four blocks take 254, 370, 544 and 791
+    # products (1,799, 167 and 532 with the shift by the largest entry,
+    # which fails on the cycle).  The star's hub row sums 20,000 terms,
+    # hence its looser tolerance
+    products = []
+    real = linalg._block_radius
+
+    def counted(block, *args):
+        block = _CountedCSR(block)
+        out = real(block, *args)
+        products.append(block.products)
+        return out
+
+    monkeypatch.setattr(linalg, "_block_radius", counted)
+    a, want = make()
+    assert abs(spectral_radius(a) - want) <= rel * want
+    assert sum(products) <= within
 
 
 @pytest.mark.parametrize("dense, want", [
@@ -524,19 +590,26 @@ def test_blocks_that_cannot_hold_the_maximum_stop_early(monkeypatch, rng):
     assert sum(products[1:]) <= 100
 
 
-def test_random_block_takes_fewer_products():
+@pytest.mark.parametrize("weights, before, share", [
+    (lambda rng, k: rng.lognormal(0.0, 0.5, k), 142, 0.6),
+    (lambda rng, k: rng.uniform(0.5, 1.5, k), 81, 0.75),
+], ids=["log-normal", "uniform"])
+def test_random_block_takes_fewer_products(weights, before, share):
     # order 2,000: a Hamiltonian cycle plus 8,000 uniformly placed entries,
-    # log-normal(0, 0.5) weights as in the benchmark's graphs.  The shift by
-    # the largest entry took 142 products; one eighth of it takes 68
+    # with log-normal(0, 0.5) weights as in the benchmark's graphs or
+    # uniform ones on (0.5, 1.5).  The shift by the largest entry took 142
+    # and 81 products; one eighth of it takes 68 and 55.  Narrower weights
+    # make the largest entry closer to the radius, so the smaller shift
+    # gains less: 0.47-0.52 of the products for log-normal weights and
+    # 0.64-0.72 for uniform ones over seeds 0-7
     rng = np.random.default_rng(1)
     n = 2000
     rows = np.r_[rng.integers(0, n, 4 * n), np.arange(n)]
     cols = np.r_[rng.integers(0, n, 4 * n), np.roll(np.arange(n), 1)]
-    block = _CountedCSR(sp.csr_array((rng.lognormal(0.0, 0.5, rows.size), (rows, cols)),
-                                     shape=(n, n)))
+    block = _CountedCSR(sp.csr_array((weights(rng, rows.size), (rows, cols)), shape=(n, n)))
     rho, _ = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
     assert rho is not None
-    assert block.products <= 0.6 * 142
+    assert block.products <= share * before
 
 
 def test_radius_of_the_largest_strong_component_of_g300():
@@ -591,6 +664,7 @@ def test_radius_failure_names_the_block(rng):
     dense[3:, 3:] = rng.uniform(0.5, 1.5, size=(80, 80))
     with pytest.raises(NumericalError, match="block of order 80 starting at node 3") as info:
         spectral_radius(as_csr(dense), max_iter=1)
+    assert info.value.node == 3
     estimate = info.value.estimate
     assert estimate is not None and f"last estimate {estimate}" in str(info.value)
     # on the block's own scale, not on that of the block the iteration saw

@@ -183,6 +183,19 @@ class TestGradedRadius:
             rho = build_global_transition(tg, regime).transition_radius
             assert abs(rho - want) <= 1e-13 * want
 
+    def test_radius_failure_names_the_snapshot(self, monkeypatch):
+        # the snapshot matrices' radii are one call on their block-diagonal
+        # matrix; a block that fails is named by its snapshot and by its
+        # first node in that snapshot's matrix, 1, not in the joined one, 3
+        pair = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        second = np.zeros((4, 4))
+        second[1:, 1:] = 1.0
+        monkeypatch.setattr(nbtwalks.linalg, "_power_radius", lambda m, *args: (None, 0.5))
+        with pytest.raises(NumericalError, match=r"^snapshot 1: .* order 3 starting at node 1 ") as info:
+            nbtwalks.temporal._max_radius([pair, sp.csr_array(second)])
+        assert info.value.node == 1
+        assert info.value.estimate == 1.0   # 0.5 on the block's scale 2^-1
+
 
 def underflow_example(weight=1.0) -> TemporalGraph:
     """Snapshot 0 holds a reciprocated pair of weight 1e-170, whose weight

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from nbtwalks.errors import ValidationError
 from nbtwalks.graph import (
     WeightedGraph,
+    _canonical_order,
     adjacency,
     binarize,
     graph_from_records,
@@ -152,6 +153,17 @@ class TestValidation:
                    for s, d, w in g.edges)
         parsed = parse_edge_list("c a 1.5\na c 2\na b 3\n", sort_nodes=True)
         assert parsed.edges == g.edges
+
+    @pytest.mark.parametrize("low, high", [(-40, 200), (0, 3), (-2**62, 2**62)])
+    def test_canonical_order_is_the_lexicographic_one(self, low, high):
+        # negative codes mark labels outside a fixed node set; codes spread
+        # wider than one int64 key allows come only from invalid edges
+        rng = np.random.default_rng(5)
+        src, dst = rng.integers(low, high, size=(2, 3000))
+        order, repeat = _canonical_order(src, dst)
+        assert np.array_equal(order, np.lexsort((dst, src)))
+        pairs = list(zip(src[order].tolist(), dst[order].tolist()))
+        assert repeat.tolist() == [i > 0 and pairs[i] == pairs[i - 1] for i in range(len(pairs))]
 
     def test_arrays_are_sorted_and_read_only(self):
         g = parse_edge_list("c a 1.5\na c 2\na b 3\nb c 0.5\n")

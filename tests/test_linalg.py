@@ -33,7 +33,7 @@ from nbtwalks.linalg import (
     solve_linear,
     spectral_radius,
 )
-from nbtwalks.node_level import nbt_katz
+from nbtwalks.node_level import build_node_system, nbt_katz
 from nbtwalks.temporal import (
     BacktrackRegime,
     TemporalGraph,
@@ -149,12 +149,22 @@ def test_elementwise_requires_vanishing_at_zero():
     assert out.toarray().tolist() == [[2, 1], [1, 2]]
 
 
+class _CountedCSR(sp.csr_array):
+    """A CSR array that counts its matrix-vector products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
 def test_solve_identity(monkeypatch):
     # a tiny order takes the dense path only, and solves exactly
     def no_gmres(*args, **kwargs):
         raise AssertionError("GMRES used")
 
-    monkeypatch.setattr(spla, "gmres", no_gmres)
+    monkeypatch.setattr(linalg, "_gmres", no_gmres)
     b = np.array([1.0, 2.0, 3.0])
     assert solve_linear(identity(3), b).tolist() == b.tolist()
 
@@ -245,7 +255,7 @@ def test_policy_medium_katz_without_dense_factorization(monkeypatch):
 
 
 def test_policy_stalled_gmres_falls_back_to_dense(monkeypatch):
-    gmres_calls = _counting(monkeypatch, spla, "gmres")
+    gmres_calls = _counting(monkeypatch, linalg, "_gmres")
     dense_calls = _counting(monkeypatch, scipy.linalg, "solve")
     m = _directed_path_system(600)
     b = np.ones(600)
@@ -263,6 +273,7 @@ def test_policy_stall_above_dense_limit_raises(monkeypatch):
     assert dense_calls == []
     assert info.value.estimate is not None and info.value.estimate.shape == (n,)
     assert "GMRES(30) reached" in str(info.value)
+    assert "with 2170 matrix-vector products in 70 restart cycles" in str(info.value)
     assert traceback.extract_tb(info.value.__traceback__)[-1].name == "solve_linear"
 
 
@@ -273,6 +284,86 @@ def test_policy_error_names_every_path_tried(monkeypatch):
         solve_linear(m, np.array([1.0, 0.0]))
     assert "GMRES(30) reached" in str(info.value)
     assert "then dense LU failed" in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def digraph2000():
+    return random_digraph(np.random.default_rng(3), 2000, p=2 / 1000)
+
+
+def _krylov_system(kind, digraph2000, tmp_path) -> sp.csr_array:
+    """A seeded system of each kind that solve_linear serves by GMRES."""
+    if kind == "path":   # non-normal: seven restart cycles
+        return _directed_path_system(linalg.DENSE_SOLVE_MAX + 100, 0.9)
+    if kind == "temporal block":
+        tg = load_temporal_edge_list(write_uniform_temporal(tmp_path / "t.txt", 8, 500, 500, 2))
+        gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
+        block = _diagonal_block(gd.per_snapshot[0], gd.regime)
+        return as_csr(identity(block.shape[0]) - (0.9 / gd.transition_radius) * block)
+    if kind == "N(t)":
+        rho_v = spectral_radius(line_graph(digraph2000).V)
+        return build_node_system(adjacency(digraph2000), 0.9 / rho_v).matrix
+    a = adjacency(digraph2000)
+    return as_csr(identity(a.shape[0]) - (kind / spectral_radius(a)) * a)
+
+
+@pytest.mark.parametrize("kind", [0.5, 0.9, "N(t)", "temporal block", "path"])
+def test_gmres_takes_scipys_iterates(kind, digraph2000, tmp_path):
+    # scipy's GMRES is the reference: the same iterate, to rounding, in no
+    # more matrix-vector products
+    m = _krylov_system(kind, digraph2000, tmp_path)
+    n = m.shape[0]
+    b = np.ldexp(np.ones(n), -1)
+    maxiter = (linalg.ITERATIVE_MAXITER_FACTOR * n) // linalg.GMRES_RESTART
+    reference = _CountedCSR(m)
+    want, _ = spla.gmres(reference, b, rtol=1e-10, atol=0.0, restart=linalg.GMRES_RESTART,
+                         maxiter=maxiter)
+    counted = _CountedCSR(m)
+    x, r_norm, _, products = linalg._gmres(counted, b, 1e-10 * np.linalg.norm(b), maxiter)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert products == counted.products <= reference.products
+    assert r_norm == np.linalg.norm(b - m @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_gmres_near_the_rounding_floor_takes_few_products(digraph2000):
+    # scipy's GMRES takes 9,472 products here: it tightens its inner
+    # tolerance after each cycle whose estimate met it and whose true
+    # residual did not; each cycle here restarts from the true residual
+    # against the same target
+    a = adjacency(digraph2000)
+    m = _CountedCSR(identity(a.shape[0]) - (0.999 / spectral_radius(a)) * a)
+    b = np.ldexp(np.ones(a.shape[0]), -1)
+    target = 1e-13 * np.linalg.norm(b)
+    _, r_norm, _, products = linalg._gmres(m, b, target, 666)
+    assert r_norm <= target and products == m.products <= 100
+
+
+def test_solve_certifies_after_several_restart_cycles(monkeypatch):
+    spent = []
+    gmres = linalg._gmres
+
+    def recorded(*args):
+        out = gmres(*args)
+        spent.append(out[2:])
+        return out
+
+    monkeypatch.setattr(linalg, "_gmres", recorded)
+    dense_calls = _counting(monkeypatch, scipy.linalg, "solve")
+    m = _directed_path_system(linalg.DENSE_SOLVE_MAX + 100, 0.9)
+    b = np.ones(m.shape[0])
+    x = solve_linear(m, b, 1e-10)
+    assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert spent == [(7, 204)] and dense_calls == []
+
+
+def test_gmres_breakdown_returns_the_exact_solution():
+    # b = 1 lies in a Krylov space of dimension 3: the third step breaks down
+    d = np.repeat([1.0, 2.0, 5.0], 200)
+    m = _CountedCSR(linalg.diag_matrix(d))
+    x, r_norm, cycles, products = linalg._gmres(m, np.ones(600), 1e-10, 10)
+    assert (cycles, products) == (1, 4)
+    assert np.max(np.abs(x * d - 1.0)) <= 2 * np.finfo(np.float64).eps
+    assert r_norm <= 1e-14
 
 
 def test_radius_zero_matrix():
@@ -441,16 +532,6 @@ def test_radius_commutes_with_power_of_two_scaling(rng):
     rho = spectral_radius(as_csr(dense))
     for e in (-900, -1, 1, 900):
         assert spectral_radius(as_csr(np.ldexp(dense, e))) == np.ldexp(rho, e)
-
-
-class _CountedCSR(sp.csr_array):
-    """A CSR array that counts its matrix-vector products."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return super().__matmul__(other)
 
 
 def test_radius_of_graded_block_stops_at_the_rounding_floor():

@@ -108,19 +108,8 @@ def _check_labels(labels: list) -> None:
 
 def _canonical_order(src: np.ndarray, dst: np.ndarray):
     """Stable order of edge records by ``(src, dst)``, and for each sorted
-    record whether it repeats the pair of the record before it.
-
-    The order is a stable sort of one int64 key ``src * span + dst``, where
-    every code and 0 lie in a range of ``span`` integers: it orders as
-    ``(src, dst)`` does, negative codes included, in about 60% of the time
-    of ``np.lexsort`` on large inputs.  Codes spread too widely for that key
-    (only invalid edges given to ``WeightedGraph``) take the lexsort."""
-    lo = min(src.min(initial=0), dst.min(initial=0))
-    span = int(max(src.max(initial=0), dst.max(initial=0))) - int(lo) + 1
-    if span <= 2**31:
-        order = np.argsort(src * span + dst, kind="stable")
-    else:
-        order = np.lexsort((dst, src))
+    record whether it repeats the pair of the record before it."""
+    order = np.lexsort((dst, src))
     s, d = src[order], dst[order]
     repeat = np.zeros(order.size, dtype=bool)
     repeat[1:] = (s[1:] == s[:-1]) & (d[1:] == d[:-1])

@@ -149,8 +149,9 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
 
     One policy serves every order n:
 
-    - ``n <= DENSE_CROSSOVER``: a dense LU factorization, which is the
-      cheaper solver at these orders;
+    - ``n <= DENSE_CROSSOVER``: a dense LU factorization, which needs no
+      convergence (see the comment at ``DENSE_CROSSOVER`` for why the
+      cutoff stays where it is);
     - larger orders: restarted GMRES(30), ``_gmres``, for at most
       ``ITERATIVE_MAXITER_FACTOR * n / 30`` restart cycles;
     - if GMRES misses the certificate and ``n <= DENSE_SOLVE_MAX``, the dense

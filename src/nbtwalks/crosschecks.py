@@ -15,6 +15,7 @@ from .edge_level import (
     f_centrality,
     generating_matrix_via_line_graph,
     nbt_counts_via_line_graph,
+    project_to_nodes,
     walk_counts_via_line_graph,
 )
 from .graph import WeightedGraph, adjacency, line_graph
@@ -179,7 +180,7 @@ def _resolvent_check(gd, tol: float) -> CheckResult:
     scores = temporal_f_centrality(gd, CoefficientSeries.resolvent(), t, tol=min(tol, 1e-12))
     system = np.eye(gd.m_total) - t * gd.M.toarray()
     y = np.linalg.solve(system, gd.sqrt_weights)
-    dense = 1.0 + t * (gd.L.T @ (gd.sqrt_weights * y))
+    dense = 1.0 + t * project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n)
     return CheckResult(name, deviation(scores, dense), tol)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "nbt_counts_via_line_graph",
     "apply_shifted_series",
     "f_centrality",
+    "project_to_nodes",
     "generating_matrix_via_line_graph",
     "convergence_radius",
 ]
@@ -215,9 +216,17 @@ def f_centrality(plan: CentralityPlan, tol: float = 1e-10) -> np.ndarray:
     the whole pipeline touches only matrix-vector products and solves.
     """
     d = plan.decomposition
-    w = d.sqrt_Z @ (d.R @ np.ones(d.n))
-    y = apply_shifted_series(plan.series, d.V, plan.t, w, tol, rho=plan.rho_v)
-    return plan.series.c0 * np.ones(d.n) + plan.t * (d.L.T @ (d.sqrt_Z @ y))
+    # the weighted target indicator sqrt_Z R 1 is sqrt_weights exactly
+    y = apply_shifted_series(plan.series, d.V, plan.t, d.sqrt_weights, tol, rho=plan.rho_v)
+    return (plan.series.c0 * np.ones(d.n)
+            + plan.t * project_to_nodes(d.graph.src, d.sqrt_weights, y, d.n))
+
+
+def project_to_nodes(src: np.ndarray, sqrt_weights: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """The projection ``L^T sqrt_Z y`` of an edge vector to the n nodes: node i
+    sums ``sqrt_weights * y`` over the edges e with ``src[e] == i`` in edge
+    order, as the sparse product does, so the two agree bit for bit."""
+    return np.bincount(src, weights=sqrt_weights * y, minlength=n)
 
 
 def generating_matrix_via_line_graph(

@@ -158,12 +158,12 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
       LU as fallback.  GMRES then gets at most ``FALLBACK_CYCLES`` restart
       cycles, so a stalled iteration costs little next to the factorization.
 
-    The certificate is ``||Ax - b|| <= tol * ||b||``, computed once for each
-    path taken (GMRES computes it at the end of its last cycle).  When no
-    path meets it the call raises :class:`NumericalError`, naming each path
-    tried and the residual ratio ``||Ax - b|| / ||b||`` it reached, with the
-    matrix-vector products and restart cycles GMRES spent, and the best
-    solution found as ``estimate``.
+    The certificate is ``||Ax - b|| <= tol * ||b||``, checked once for each
+    path taken (GMRES checks its true residual after each cycle, and stops
+    once a cycle fails to reduce it).  When no path meets it the call raises
+    :class:`NumericalError`, naming each path tried and the residual ratio
+    ``||Ax - b|| / ||b||`` it reached, with the matrix-vector products and
+    restart cycles GMRES spent, and the best solution found as ``estimate``.
     """
     m = as_csr(matrix)
     b = np.asarray(rhs, dtype=np.float64)
@@ -226,8 +226,8 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
 def _gmres(m: sp.csr_array, b: np.ndarray, target: float, maxiter: int) -> tuple:
     """Restarted GMRES(``GMRES_RESTART``) from x0 = 0 (Saad & Schultz, SISSC 7,
     1986), for at most ``maxiter`` cycles, until ``||b - Ax|| <= target``.
-    Returns the last iterate, its residual norm, the cycles run and the
-    matrix-vector products spent.
+    Returns the iterate with the smallest residual, its residual norm, the
+    cycles run and the matrix-vector products spent.
 
     Each Arnoldi step orthogonalises by classical Gram-Schmidt run twice, two
     BLAS-2 products per pass ("twice is enough": Giraud, Langou & Rozloznik,
@@ -239,6 +239,10 @@ def _gmres(m: sp.csr_array, b: np.ndarray, target: float, maxiter: int) -> tuple
     zero pivot of the triangle, where the matrix is singular on the Krylov
     space, drops the last basis vector from the update, so that every cycle
     returns an iterate.
+
+    A cycle whose true residual is no smaller than the one it started from
+    ends the iteration with the iterate it started from: a restart from that
+    residual would rebuild the same Krylov space and make no progress.
     """
     n = b.size
     k = min(GMRES_RESTART, n)
@@ -281,11 +285,14 @@ def _gmres(m: sp.csr_array, b: np.ndarray, target: float, maxiter: int) -> tuple
                 break
         p = j + 1 if upper[j, j] else j
         y = scipy.linalg.solve_triangular(upper[:p, :p], g[:p], check_finite=False)
-        x += y @ basis[:p]
-        r = b - m @ x
+        x_next = x + y @ basis[:p]
+        r_next = b - m @ x_next
         products += 1
-        r_norm = math.sqrt(r @ r)
-        if breakdown or not r_norm > target:   # met, or not a number
+        r_next_norm = math.sqrt(r_next @ r_next)
+        if not r_next_norm < r_norm:   # stagnated, or not a number
+            break
+        x, r, r_norm = x_next, r_next, r_next_norm
+        if breakdown or r_norm <= target:
             break
     return x, r_norm, cycle, products
 

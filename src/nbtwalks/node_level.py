@@ -107,16 +107,17 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
 class NodeSystem:
     """Assembled node-level system whose inverse generates the walk counts.
 
-    ``mutual`` is the symmetric matrix of reciprocated weight products
-    (w_ij * w_ji), ``mutual_sqrt`` its entrywise square root, and ``matrix``
-    the sparse system matrix: identity plus a diagonal correction from
-    back-and-forth round trips, minus the attenuated adjacency rescaled by
-    the geometric round-trip factor 1 / (1 - t^2 * mutual).
+    ``mutual`` is the symmetric matrix mu of reciprocated weight products
+    w_ij * w_ji, and ``matrix`` the sparse system N(t) = I + D(t) - A(t).
+    With g = t^2 mu / (1 - t^2 mu) on the reciprocated pattern, the round-trip
+    correction D(t) holds the row sums of g: the paper's
+    f_-(x) f_+(x) = x / (1 - x) * x / (1 + x) equals x^2 / (1 - x^2) at
+    x = t sqrt(mu).  A(t) = t (A + A o g) is t A divided entrywise by
+    1 - t^2 mu.
     """
 
     adjacency: sp.csr_array
     mutual: sp.csr_array
-    mutual_sqrt: sp.csr_array
     t: float
     matrix: sp.csr_array
 
@@ -134,9 +135,12 @@ def _pole(mutual: sp.csr_array) -> float:
 
 
 def build_node_system(adjacency, t: float) -> NodeSystem:
-    """Assemble the node-level system matrix at attenuation ``t``.
+    """Assemble the node-level system matrix N(t) at attenuation ``t``.
 
-    Requires ``0 <= t`` below the elementwise pole; beyond it the diagonal
+    One elementwise map g = t^2 mu / (1 - t^2 mu) of mu = A o A^T gives both
+    parts: D(t) is the row sums of g, because x / (1 - x) * x / (1 + x) =
+    x^2 / (1 - x^2) with x = t sqrt(mu), and A(t) = t (A + A o g).  Requires
+    ``0 <= t`` below the elementwise pole; beyond it the diagonal
     correction series diverges and the offending pair is reported.
     """
     a = _validate_adjacency(adjacency)
@@ -149,26 +153,14 @@ def build_node_system(adjacency, t: float) -> NodeSystem:
         where = (", which ends at the elementwise pole of the reciprocated pair "
                  f"({coo.row[peak]}, {coo.col[peak]})")
     check_t(t, _pole(mutual), where)
-    mutual_sqrt = elementwise_map(mutual, np.sqrt)
 
-    scaled = mutual_sqrt * t
-    f_minus = elementwise_map(scaled, lambda x: x / (1.0 - x))
-    f_plus = elementwise_map(scaled, lambda x: x / (1.0 + x))
-    # mutual_sqrt is symmetric, so the diagonal of (f_minus @ f_plus)
-    # collapses to row sums of the Hadamard product.
-    round_trip = hadamard(f_minus, f_plus)
-    diag_correction = np.asarray(round_trip.sum(axis=1)).ravel()
-
-    # Off-diagonal part: t * A divided entrywise by (1 - t^2 * mutual) on A's
-    # pattern.  Split as t*A + t*(A o g(mutual)) with g(x) = t^2 x / (1 - t^2 x),
-    # which vanishes at 0 and so never leaves the reciprocated pattern.
-    geometric = elementwise_map(mutual, lambda x: (t * t * x) / (1.0 - t * t * x))
-    off = sp.csr_array(t * a + t * hadamard(a, geometric))
-
-    matrix = sp.csr_array(identity(n) + diag_matrix(diag_correction) - off)
+    # g vanishes at 0, so it stays on the reciprocated pattern
+    g = elementwise_map(mutual, lambda x: (t * t * x) / (1.0 - t * t * x))
+    off = sp.csr_array(t * a + t * hadamard(a, g))
+    matrix = sp.csr_array(identity(n) + diag_matrix(np.asarray(g.sum(axis=1)).ravel()) - off)
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    return NodeSystem(adjacency=a, mutual=mutual, mutual_sqrt=mutual_sqrt, t=float(t), matrix=matrix)
+    return NodeSystem(adjacency=a, mutual=mutual, t=float(t), matrix=matrix)
 
 
 def _check_radius(t: float, rho_v, what: str) -> None:

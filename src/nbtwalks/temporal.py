@@ -15,11 +15,12 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .edge_level import CoefficientSeries, apply_shifted_series
+from .edge_level import CoefficientSeries, apply_shifted_series, project_to_nodes
 from .errors import NumericalError, ValidationError
 from .graph import (
     LineGraphDecomposition,
@@ -105,10 +106,12 @@ class GlobalDecomposition:
     """Stacked edge-level matrices of a temporal graph for one regime.
 
     Global edge indices concatenate the per-snapshot canonical edge orders;
-    ``offsets[tau]`` is where snapshot tau's block starts.  ``M`` is the
-    block upper-triangular transition matrix in half-power form: entry
-    (e, f) equals ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e
-    under the regime, so ``sqrt_Z @ M**k @ sqrt_Z`` counts weighted walks.
+    ``offsets[tau]`` is where snapshot tau's block starts, and ``src`` and
+    ``sqrt_weights`` hold each global edge's source node and square-rooted
+    weight.  ``M`` is the block upper-triangular transition matrix in
+    half-power form: entry (e, f) equals ``sqrt(w_e) * sqrt(w_f)`` whenever
+    edge f may follow edge e under the regime, so
+    ``diag(sqrt_weights) @ M**k @ diag(sqrt_weights)`` counts weighted walks.
     Every block scales a chain pattern of ``graph._chain_pattern``, pruned
     of reversals (``dst[f] == src[e]``, by node index) within a snapshot
     when the regime forbids backtracking in space and across snapshots when
@@ -121,10 +124,8 @@ class GlobalDecomposition:
     regime: BacktrackRegime
     per_snapshot: list[LineGraphDecomposition]
     offsets: np.ndarray
-    L: sp.csr_array
-    R: sp.csr_array
+    src: np.ndarray
     sqrt_weights: np.ndarray
-    sqrt_Z: sp.csr_array
 
     @cached_property
     def M(self) -> sp.csr_array:
@@ -139,11 +140,8 @@ class GlobalDecomposition:
         return self.temporal.n
 
     def edge_labels(self) -> list[str]:
-        labels = []
-        for tau, d in enumerate(self.per_snapshot):
-            node = d.graph.node_labels
-            labels.extend(f"{tau}:{node[s]}->{node[d_]}" for s, d_ in d.edge_order)
-        return labels
+        return [f"{tau}:{label}" for tau, d in enumerate(self.per_snapshot)
+                for label in d.edge_labels()]
 
     @cached_property
     def transition_radius(self) -> float:
@@ -190,32 +188,18 @@ def _diagonal_block(d: LineGraphDecomposition, regime: BacktrackRegime) -> sp.cs
     return d.V if regime.forbids_space else d.half_walk_matrix()
 
 
-def _stack(per: list[LineGraphDecomposition], tg: TemporalGraph):
-    offsets = np.concatenate([[0], np.cumsum([d.m for d in per])]).astype(np.int64)
-    n = tg.n
-    L = sp.csr_array(sp.vstack([d.L for d in per], format="csr"), shape=(offsets[-1], n))
-    R = sp.csr_array(sp.vstack([d.R for d in per], format="csr"), shape=(offsets[-1], n))
-    sqrt_weights = (
-        np.concatenate([d.sqrt_weights for d in per]) if offsets[-1] else np.zeros(0)
-    )
-    return offsets, L, R, sqrt_weights
-
-
 def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> GlobalDecomposition:
     """Stack the snapshot line graphs of a temporal graph for one regime; the
     global transition matrix ``M`` is assembled on first access."""
     regime = BacktrackRegime(regime)
     per = [line_graph(g) for g in tg.snapshots]
-    offsets, L, R, sqrt_weights = _stack(per, tg)
     return GlobalDecomposition(
         temporal=tg,
         regime=regime,
         per_snapshot=per,
-        offsets=offsets,
-        L=L,
-        R=R,
-        sqrt_weights=sqrt_weights,
-        sqrt_Z=diag_matrix(sqrt_weights),
+        offsets=np.cumsum([0] + [d.m for d in per], dtype=np.int64),
+        src=np.concatenate([d.graph.src for d in per]),
+        sqrt_weights=np.concatenate([d.sqrt_weights for d in per]),
     )
 
 
@@ -252,16 +236,17 @@ def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
     Identical, entry for entry, to ``build_global_transition(tg, FORBID_ALL).M``.
     """
     per = [line_graph(g) for g in tg.snapshots]
-    offsets, L, R, sqrt_weights = _stack(per, tg)
-    m_total = int(offsets[-1])
+    m_total = sum(d.m for d in per)
     if m_total == 0:
         return sp.csr_array((0, 0), dtype=np.float64)
+    L = sp.vstack([d.L for d in per], format="csr")
+    R = sp.vstack([d.R for d in per], format="csr")
 
     chain = matmul(R, L.T)
     # subtracting the masked copy removes exactly the reversal entries
     pruned = sp.csr_array(chain - chain.multiply(matmul(L, R.T) != 0))
     pruned.eliminate_zeros()
-    sqrt_z = diag_matrix(sqrt_weights)
+    sqrt_z = diag_matrix(np.concatenate([d.sqrt_weights for d in per]))
     hat = matmul(matmul(sqrt_z, pruned), sqrt_z)
 
     block_of = np.repeat(np.arange(len(per)), [d.m for d in per])
@@ -279,10 +264,10 @@ def temporal_walk_counts(gd: GlobalDecomposition, k: int) -> sp.csr_array:
     ordered pairs of global edges."""
     if k < 0:
         raise ValidationError(f"k must be nonnegative, got {k}")
-    acc = gd.sqrt_Z
+    acc = sqrt_z = diag_matrix(gd.sqrt_weights)
     for _ in range(k):
         acc = matmul(acc, gd.M)
-    return matmul(acc, gd.sqrt_Z)
+    return matmul(acc, sqrt_z)
 
 
 def temporal_f_centrality(
@@ -308,9 +293,8 @@ def temporal_f_centrality(
     # The shifted series acts on the transition matrix (sum_k c_{k+1} t^k M^k,
     # matching the walk-length expansion); applying the shift to the
     # projection instead would not reproduce the length-(k+1) walk counts.
-    w = gd.sqrt_Z @ (gd.R @ np.ones(gd.n))
-    y = apply_shifted_series(series, gd.M, t, w, tol, rho=rho_m)
-    return series.c0 * np.ones(gd.n) + t * (gd.L.T @ (gd.sqrt_Z @ y))
+    y = apply_shifted_series(series, gd.M, t, gd.sqrt_weights, tol, rho=rho_m)
+    return series.c0 * np.ones(gd.n) + t * project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n)
 
 
 # Correction solves against the residual after a block's first solve, before
@@ -319,7 +303,8 @@ CORRECTION_SOLVES = 3
 
 
 def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarray:
-    """``L^T sqrt_Z y`` for the solution y of ``(I - tM) y = sqrt_Z R 1``.
+    """``L^T sqrt_Z y`` for the solution y of ``(I - tM) y = sqrt_Z R 1``, with
+    L, R and sqrt_Z stacked over the snapshots (``sqrt_Z R 1 = gd.sqrt_weights``).
 
     M is block upper-triangular, so the system is solved from the last
     snapshot to the first without assembling M.  Row block tau reads
@@ -456,12 +441,8 @@ def parse_temporal_edge_list(
     for stamp, record in zip(stamps, records):
         by_stamp.setdefault(stamp, []).append(record)
     times = sorted(by_stamp)
-    labels = _node_labels(records, sort_nodes)
-    snapshots = [
-        graph_from_records(by_stamp[t], node_labels=labels, merge=merge, drop_loops=drop_loops)
-        for t in times
-    ]
-    return TemporalGraph(snapshots=snapshots, timestamps=times)
+    return _temporal_graph(records, [by_stamp[t] for t in times], times,
+                           merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes)
 
 
 def load_temporal_edge_list(path, **options) -> TemporalGraph:
@@ -489,9 +470,17 @@ def load_temporal_manifest(
         fname = entry if os.path.isabs(entry) else os.path.join(base, entry)
         with open(fname, "r", encoding="utf-8") as handle:
             per_file.append(_read_records(handle, name=entry)[0])
-    labels = _node_labels([r for records in per_file for r in records], sort_nodes)
+    return _temporal_graph(chain.from_iterable(per_file), per_file,
+                           [float(i) for i in range(len(per_file))],
+                           merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes)
+
+
+def _temporal_graph(records, groups, timestamps, *, merge, drop_loops, sort_nodes) -> TemporalGraph:
+    """One snapshot per group of ``(src, dst, weight)`` records, all over the
+    node set of ``records`` (every record, in input order)."""
+    labels = _node_labels(records, sort_nodes)
     snapshots = [
-        graph_from_records(records, node_labels=labels, merge=merge, drop_loops=drop_loops)
-        for records in per_file
+        graph_from_records(group, node_labels=labels, merge=merge, drop_loops=drop_loops)
+        for group in groups
     ]
-    return TemporalGraph(snapshots=snapshots, timestamps=[float(i) for i in range(len(snapshots))])
+    return TemporalGraph(snapshots=snapshots, timestamps=timestamps)

@@ -12,6 +12,7 @@ from nbtwalks.edge_level import (
     f_centrality,
     generating_matrix_via_line_graph,
     nbt_counts_via_line_graph,
+    project_to_nodes,
     walk_counts_via_line_graph,
 )
 from nbtwalks.errors import NumericalError, ValidationError
@@ -66,6 +67,39 @@ class TestProjections:
             counts = nbt_walk_counts(adjacency(g), 6)
             for k in range(6):
                 assert rel_dev(nbt_counts_via_line_graph(d, k), counts[k + 1]) <= 1e-12
+
+
+class TestProjectToNodes:
+    """``project_to_nodes`` and the target ``sqrt_weights`` against the
+    incidence products ``L^T sqrt_Z y`` and ``sqrt_Z R 1``, bit for bit."""
+
+    @staticmethod
+    def with_sink(rng) -> WeightedGraph:
+        # the last node has no out-edge, so its projection is a padded zero
+        g = random_digraph(rng, 12)
+        return WeightedGraph(g.node_labels + ["sink"], g.edges + [(0, g.n, 1.5)])
+
+    def test_equals_the_incidence_products(self, rng):
+        d = line_graph(self.with_sink(rng))
+        y = rng.lognormal(0.0, 1.0, size=d.m)
+        assert np.array_equal(project_to_nodes(d.graph.src, d.sqrt_weights, y, d.n),
+                              d.L.T @ (d.sqrt_Z @ y))
+        assert np.array_equal(d.sqrt_weights, d.sqrt_Z @ (d.R @ np.ones(d.n)))
+
+    @pytest.mark.parametrize("series", [
+        CoefficientSeries.resolvent(),
+        CoefficientSeries.exponential(),
+        CoefficientSeries.custom([1.0, 1.0, 0.5, 0.25]),
+    ], ids=["resolvent", "exponential", "custom"])
+    def test_f_centrality_equals_the_incidence_formula(self, rng, series):
+        d = line_graph(self.with_sink(rng))
+        rho = spectral_radius(d.V)
+        t = 0.5 / rho
+        y = apply_shifted_series(series, d.V, t, d.sqrt_Z @ (d.R @ np.ones(d.n)), 1e-10,
+                                 rho=rho)
+        want = series.c0 * np.ones(d.n) + t * (d.L.T @ (d.sqrt_Z @ y))
+        plan = CentralityPlan(d, series, t, rho_v=rho)
+        assert np.array_equal(f_centrality(plan), want)
 
 
 class TestShiftedSeries:

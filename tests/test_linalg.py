@@ -1,3 +1,4 @@
+import re
 import traceback
 from pathlib import Path
 
@@ -273,7 +274,7 @@ def test_policy_stall_above_dense_limit_raises(monkeypatch):
     assert dense_calls == []
     assert info.value.estimate is not None and info.value.estimate.shape == (n,)
     assert "GMRES(30) reached" in str(info.value)
-    assert "with 2170 matrix-vector products in 70 restart cycles" in str(info.value)
+    assert "with 465 matrix-vector products in 15 restart cycles" in str(info.value)
     assert traceback.extract_tb(info.value.__traceback__)[-1].name == "solve_linear"
 
 
@@ -354,6 +355,25 @@ def test_solve_certifies_after_several_restart_cycles(monkeypatch):
     x = solve_linear(m, b, 1e-10)
     assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert spent == [(7, 204)] and dense_calls == []
+
+
+def test_gmres_stops_once_a_cycle_makes_no_progress():
+    # tol 1e-15 lies below the residual GMRES(30) can reach on this system;
+    # without the stagnation exit it spends all 700 restart cycles
+    # (11,200 products) on it
+    rng = np.random.default_rng(0)
+    n = linalg.DENSE_SOLVE_MAX + 100
+    pairs = np.unique(rng.integers(0, n, size=(4 * n, 2)), axis=0)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    a = sp.csr_array((rng.uniform(0.5, 2.0, len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                     shape=(n, n))
+    m = identity(n) - (0.999 / spectral_radius(a)) * a
+    with pytest.raises(NumericalError, match="GMRES") as info:
+        solve_linear(m, np.ones(n), 1e-15)
+    products = int(re.search(r"with (\d+) matrix-vector products", str(info.value))[1])
+    assert products <= 500
+    x = info.value.estimate
+    assert np.linalg.norm(m @ x - 1.0) <= 1e-12 * np.sqrt(n)
 
 
 def test_gmres_breakdown_returns_the_exact_solution():

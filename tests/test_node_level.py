@@ -6,6 +6,7 @@ from nbtwalks.graph import WeightedGraph, adjacency, line_graph, parse_edge_list
 from nbtwalks.linalg import hadamard, solve_linear, identity, spectral_radius
 from nbtwalks.node_level import (
     build_node_system,
+    elementwise_pole,
     generating_matrix,
     nbt_katz,
     nbt_walk_counts,
@@ -137,6 +138,25 @@ class TestNodeSystem:
             assert np.all(np.diag(m) >= 1.0)
             off = m - np.diag(np.diag(m))
             assert np.all(off <= 0.0)
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.9, 0.99])
+    def test_matches_the_round_trip_form(self, rng, fraction):
+        # N(t) = I + diag(F_- F_+) - tA / (1 - t^2 mu), with F_-+ the maps
+        # x / (1 -+ x) of x = t sqrt(mu), built densely.  Both forms round
+        # 1 - t sqrt(mu) or 1 - t^2 mu, so near the pole their difference
+        # grows like 1 / (1 - (t / pole)^2) ulps.
+        eps = np.finfo(np.float64).eps
+        for _ in range(6):
+            a = adjacency(random_digraph(rng, int(rng.integers(8, 25)), wlo=0.1, whi=5.0))
+            t = fraction * elementwise_pole(a)
+            dense = a.toarray()
+            mu = dense * dense.T
+            x = t * np.sqrt(mu)
+            f_minus, f_plus = x / (1.0 - x), x / (1.0 + x)
+            want = (np.eye(a.shape[0]) + np.diag(np.diag(f_minus @ f_plus))
+                    - t * dense / (1.0 - t * t * mu))
+            got = build_node_system(a, t).matrix.toarray()
+            assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want) / (1.0 - fraction**2))
 
 
 class TestGeneratingMatrix:

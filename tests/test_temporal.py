@@ -10,10 +10,16 @@ import nbtwalks.crosschecks
 import nbtwalks.linalg
 import nbtwalks.temporal
 from nbtwalks.crosschecks import temporal_battery
-from nbtwalks.edge_level import CentralityPlan, CoefficientSeries, f_centrality
+from nbtwalks.edge_level import (
+    CentralityPlan,
+    CoefficientSeries,
+    apply_shifted_series,
+    f_centrality,
+    project_to_nodes,
+)
 from nbtwalks.errors import NumericalError, ValidationError
 from nbtwalks.graph import WeightedGraph, adjacency, line_graph
-from nbtwalks.linalg import matmul, spectral_radius
+from nbtwalks.linalg import diag_matrix, matmul, spectral_radius
 from nbtwalks.oracle import count_temporal_walks_bruteforce
 from nbtwalks.temporal import (
     BacktrackRegime,
@@ -32,6 +38,7 @@ from nbtwalks.temporal import (
 from conftest import assert_bitwise_equal, random_digraph, rel_dev, write_uniform_temporal
 
 RESOLVENT = CoefficientSeries.resolvent()
+GOLDEN_TEMPORAL = Path(__file__).parent / "data" / "golden" / "temporal.txt"
 
 
 def two_snapshot_example() -> TemporalGraph:
@@ -333,11 +340,48 @@ class TestCentrality:
         assert np.all(v >= 1.0 - 1e-12)
 
 
+def stacked_incidence(gd):
+    """The snapshots' source and target incidence matrices and square-rooted
+    weight matrix, stacked in global edge order: ``(L, R, sqrt_Z)``."""
+    per = gd.per_snapshot
+    return (sp.csr_array(sp.vstack([d.L for d in per], format="csr")),
+            sp.csr_array(sp.vstack([d.R for d in per], format="csr")),
+            diag_matrix(np.concatenate([d.sqrt_weights for d in per])))
+
+
+class TestProjectionToNodes:
+    """The stacked projection ``L^T sqrt_Z y`` and target ``sqrt_Z R 1`` that
+    the series path reads, bit for bit as the incidence products give them."""
+
+    def test_equals_the_incidence_products(self, rng):
+        gd = build_global_transition(load_temporal_edge_list(GOLDEN_TEMPORAL),
+                                     BacktrackRegime.FORBID_ALL)
+        L, R, sqrt_z = stacked_incidence(gd)
+        y = rng.lognormal(0.0, 1.0, size=gd.m_total)
+        assert np.array_equal(project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n),
+                              L.T @ (sqrt_z @ y))
+        assert np.array_equal(gd.sqrt_weights, sqrt_z @ (R @ np.ones(gd.n)))
+
+    @pytest.mark.parametrize("series", [
+        CoefficientSeries.exponential(),
+        CoefficientSeries.custom([1.0, 1.0, 0.5, 0.25, 0.125]),
+    ], ids=["exponential", "custom"])
+    @pytest.mark.parametrize("regime", list(BacktrackRegime), ids=lambda r: r.value)
+    def test_series_scores_equal_the_incidence_formula(self, series, regime):
+        gd = build_global_transition(load_temporal_edge_list(GOLDEN_TEMPORAL), regime)
+        L, R, sqrt_z = stacked_incidence(gd)
+        t = 0.5 / gd.transition_radius
+        y = apply_shifted_series(series, gd.M, t, sqrt_z @ (R @ np.ones(gd.n)), 1e-10,
+                                 rho=gd.transition_radius)
+        want = series.c0 * np.ones(gd.n) + t * (L.T @ (sqrt_z @ y))
+        assert np.array_equal(temporal_f_centrality(gd, series, t), want)
+
+
 def dense_resolvent_scores(gd, t) -> np.ndarray:
     """Scores from one dense solve of the assembled I - tM."""
     system = np.eye(gd.m_total) - t * gd.M.toarray()
     y = np.linalg.solve(system, gd.sqrt_weights)
-    return 1.0 + t * (gd.L.T @ (gd.sqrt_weights * y))
+    return 1.0 + t * project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n)
 
 
 class TestSnapshotBackSubstitution:

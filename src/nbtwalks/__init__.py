@@ -44,7 +44,6 @@ from .linalg import (
     spectral_radius,
 )
 from .node_level import (
-    NodeSystem,
     build_node_system,
     generating_matrix,
     nbt_katz,

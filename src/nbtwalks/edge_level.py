@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError, ValidationError
-from .graph import LineGraphDecomposition
+from .graph import LineGraphDecomposition, adjacency
 from .linalg import (
     DENSE_SOLVE_MAX,
     check_t,
@@ -102,12 +102,23 @@ def nbt_counts_via_line_graph(decomposition: LineGraphDecomposition, k: int) -> 
 def _project(d: LineGraphDecomposition, transition: sp.csr_array, k: int) -> sp.csr_array:
     if k == 0:
         # zero steps collapse the two half-weight brackets into one full
-        # weight, which the plain incidence factorization gives exactly
-        return matmul(matmul(d.L.T, d.Z), d.R)
-    acc = matmul(d.sqrt_Z, d.R)
+        # weight: the factorization L^T Z R is the adjacency itself
+        return adjacency(d.graph)
+    out_half, acc = _half_incidences(d)
     for _ in range(k):
         acc = matmul(transition, acc)
-    return matmul(matmul(d.L.T, d.sqrt_Z), acc)
+    return matmul(out_half, acc)
+
+
+def _half_incidences(d: LineGraphDecomposition) -> tuple[sp.csr_array, sp.csr_array]:
+    """The half-weight incidences ``(L^T Z^1/2, Z^1/2 R)``: the n x m matrix
+    with ``sqrt(w_e)`` at (src e, e) and the m x n one with ``sqrt(w_e)`` at
+    (e, dst e).  Their product is the adjacency up to the rounding of
+    ``sqrt(w)**2``."""
+    g = d.graph
+    edges = np.arange(g.m)
+    return (sp.csr_array((d.sqrt_weights, (g.src, edges)), shape=(g.n, g.m)),
+            sp.csr_array((d.sqrt_weights, (edges, g.dst)), shape=(g.m, g.n)))
 
 
 def apply_shifted_series(
@@ -216,14 +227,14 @@ def f_centrality(plan: CentralityPlan, tol: float = 1e-10) -> np.ndarray:
     the whole pipeline touches only matrix-vector products and solves.
     """
     d = plan.decomposition
-    # the weighted target indicator sqrt_Z R 1 is sqrt_weights exactly
+    # the weighted target indicator Z^1/2 R 1 is sqrt_weights exactly
     y = apply_shifted_series(plan.series, d.V, plan.t, d.sqrt_weights, tol, rho=plan.rho_v)
     return (plan.series.c0 * np.ones(d.n)
             + plan.t * project_to_nodes(d.graph.src, d.sqrt_weights, y, d.n))
 
 
 def project_to_nodes(src: np.ndarray, sqrt_weights: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """The projection ``L^T sqrt_Z y`` of an edge vector to the n nodes: node i
+    """The projection ``L^T Z^1/2 y`` of an edge vector to the n nodes: node i
     sums ``sqrt_weights * y`` over the edges e with ``src[e] == i`` in edge
     order, as the sparse product does, so the two agree bit for bit."""
     return np.bincount(src, weights=sqrt_weights * y, minlength=n)
@@ -255,8 +266,9 @@ def generating_matrix_via_line_graph(
     if d.m == 0 or t == 0.0:
         return np.eye(n)
 
+    out_half, in_half = _half_incidences(d)
     system = (identity(d.m) - t * d.V).toarray()
-    targets = (d.sqrt_Z @ d.R).toarray()
+    targets = in_half.toarray()
     try:
         y = np.linalg.solve(system, targets)
     except np.linalg.LinAlgError as exc:
@@ -266,7 +278,7 @@ def generating_matrix_via_line_graph(
         raise NumericalError(
             f"edge-level resolvent is too ill-conditioned (inverse residual {residual:.3e})"
         )
-    return np.eye(n) + t * (d.L.T @ (d.sqrt_Z @ y))
+    return np.eye(n) + t * (out_half @ y)
 
 
 def convergence_radius(decomposition: LineGraphDecomposition) -> float:

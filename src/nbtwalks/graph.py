@@ -20,7 +20,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .linalg import diag_matrix, matmul
 
 __all__ = [
     "WeightedGraph",
@@ -316,17 +315,19 @@ def binarize(graph: WeightedGraph) -> WeightedGraph:
 class LineGraphDecomposition:
     """Edge-level matrices of one static graph.
 
-    With edges canonically labelled ``0..m-1``:
+    With edges canonically labelled ``0..m-1``, the paper factorises the
+    adjacency matrix as ``A = L^T Z R``: L and R are the m x n source and
+    target incidence matrices (``L[e, i] = 1`` when edge e starts at i,
+    ``R[e, j] = 1`` when it ends at j) and Z is the diagonal matrix of edge
+    weights.  None of the three is stored; the graph's ``src``, ``dst`` and
+    ``weight`` arrays are them.  The matrices kept or built here are:
 
-    - ``L``: m x n source incidence, ``L[e, i] = 1`` when edge e starts at i.
-    - ``R``: m x n target incidence, ``R[e, j] = 1`` when edge e ends at j.
-    - ``Z``: m x m diagonal matrix of edge weights; ``sqrt_Z`` its square root.
     - ``W``: line-graph weight matrix, ``W[e, f] = w_e * w_f`` when edge f
       continues edge e (end of e equals start of f).
     - ``B``: W without the steps from an edge to its reversal (the Hashimoto
       matrix); only chains that do not backtrack survive.
     - ``V``: half-power form of B, ``sqrt(w_e) * sqrt(w_f)`` on the same
-      pruned chain pattern, so that ``sqrt_Z @ V**k @ sqrt_Z`` carries true
+      pruned chain pattern, so that ``Z^1/2 V**k Z^1/2`` carries true
       multiplicative walk weights.
 
     All three scale one chain pattern (``_chain_pattern``); f reverses e
@@ -339,26 +340,16 @@ class LineGraphDecomposition:
     """
 
     graph: WeightedGraph
-    weights: np.ndarray
     sqrt_weights: np.ndarray
-    L: sp.csr_array
-    R: sp.csr_array
-    Z: sp.csr_array
-    sqrt_Z: sp.csr_array
     V: sp.csr_array
 
     @property
     def m(self) -> int:
-        return int(self.weights.size)
+        return self.graph.m
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @property
-    def edge_order(self) -> list[tuple[int, int]]:
-        """``(src, dst)`` of each edge in canonical order."""
-        return list(zip(self.graph.src.tolist(), self.graph.dst.tolist()))
 
     def half_walk_matrix(self) -> sp.csr_array:
         """Half-power form of W: ``sqrt(w_e) * sqrt(w_f)`` on W's full pattern.
@@ -371,15 +362,16 @@ class LineGraphDecomposition:
 
     @cached_property
     def W(self) -> sp.csr_array:
-        return _on_chain(_chain_pattern(self.graph), self.weights)
+        return _on_chain(_chain_pattern(self.graph), self.graph.weight)
 
     @cached_property
     def B(self) -> sp.csr_array:
-        return _on_chain(_chain_pattern(self.graph, prune=True), self.weights)
+        return _on_chain(_chain_pattern(self.graph, prune=True), self.graph.weight)
 
     def edge_labels(self) -> list[str]:
         labels = self.graph.node_labels
-        return [f"{labels[s]}->{labels[d]}" for s, d in self.edge_order]
+        return [f"{labels[s]}->{labels[d]}"
+                for s, d in zip(self.graph.src.tolist(), self.graph.dst.tolist())]
 
 
 def _chain_pattern(first: WeightedGraph, then: WeightedGraph | None = None, *,
@@ -419,35 +411,10 @@ def _on_chain(pattern, x: np.ndarray, y: np.ndarray | None = None) -> sp.csr_arr
 
 def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
     """Build the canonical line-graph decomposition of a graph."""
-    n = graph.n
-    m = graph.m
-    weights = graph.weight
-    sqrt_weights = np.sqrt(weights)
-
-    rows = np.arange(m)
-    ones = np.ones(m)
-    L = sp.csr_array((ones, (rows, graph.src)), shape=(m, n))
-    R = sp.csr_array((ones, (rows, graph.dst)), shape=(m, n))
-    Z = diag_matrix(weights)
-    sqrt_Z = diag_matrix(sqrt_weights)
-
+    sqrt_weights = np.sqrt(graph.weight)
     # no edge followed by its reversal
     V = _on_chain(_chain_pattern(graph, prune=True), sqrt_weights)
-
-    rebuilt = matmul(matmul(L.T, Z), R)
-    if (rebuilt != adjacency(graph)).nnz != 0:
-        raise AssertionError("edge incidence factorization does not reproduce the adjacency")
-
-    return LineGraphDecomposition(
-        graph=graph,
-        weights=weights,
-        sqrt_weights=sqrt_weights,
-        L=L,
-        R=R,
-        Z=Z,
-        sqrt_Z=sqrt_Z,
-        V=V,
-    )
+    return LineGraphDecomposition(graph=graph, sqrt_weights=sqrt_weights, V=V)
 
 
 def load_matrix_market(

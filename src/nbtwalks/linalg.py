@@ -111,27 +111,21 @@ def hadamard(a, b) -> sp.csr_array:
     return out
 
 
-def elementwise_map(a, fn, *, dense: bool = False) -> sp.csr_array:
-    """Apply a scalar function entrywise.
-
-    By default ``fn`` is applied to stored entries only, which requires
-    ``fn(0) == 0``.  With ``dense=True`` the function is applied to every
-    position (small matrices only).  A non-finite result signals an
-    elementwise pole and raises :class:`NumericalError` naming the entry.
+def elementwise_map(a, fn) -> sp.csr_array:
+    """Apply a scalar function to the stored entries, which requires
+    ``fn(0) == 0``.  A non-finite result signals an elementwise pole and
+    raises :class:`NumericalError` naming the entry.
     """
     a = as_csr(a)
-    if dense:
-        out = sp.csr_array(np.asarray(fn(a.toarray())))
-    else:
-        f0 = fn(0.0)
-        if f0 != 0.0:
-            raise ValidationError(
-                f"elementwise_map requires fn(0) == 0 for sparse application, got {f0!r}"
-            )
-        out = a.copy()
-        if out.nnz:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                out.data = np.asarray(fn(out.data), dtype=np.float64)
+    f0 = fn(0.0)
+    if f0 != 0.0:
+        raise ValidationError(
+            f"elementwise_map requires fn(0) == 0, got {f0!r}"
+        )
+    out = a.copy()
+    if out.nnz:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out.data = np.asarray(fn(out.data), dtype=np.float64)
     if out.nnz and not np.all(np.isfinite(out.data)):
         coo = out.tocoo()
         bad = int(np.flatnonzero(~np.isfinite(coo.data))[0])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,8 +27,8 @@ from .linalg import (
     solve_linear,
 )
 
-__all__ = ["NodeSystem", "nbt_walk_counts", "build_node_system", "elementwise_pole",
-           "generating_matrix", "nbt_katz"]
+__all__ = ["nbt_walk_counts", "build_node_system", "elementwise_pole", "generating_matrix",
+           "nbt_katz"]
 
 # Rounding bound of the walk-count recurrence, in units of k * eps times the
 # sum of the magnitudes combined at length k.
@@ -103,25 +102,6 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
     return counts
 
 
-@dataclass
-class NodeSystem:
-    """Assembled node-level system whose inverse generates the walk counts.
-
-    ``mutual`` is the symmetric matrix mu of reciprocated weight products
-    w_ij * w_ji, and ``matrix`` the sparse system N(t) = I + D(t) - A(t).
-    With g = t^2 mu / (1 - t^2 mu) on the reciprocated pattern, the round-trip
-    correction D(t) holds the row sums of g: the paper's
-    f_-(x) f_+(x) = x / (1 - x) * x / (1 + x) equals x^2 / (1 - x^2) at
-    x = t sqrt(mu).  A(t) = t (A + A o g) is t A divided entrywise by
-    1 - t^2 mu.
-    """
-
-    adjacency: sp.csr_array
-    mutual: sp.csr_array
-    t: float
-    matrix: sp.csr_array
-
-
 def elementwise_pole(adjacency) -> float:
     """Smallest attenuation factor at which the node-level system has an
     elementwise pole: ``1 / sqrt(max w_ij * w_ji)`` over the reciprocated
@@ -134,14 +114,18 @@ def _pole(mutual: sp.csr_array) -> float:
     return 1.0 / math.sqrt(float(mutual.data.max())) if mutual.nnz else math.inf
 
 
-def build_node_system(adjacency, t: float) -> NodeSystem:
-    """Assemble the node-level system matrix N(t) at attenuation ``t``.
+def build_node_system(adjacency, t: float) -> sp.csr_array:
+    """The sparse node-level system matrix N(t) = I + D(t) - A(t), whose
+    inverse generates the walk counts.
 
-    One elementwise map g = t^2 mu / (1 - t^2 mu) of mu = A o A^T gives both
-    parts: D(t) is the row sums of g, because x / (1 - x) * x / (1 + x) =
-    x^2 / (1 - x^2) with x = t sqrt(mu), and A(t) = t (A + A o g).  Requires
-    ``0 <= t`` below the elementwise pole; beyond it the diagonal
-    correction series diverges and the offending pair is reported.
+    One elementwise map g = t^2 mu / (1 - t^2 mu) of the symmetric matrix
+    mu = A o A^T of reciprocated weight products w_ij * w_ji gives both
+    parts.  The round-trip correction D(t) holds the row sums of g: the
+    paper's f_-(x) f_+(x) = x / (1 - x) * x / (1 + x) equals
+    x^2 / (1 - x^2) at x = t sqrt(mu).  A(t) = t (A + A o g) is t A divided
+    entrywise by 1 - t^2 mu.  Requires ``0 <= t`` below the elementwise
+    pole; beyond it the diagonal correction series diverges and the
+    offending pair is reported.
     """
     a = _validate_adjacency(adjacency)
     n = a.shape[0]
@@ -160,7 +144,7 @@ def build_node_system(adjacency, t: float) -> NodeSystem:
     matrix = sp.csr_array(identity(n) + diag_matrix(np.asarray(g.sum(axis=1)).ravel()) - off)
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    return NodeSystem(adjacency=a, mutual=mutual, t=float(t), matrix=matrix)
+    return matrix
 
 
 def _check_radius(t: float, rho_v, what: str) -> None:
@@ -183,13 +167,13 @@ def generating_matrix(adjacency, t: float, *, rho_v: float | None = None) -> np.
     walk-count matrices, for ``t`` inside the convergence radius.
     """
     system = build_node_system(adjacency, t)
-    n = system.matrix.shape[0]
+    n = system.shape[0]
     if n > DENSE_SOLVE_MAX:
         raise ValidationError(
             f"dense generating matrix limited to order {DENSE_SOLVE_MAX}, got {n}"
         )
     _check_radius(t, rho_v, "generating_matrix")
-    dense = system.matrix.toarray()
+    dense = system.toarray()
     try:
         phi = np.linalg.inv(dense)
     except np.linalg.LinAlgError as exc:
@@ -213,4 +197,4 @@ def nbt_katz(adjacency, t: float, *, tol: float = 1e-10, rho_v: float | None = N
     """
     system = build_node_system(adjacency, t)
     _check_radius(t, rho_v, "nbt_katz")
-    return solve_linear(system.matrix, np.ones(system.matrix.shape[0]), tol)
+    return solve_linear(system, np.ones(system.shape[0]), tol)

@@ -46,6 +46,7 @@ __all__ = [
     "classical_temporal_katz",
     "permitted_t_range",
     "parse_temporal_edge_list",
+    "load_temporal_edge_list",
     "load_temporal_manifest",
 ]
 
@@ -148,9 +149,10 @@ class GlobalDecomposition:
         """Spectral radius of ``M``: the largest radius over its diagonal
         snapshot blocks, which is exact because walks cannot go back in time,
         so ``M`` is block upper-triangular.  Under allow-all and forbid-time
-        a block is the half-walk matrix ``sqrt_Z R . L^T sqrt_Z``, with the
-        nonzero spectrum of ``L^T Z R``, the snapshot's adjacency matrix, so
-        the radius is ``temporal.max_adjacency_radius``."""
+        a block is the half-walk matrix ``Z^1/2 R L^T Z^1/2``, in the paper's
+        incidence notation, with the nonzero spectrum of ``L^T Z R``, the
+        snapshot's adjacency matrix, so the radius is
+        ``temporal.max_adjacency_radius``."""
         if not self.regime.forbids_space:
             return self.temporal.max_adjacency_radius
         return _max_radius(_diagonal_block(d, self.regime) for d in self.per_snapshot)
@@ -235,21 +237,24 @@ def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
     diagonal scaling; entries below the block diagonal are then dropped.
     Identical, entry for entry, to ``build_global_transition(tg, FORBID_ALL).M``.
     """
-    per = [line_graph(g) for g in tg.snapshots]
-    m_total = sum(d.m for d in per)
+    snapshots = tg.snapshots
+    src = np.concatenate([g.src for g in snapshots])
+    dst = np.concatenate([g.dst for g in snapshots])
+    m_total = src.size
     if m_total == 0:
         return sp.csr_array((0, 0), dtype=np.float64)
-    L = sp.vstack([d.L for d in per], format="csr")
-    R = sp.vstack([d.R for d in per], format="csr")
+    edges, ones = np.arange(m_total), np.ones(m_total)
+    L = sp.csr_array((ones, (edges, src)), shape=(m_total, tg.n))
+    R = sp.csr_array((ones, (edges, dst)), shape=(m_total, tg.n))
 
     chain = matmul(R, L.T)
     # subtracting the masked copy removes exactly the reversal entries
     pruned = sp.csr_array(chain - chain.multiply(matmul(L, R.T) != 0))
     pruned.eliminate_zeros()
-    sqrt_z = diag_matrix(np.concatenate([d.sqrt_weights for d in per]))
+    sqrt_z = diag_matrix(np.sqrt(np.concatenate([g.weight for g in snapshots])))
     hat = matmul(matmul(sqrt_z, pruned), sqrt_z)
 
-    block_of = np.repeat(np.arange(len(per)), [d.m for d in per])
+    block_of = np.repeat(np.arange(len(snapshots)), [g.m for g in snapshots])
     coo = hat.tocoo()
     keep = block_of[coo.row] <= block_of[coo.col]
     out = sp.csr_array(
@@ -303,8 +308,9 @@ CORRECTION_SOLVES = 3
 
 
 def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarray:
-    """``L^T sqrt_Z y`` for the solution y of ``(I - tM) y = sqrt_Z R 1``, with
-    L, R and sqrt_Z stacked over the snapshots (``sqrt_Z R 1 = gd.sqrt_weights``).
+    """``L^T Z^1/2 y`` for the solution y of ``(I - tM) y = Z^1/2 R 1``, with
+    the paper's incidence matrices L and R and weight matrix Z stacked over
+    the snapshots (``Z^1/2 R 1 = gd.sqrt_weights``).
 
     M is block upper-triangular, so the system is solved from the last
     snapshot to the first without assembling M.  Row block tau reads
@@ -313,7 +319,9 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
     ``sqrt_w * y`` over the later edges leaving each node, and ``r`` the
     same sums per ordered node pair, subtracted only when the regime forbids
     backtracking in time (the reversal of edge (i, j) is (j, i)).  After all
-    snapshots, ``s`` is the projection ``L^T sqrt_Z y`` itself.
+    snapshots, ``s`` is the projection ``L^T Z^1/2 y`` itself.  Scores grow
+    with every snapshot; the first right-hand side, solution or sum that is
+    not finite raises :class:`NumericalError` (``_in_range``).
     """
     n = gd.n
     s = np.zeros(n)
@@ -321,23 +329,34 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
         pair_keys = np.unique(np.concatenate([d.graph.src * n + d.graph.dst
                                               for d in gd.per_snapshot]))
         r = np.zeros(pair_keys.size)
-    for tau in reversed(range(len(gd.per_snapshot))):
-        d = gd.per_snapshot[tau]
-        if d.m == 0:
-            continue
-        src, dst = d.graph.src, d.graph.dst
-        later = s[dst]
-        if gd.regime.forbids_time:
-            reverse = dst * n + src
-            at = np.minimum(np.searchsorted(pair_keys, reverse), pair_keys.size - 1)
-            later = later - np.where(pair_keys[at] == reverse, r[at], 0.0)
-        b = d.sqrt_weights * (1.0 + t * later)
-        y = _certified_block_solve(_diagonal_block(d, gd.regime), t, b, tol, tau)
-        z = d.sqrt_weights * y
-        s += np.bincount(src, weights=z, minlength=n)
-        if gd.regime.forbids_time:
-            r[np.searchsorted(pair_keys, src * n + dst)] += z
-    return s
+    # an overflow is reported by _in_range, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tau in reversed(range(len(gd.per_snapshot))):
+            d = gd.per_snapshot[tau]
+            if d.m == 0:
+                continue
+            src, dst = d.graph.src, d.graph.dst
+            later = s[dst]
+            if gd.regime.forbids_time:
+                reverse = dst * n + src
+                at = np.minimum(np.searchsorted(pair_keys, reverse), pair_keys.size - 1)
+                later = later - np.where(pair_keys[at] == reverse, r[at], 0.0)
+            b = _in_range(d.sqrt_weights * (1.0 + t * later), tau)
+            y = _certified_block_solve(_diagonal_block(d, gd.regime), t, b, tol, tau)
+            z = d.sqrt_weights * y
+            s += np.bincount(src, weights=z, minlength=n)
+            if gd.regime.forbids_time:
+                r[np.searchsorted(pair_keys, src * n + dst)] += z
+        return _in_range(s, 0)
+
+
+def _in_range(x: np.ndarray, tau: int) -> np.ndarray:
+    """``x``, when every entry is finite.  Otherwise the scores of the walks
+    from snapshot tau and the snapshots before it pass the float64 range,
+    and :class:`NumericalError` says so."""
+    if not np.isfinite(x).all():
+        raise NumericalError(f"temporal scores exceed the float64 range from snapshot {tau} on")
+    return x
 
 
 def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int) -> np.ndarray:
@@ -350,7 +369,8 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
     A first solve that misses it gets up to ``CORRECTION_SOLVES`` correction
     solves against its residual; then the block fails with
     :class:`NumericalError` naming the snapshot and the value reached, with
-    the block's best solution as ``estimate``.
+    the block's best solution as ``estimate``.  A solution, or a scale of
+    the backward error, past the float64 range fails as ``_in_range`` does.
     """
     system = identity(b.size) - t * block
 
@@ -363,10 +383,10 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
     def backward_error(y):
         # every weight is positive, so b > 0 and no scale entry is zero
         residual = b + t * (block @ y) - y
-        scale = b + np.abs(y) + t * (block @ np.abs(y))
+        scale = _in_range(b + np.abs(y) + t * (block @ np.abs(y)), tau)
         return float(np.max(np.abs(residual) / scale)), residual
 
-    y = solve(b)
+    y = _in_range(solve(b), tau)
     best, best_error = y, math.inf
     for attempt in range(CORRECTION_SOLVES + 1):
         error, residual = backward_error(y)
@@ -388,16 +408,19 @@ def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> 
     resolvents applied to the all-ones vector, right to left, one sparse
     solve per snapshot.  A solve that misses ``solve_linear``'s normwise
     certificate may still meet the componentwise one of
-    ``_certified_block_solve``, which decides."""
+    ``_certified_block_solve``, which decides.  The first solution that is
+    not finite raises :class:`NumericalError` (``_in_range``)."""
     check_t(t, range_end(tg.max_adjacency_radius), " for the classical temporal measure")
     x = np.ones(tg.n)
     eye = identity(tg.n)
-    for tau in reversed(range(len(tg.snapshots))):
-        a = adjacency(tg.snapshots[tau])
-        try:
-            x = solve_linear(eye - t * a, x, tol)
-        except NumericalError:   # A and x are nonnegative, as the resolvent's are
-            x = _certified_block_solve(a, t, x, tol, tau)
+    # an overflow is reported by _in_range, not as a warning
+    with np.errstate(over="ignore"):
+        for tau in reversed(range(len(tg.snapshots))):
+            a = adjacency(tg.snapshots[tau])
+            try:
+                x = _in_range(solve_linear(eye - t * a, x, tol), tau)
+            except NumericalError:   # A and x are nonnegative, as the resolvent's are
+                x = _certified_block_solve(a, t, x, tol, tau)
     return x
 
 

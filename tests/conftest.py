@@ -1,14 +1,17 @@
 """Shared test helpers: random instances, deviation and bitwise comparison
-of matrices, and the environment of CLI subprocesses."""
+of matrices, the reference incidence matrices of a graph, and the
+environment of CLI subprocesses."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import nbtwalks
 from nbtwalks.graph import WeightedGraph
+from nbtwalks.linalg import diag_matrix, matmul
 
 
 def cli_env() -> dict:
@@ -70,36 +73,78 @@ def random_oneway(rng, n, p=0.4, wlo=0.5, whi=2.0) -> WeightedGraph:
     return WeightedGraph([str(i) for i in range(n)], edges)
 
 
+def uniform_edges(rng, n, m):
+    """About m edges on distinct node pairs drawn uniformly from n nodes, 30%
+    of the pairs linked in both directions, with log-normal(0, 0.5) weights,
+    drawn from ``rng`` in the order the benchmark's ``inputs.random_graph``
+    draws them.  Returns ``(src, dst, weight)``."""
+    pairs = int(round(m / 1.3))
+    draw = int(pairs * 1.3) + 64
+    a = rng.integers(0, n, size=draw)
+    b = rng.integers(0, n, size=draw)
+    keep = a != b
+    lo = np.minimum(a[keep], b[keep])
+    hi = np.maximum(a[keep], b[keep])
+    _, first = np.unique(lo.astype(np.int64) * n + hi, return_index=True)
+    chosen = np.sort(first)[:pairs]
+    lo, hi = lo[chosen], hi[chosen]
+    both = rng.random(pairs) < 0.3
+    flip = rng.random(pairs) < 0.5
+    s1 = np.where(flip, hi, lo)
+    d1 = np.where(flip, lo, hi)
+    src = np.concatenate([s1, d1[both]])
+    dst = np.concatenate([d1, s1[both]])
+    return src, dst, rng.lognormal(0.0, 0.5, size=src.size)
+
+
 def write_uniform_temporal(path, seed, n, m, count):
-    """Write ``count`` snapshots of about m edges on n nodes as ``time src dst
-    weight`` records and return the path.  Each snapshot places distinct node
-    pairs uniformly, links 30% of them in both directions and draws
-    log-normal(0, 0.5) weights printed to six significant digits, all from
-    one ``numpy.random.default_rng(seed)``, in the order the benchmark's
-    ``inputs.random_graph`` draws them, so a seed gives the same file."""
+    """Write ``count`` snapshots of ``uniform_edges(rng, n, m)`` as ``time src
+    dst weight`` records, weights printed to six significant digits, all
+    from one ``numpy.random.default_rng(seed)``, so a seed gives the file
+    the benchmark's inputs give, and return the path."""
     rng = np.random.default_rng(seed)
     lines = []
     for tau in range(count):
-        pairs = int(round(m / 1.3))
-        draw = int(pairs * 1.3) + 64
-        a = rng.integers(0, n, size=draw)
-        b = rng.integers(0, n, size=draw)
-        keep = a != b
-        lo = np.minimum(a[keep], b[keep])
-        hi = np.maximum(a[keep], b[keep])
-        _, first = np.unique(lo.astype(np.int64) * n + hi, return_index=True)
-        chosen = np.sort(first)[:pairs]
-        lo, hi = lo[chosen], hi[chosen]
-        both = rng.random(pairs) < 0.3
-        flip = rng.random(pairs) < 0.5
-        s1 = np.where(flip, hi, lo)
-        d1 = np.where(flip, lo, hi)
-        src = np.concatenate([s1, d1[both]])
-        dst = np.concatenate([d1, s1[both]])
-        weights = rng.lognormal(0.0, 0.5, size=src.size)
+        src, dst, weights = uniform_edges(rng, n, m)
         lines.extend(f"{tau} v{s} v{d} {w:.6g}\n" for s, d, w in zip(src, dst, weights))
     path.write_text("".join(lines), encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="session")
+def bench_size_graph() -> WeightedGraph:
+    """A digraph of the benchmark's static-large size: 20,000 nodes and
+    about 125,000 edges from ``uniform_edges``."""
+    src, dst, weight = uniform_edges(np.random.default_rng(3), 20_000, 125_000)
+    return WeightedGraph([str(i) for i in range(20_000)],
+                         zip(src.tolist(), dst.tolist(), weight.tolist()))
+
+
+def product_form(g: WeightedGraph) -> dict:
+    """The reference incidence matrices of a graph and the line-graph
+    matrices built from them by sparse products through diagonal weight
+    matrices, the construction ``line_graph`` replaced, with the reversals
+    found by the weight-free incidence product ``L @ R.T``.  ``L`` and ``R``
+    are the m x n source and target incidences, ``Z`` and ``sqrt_Z`` the
+    diagonal weight matrix and its square root."""
+    m, n = g.m, g.n
+    rows, ones = np.arange(m), np.ones(m)
+    L = sp.csr_array((ones, (rows, g.src)), shape=(m, n))
+    R = sp.csr_array((ones, (rows, g.dst)), shape=(m, n))
+    Z, sqrt_Z = diag_matrix(g.weight), diag_matrix(np.sqrt(g.weight))
+    chain = matmul(R, L.T)
+    W = matmul(matmul(Z, chain), Z)
+    half = matmul(matmul(sqrt_Z, chain), sqrt_Z)
+    reversal = sp.csr_array(matmul(L, R.T) != 0)
+
+    def masked(values):
+        out = sp.csr_array(values - values.multiply(reversal))
+        out.eliminate_zeros()
+        out.sort_indices()
+        return out
+
+    return {"W": W, "B": masked(W), "V": masked(half), "half": half,
+            "L": L, "R": R, "Z": Z, "sqrt_Z": sqrt_Z}
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from nbtwalks.node_level import generating_matrix, nbt_katz, nbt_walk_counts
 
 from conftest import (
     directed_cycle,
+    product_form,
     random_digraph,
     random_oneway,
     rel_dev,
@@ -71,7 +72,8 @@ class TestProjections:
 
 class TestProjectToNodes:
     """``project_to_nodes`` and the target ``sqrt_weights`` against the
-    incidence products ``L^T sqrt_Z y`` and ``sqrt_Z R 1``, bit for bit."""
+    incidence products ``L^T sqrt_Z y`` and ``sqrt_Z R 1`` of ``product_form``,
+    bit for bit."""
 
     @staticmethod
     def with_sink(rng) -> WeightedGraph:
@@ -81,10 +83,11 @@ class TestProjectToNodes:
 
     def test_equals_the_incidence_products(self, rng):
         d = line_graph(self.with_sink(rng))
+        ref = product_form(d.graph)
         y = rng.lognormal(0.0, 1.0, size=d.m)
         assert np.array_equal(project_to_nodes(d.graph.src, d.sqrt_weights, y, d.n),
-                              d.L.T @ (d.sqrt_Z @ y))
-        assert np.array_equal(d.sqrt_weights, d.sqrt_Z @ (d.R @ np.ones(d.n)))
+                              ref["L"].T @ (ref["sqrt_Z"] @ y))
+        assert np.array_equal(d.sqrt_weights, ref["sqrt_Z"] @ (ref["R"] @ np.ones(d.n)))
 
     @pytest.mark.parametrize("series", [
         CoefficientSeries.resolvent(),
@@ -93,11 +96,12 @@ class TestProjectToNodes:
     ], ids=["resolvent", "exponential", "custom"])
     def test_f_centrality_equals_the_incidence_formula(self, rng, series):
         d = line_graph(self.with_sink(rng))
+        ref = product_form(d.graph)
         rho = spectral_radius(d.V)
         t = 0.5 / rho
-        y = apply_shifted_series(series, d.V, t, d.sqrt_Z @ (d.R @ np.ones(d.n)), 1e-10,
-                                 rho=rho)
-        want = series.c0 * np.ones(d.n) + t * (d.L.T @ (d.sqrt_Z @ y))
+        y = apply_shifted_series(series, d.V, t, ref["sqrt_Z"] @ (ref["R"] @ np.ones(d.n)),
+                                 1e-10, rho=rho)
+        want = series.c0 * np.ones(d.n) + t * (ref["L"].T @ (ref["sqrt_Z"] @ y))
         plan = CentralityPlan(d, series, t, rho_v=rho)
         assert np.array_equal(f_centrality(plan), want)
 

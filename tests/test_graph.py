@@ -4,8 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from nbtwalks.edge_level import _half_incidences, walk_counts_via_line_graph
 from nbtwalks.errors import ValidationError
 from nbtwalks.graph import (
     WeightedGraph,
@@ -18,11 +18,12 @@ from nbtwalks.graph import (
     parse_edge_list,
     save_matrix_market,
 )
-from nbtwalks.linalg import diag_matrix, matmul, spectral_radius
+from nbtwalks.linalg import matmul, spectral_radius
 
 from conftest import (
     assert_bitwise_equal,
     directed_cycle,
+    product_form,
     random_digraph,
     rel_dev,
     two_node_reciprocated,
@@ -191,7 +192,7 @@ class TestLineGraph:
         d = line_graph(undirected_path())
         assert d.m == 4
         # canonical lexicographic order: (0,1), (1,0), (1,2), (2,1)
-        assert d.edge_order == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert d.edge_labels() == ["1->2", "2->1", "2->3", "3->2"]
         b = d.B.toarray()
         assert np.count_nonzero(b) == 2
         assert b[0, 2] == 2.0 and b[3, 1] == 2.0
@@ -210,22 +211,29 @@ class TestLineGraph:
         assert rel_dev(d.B, d.W) == 0.0
         assert sorted(d.W.tocoo().data.tolist()) == [2.0, 3.0, 6.0]
 
-    def test_incidence_factorization_exact(self, rng):
-        for _ in range(15):
-            g = random_digraph(rng, int(rng.integers(2, 7)))
+    def test_incidence_factorization_exact(self, rng, bench_size_graph):
+        # the factorization A = L^T Z R: zero line-graph steps give the
+        # adjacency bit for bit, and the half-weight incidences L^T Z^1/2 and
+        # Z^1/2 R multiply to it on its exact pattern, within 2 ulps
+        graphs = [random_digraph(rng, int(rng.integers(2, 7))) for _ in range(15)]
+        for g in graphs + TestLineGraphBitwise.graphs() + [bench_size_graph]:
             d = line_graph(g)
-            rebuilt = matmul(matmul(d.L.T, d.Z), d.R)
-            assert (rebuilt - adjacency(g)).count_nonzero() == 0
+            a = adjacency(g)
+            assert_bitwise_equal(walk_counts_via_line_graph(d, 0), a)
+            product = matmul(*_half_incidences(d))
+            assert np.array_equal(product.indptr, a.indptr)
+            assert np.array_equal(product.indices, a.indices)
+            assert np.all(np.abs(product.data - a.data) <= 2 * np.spacing(a.data))
 
     def test_line_matrix_semantics(self, rng):
         # W[e, f] is nonzero exactly when f continues e, with value w_e * w_f
         g = random_digraph(rng, 5)
         d = line_graph(g)
         w = d.W.toarray()
-        for e, (se, de) in enumerate(d.edge_order):
-            for f, (sf, df) in enumerate(d.edge_order):
-                if de == sf:
-                    assert w[e, f] == d.weights[e] * d.weights[f]
+        for e in range(g.m):
+            for f in range(g.m):
+                if g.dst[e] == g.src[f]:
+                    assert w[e, f] == g.weight[e] * g.weight[f]
                 else:
                     assert w[e, f] == 0.0
 
@@ -272,33 +280,6 @@ class TestLineGraph:
 
 
 
-def product_form(g: WeightedGraph) -> dict:
-    """The line-graph matrices built by sparse products through diagonal
-    weight matrices, the construction ``line_graph`` replaced, with the
-    reversals found by the weight-free incidence product ``L @ R.T``."""
-    m, n = g.m, g.n
-    src = np.array([s for s, _, _ in g.edges], dtype=np.int64)
-    dst = np.array([d for _, d, _ in g.edges], dtype=np.int64)
-    w = np.array([x for _, _, x in g.edges], dtype=np.float64)
-    rows, ones = np.arange(m), np.ones(m)
-    L = sp.csr_array((ones, (rows, src)), shape=(m, n))
-    R = sp.csr_array((ones, (rows, dst)), shape=(m, n))
-    Z, sqrt_Z = diag_matrix(w), diag_matrix(np.sqrt(w))
-    chain = matmul(R, L.T)
-    W = matmul(matmul(Z, chain), Z)
-    half = matmul(matmul(sqrt_Z, chain), sqrt_Z)
-    reversal = sp.csr_array(matmul(L, R.T) != 0)
-
-    def masked(values):
-        out = sp.csr_array(values - values.multiply(reversal))
-        out.eliminate_zeros()
-        out.sort_indices()
-        return out
-
-    return {"W": W, "B": masked(W), "V": masked(half), "half": half,
-            "L": L, "R": R, "Z": Z, "sqrt_Z": sqrt_Z}
-
-
 class TestLineGraphBitwise:
     """``line_graph`` scales one chain pattern; every matrix must match the
     product form bit for bit, pattern included."""
@@ -322,9 +303,12 @@ class TestLineGraphBitwise:
         for g in graphs:
             d = line_graph(g)
             ref = product_form(g)
-            for name in ("W", "B", "V", "L", "R", "Z", "sqrt_Z"):
+            for name in ("W", "B", "V"):
                 assert_bitwise_equal(getattr(d, name), ref[name])
             assert_bitwise_equal(d.half_walk_matrix(), ref["half"])
+            out_half, in_half = _half_incidences(d)
+            assert_bitwise_equal(out_half, matmul(ref["L"].T, ref["sqrt_Z"]))
+            assert_bitwise_equal(in_half, matmul(ref["sqrt_Z"], ref["R"]))
 
     def test_v_holds_no_reversal(self):
         # f reverses e when dst[f] == src[e]; V keeps no such step, even where
@@ -335,7 +319,7 @@ class TestLineGraphBitwise:
 
     def test_half_walk_matrix_is_built_once(self):
         d = line_graph(undirected_path())
-        assert "_half_walk" not in vars(d)
+        assert set(vars(d)) == {"graph", "sqrt_weights", "V"}
         assert d.half_walk_matrix() is d.half_walk_matrix()
 
 

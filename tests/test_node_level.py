@@ -108,19 +108,19 @@ class TestNodeSystem:
         factor = 1.0 / (1.0 - t * t * w * w)
         expected = factor * np.array([[1.0, -t * w], [-t * w, 1.0]])
         # the closed form divides through; ours keeps 1 + correction
-        assert rel_dev(system.matrix, expected) <= 1e-14
+        assert rel_dev(system, expected) <= 1e-14
 
     def test_reciprocation_free_reduces_to_katz_system(self, rng):
         g = directed_cycle((1.0, 2.0, 0.5, 1.5))
         a = adjacency(g)
         system = build_node_system(a, 0.3)
         expected = identity(4) - 0.3 * a
-        assert rel_dev(system.matrix, expected) == 0.0
+        assert rel_dev(system, expected) == 0.0
 
     def test_t_zero_gives_identity(self, rng):
         g = random_digraph(rng, 5)
         system = build_node_system(adjacency(g), 0.0)
-        assert rel_dev(system.matrix, np.eye(5)) == 0.0
+        assert rel_dev(system, np.eye(5)) == 0.0
 
     def test_pole_error_names_edge(self):
         a = adjacency(two_node_reciprocated(2.0))
@@ -134,7 +134,7 @@ class TestNodeSystem:
             mutual = hadamard(a, a.T)
             peak = float(mutual.data.max()) if mutual.nnz else 0.0
             t = 0.5 / np.sqrt(peak) if peak else 0.4
-            m = build_node_system(a, t).matrix.toarray()
+            m = build_node_system(a, t).toarray()
             assert np.all(np.diag(m) >= 1.0)
             off = m - np.diag(np.diag(m))
             assert np.all(off <= 0.0)
@@ -155,7 +155,7 @@ class TestNodeSystem:
             f_minus, f_plus = x / (1.0 - x), x / (1.0 + x)
             want = (np.eye(a.shape[0]) + np.diag(np.diag(f_minus @ f_plus))
                     - t * dense / (1.0 - t * t * mu))
-            got = build_node_system(a, t).matrix.toarray()
+            got = build_node_system(a, t).toarray()
             assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want) / (1.0 - fraction**2))
 
 

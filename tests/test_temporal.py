@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,13 @@ from nbtwalks.temporal import (
     temporal_walk_counts,
 )
 
-from conftest import assert_bitwise_equal, random_digraph, rel_dev, write_uniform_temporal
+from conftest import (
+    assert_bitwise_equal,
+    product_form,
+    random_digraph,
+    rel_dev,
+    write_uniform_temporal,
+)
 
 RESOLVENT = CoefficientSeries.resolvent()
 GOLDEN_TEMPORAL = Path(__file__).parent / "data" / "golden" / "temporal.txt"
@@ -222,13 +229,14 @@ def product_block_form(tg: TemporalGraph, regime: BacktrackRegime) -> sp.csr_arr
     if not sum(d.m for d in per):
         return sp.csr_array((0, 0), dtype=np.float64)
     blocks = [[None] * len(per) for _ in per]
-    for t1, d1 in enumerate(per):
+    refs = [product_form(g) for g in tg.snapshots]
+    for t1, (d1, r1) in enumerate(zip(per, refs)):
         blocks[t1][t1] = d1.V if regime.forbids_space else d1.half_walk_matrix()
         for t2 in range(t1 + 1, len(per)):
-            d2 = per[t2]
-            half = matmul(matmul(d1.sqrt_Z, matmul(d1.R, d2.L.T)), d2.sqrt_Z)
+            r2 = refs[t2]
+            half = matmul(matmul(r1["sqrt_Z"], matmul(r1["R"], r2["L"].T)), r2["sqrt_Z"])
             if regime.forbids_time:
-                reversal = sp.csr_array(matmul(d2.R, d1.L.T).T != 0)
+                reversal = sp.csr_array(matmul(r2["R"], r1["L"].T).T != 0)
                 half = sp.csr_array(half - half.multiply(reversal))
                 half.eliminate_zeros()
                 half.sort_indices()
@@ -342,11 +350,12 @@ class TestCentrality:
 
 def stacked_incidence(gd):
     """The snapshots' source and target incidence matrices and square-rooted
-    weight matrix, stacked in global edge order: ``(L, R, sqrt_Z)``."""
-    per = gd.per_snapshot
-    return (sp.csr_array(sp.vstack([d.L for d in per], format="csr")),
-            sp.csr_array(sp.vstack([d.R for d in per], format="csr")),
-            diag_matrix(np.concatenate([d.sqrt_weights for d in per])))
+    weight matrix of ``product_form``, stacked in global edge order:
+    ``(L, R, sqrt_Z)``."""
+    refs = [product_form(g) for g in gd.temporal.snapshots]
+    return (sp.csr_array(sp.vstack([ref["L"] for ref in refs], format="csr")),
+            sp.csr_array(sp.vstack([ref["R"] for ref in refs], format="csr")),
+            diag_matrix(np.sqrt(np.concatenate([g.weight for g in gd.temporal.snapshots]))))
 
 
 class TestProjectionToNodes:
@@ -601,6 +610,36 @@ class TestClassicalKatz:
         tg = TemporalGraph([pair], [0.0])  # rho(A) = 4, range [0, 0.25)
         with pytest.raises(ValidationError, match="permitted range"):
             classical_temporal_katz(tg, 0.5)
+
+
+class TestScoresPastTheFloat64Range:
+    """On 200 copies of the complete digraph on 6 nodes with unit weights, at
+    0.99 of the range end, the scores pass the float64 range some 150
+    snapshots into the last-to-first sweep.  Every measure then raises a
+    plain NumericalError that says so, and lets no warning escape."""
+
+    MESSAGE = r"^temporal scores exceed the float64 range from snapshot \d+ on$"
+
+    @staticmethod
+    def complete_sequence() -> TemporalGraph:
+        labels = [str(i) for i in range(6)]
+        g = WeightedGraph(labels, [(i, j, 1.0) for i in range(6) for j in range(6) if i != j])
+        return TemporalGraph([g] * 200, [float(tau) for tau in range(200)])
+
+    @pytest.mark.parametrize("regime", list(BacktrackRegime), ids=lambda r: r.value)
+    def test_resolvent_raises(self, regime):
+        gd = build_global_transition(self.complete_sequence(), regime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=self.MESSAGE):
+                temporal_f_centrality(gd, RESOLVENT, 0.99 / gd.transition_radius)
+
+    def test_classical_katz_raises(self):
+        tg = self.complete_sequence()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=self.MESSAGE):
+                classical_temporal_katz(tg, 0.99 / tg.max_adjacency_radius)
 
 
 class TestPermittedRange:

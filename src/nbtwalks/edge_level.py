@@ -137,7 +137,7 @@ def apply_shifted_series(
     by a truncated Taylor sum whose order is fixed a priori from the scalar
     tail bound at t times a 10%-inflated radius estimate.  Custom series are
     truncated at their declared order; an undeliverable declared tail bound
-    is an error.
+    is an error, and so is a sum that passes the float64 range.
     """
     m = sp.csr_array(matrix)
     w = np.asarray(vector, dtype=np.float64)
@@ -158,11 +158,12 @@ def apply_shifted_series(
         out = np.array(w)
         v = np.array(w)
         fact = 1.0
-        for k in range(1, order + 1):
-            v = t * (m @ v)
-            fact *= k + 1
-            out += v / fact
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite_sum
+            for k in range(1, order + 1):
+                v = t * (m @ v)
+                fact *= k + 1
+                out += v / fact
+        return _finite_sum(out, series, t)
 
     if series.kind == "custom":
         if series.tail_bound > tol:
@@ -173,13 +174,22 @@ def apply_shifted_series(
         coeffs = series.coefficients
         out = np.zeros(n)
         v = np.array(w)
-        for k in range(coeffs.size - 1):
-            out += coeffs[k + 1] * v
-            if k + 2 < coeffs.size:
-                v = t * (m @ v)
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite_sum
+            for k in range(coeffs.size - 1):
+                out += coeffs[k + 1] * v
+                if k + 2 < coeffs.size:
+                    v = t * (m @ v)
+        return _finite_sum(out, series, t)
 
     raise ValidationError(f"unknown series kind {series.kind!r}")
+
+
+def _finite_sum(out: np.ndarray, series: CoefficientSeries, t: float) -> np.ndarray:
+    """``out``, when every entry is finite; otherwise a term of the series
+    passed the float64 range, and :class:`NumericalError` says so."""
+    if not np.isfinite(out).all():
+        raise NumericalError(f"the {series.kind} series at t = {t:g} exceeds the float64 range")
+    return out
 
 
 def _exponential_order(a: float, tol: float) -> int:

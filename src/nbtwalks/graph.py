@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import count
 from operator import itemgetter
 
 import numpy as np
@@ -135,20 +135,83 @@ def _raise_first(checks) -> None:
             raise ValidationError(message(first))
 
 
-def _read_records(source, *, timed: bool = False, name: str | None = None):
-    """Read edge-list text (string, iterable of lines, or open file).
+def _read_columns(source, *, timed: bool = False, name: str | None = None):
+    """Read edge-list text into columns.
 
-    Returns ``(records, stamps)``: one ``(src, dst, weight)`` record per
-    ``src dst [weight]`` line.  With ``timed`` the lines read
-    ``time src dst [weight]`` and ``stamps`` holds each record's finite time
-    stamp; otherwise it stays empty.  Errors name the line, after ``name``
-    (a manifest entry) when given.
+    ``source`` is a string (split by ``str.splitlines``), an open text file
+    (its text split at newlines) or an iterable of lines.  Returns
+    ``(src, dst, weight, stamp)``: the label lists of the ``src dst
+    [weight]`` records, their weights (default 1.0) and, with ``timed``,
+    where the lines read ``time src dst [weight]``, the finite time stamps;
+    otherwise ``stamp`` is None.  Errors name the line, after ``name`` (a
+    manifest entry) when given.
+
+    A plain table (see ``_table_width``) is tokenized by one ``str.split``;
+    any other text, and a table with a token ``float`` rejects or a
+    non-finite stamp, goes through the line loop, which raises for its first
+    faulty line.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    if isinstance(source, str):
+        text = source
+    elif hasattr(source, "read"):
+        text = source.read()
+    else:
+        return _line_columns(source, timed, name)
+    width = _table_width(text, timed)
+    columns = None if width is None else _table_columns(text.split(), width, timed)
+    if columns is None:
+        lines = source.splitlines() if isinstance(source, str) else text.split("\n")
+        columns = _line_columns(lines, timed, name)
+    return columns
+
+
+def _table_width(text: str, timed: bool) -> int | None:
+    """Fields per line when ``text`` is a plain table, else None.  A plain
+    table is ASCII, holds no ``#``, ``,`` or control character other than
+    tab and newline, and every non-blank line has the same field count: 2
+    or 3, plus 1 when timed.  In such text lines end at newlines alone and
+    fields at spaces and tabs, under ``str.split``, ``str.splitlines`` and
+    the line loop alike."""
+    if not text or not text.isascii() or "#" in text or "," in text:
+        return None
+    byte = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    field = byte > 32
+    newline = np.flatnonzero(byte == 10)
+    if newline.size + np.count_nonzero(byte == 32) + np.count_nonzero(byte == 9) \
+            != byte.size - np.count_nonzero(field):
+        return None
+    starts = field.copy()
+    starts[1:] &= ~field[:-1]
+    line_start = np.concatenate(([0], newline[newline < byte.size - 1] + 1))
+    per_line = np.add.reduceat(starts, line_start, dtype=np.int64)
+    widths = per_line[per_line > 0]
+    lead = 1 if timed else 0
+    if widths.size == 0 or widths.min() != widths.max() or widths[0] - lead not in (2, 3):
+        return None
+    return int(widths[0])
+
+
+def _table_columns(tokens: list[str], width: int, timed: bool):
+    """Columns of a plain table's tokens, ``width`` per record, or None when
+    a weight or stamp token is not a float or a stamp is not finite."""
+    lead = 1 if timed else 0
+    count = len(tokens) // width
+    try:
+        weight = (np.fromiter(map(float, tokens[width - 1::width]), np.float64, count)
+                  if width - lead == 3 else np.ones(count))
+        stamp = np.fromiter(map(float, tokens[0::width]), np.float64, count) if timed else None
+    except ValueError:
+        return None
+    if timed and not np.isfinite(stamp).all():
+        return None
+    return tokens[lead::width], tokens[lead + 1::width], weight, stamp
+
+
+def _line_columns(lines, timed: bool, name: str | None):
+    """The columns of ``_read_columns``, one line at a time."""
     prefix = "" if name is None else f"{name} "
     lead = 1 if timed else 0
-    records = []
-    stamps = []
+    src, dst, weights, stamps = [], [], [], []
     for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -179,15 +242,36 @@ def _read_records(source, *, timed: bool = False, name: str | None = None):
             if not math.isfinite(stamp):
                 raise ValidationError(f"{prefix}line {lineno}: bad time stamp {fields[0]!r}")
             stamps.append(stamp)
-        records.append((fields[lead], fields[lead + 1], weight))
-    return records, stamps
+        src.append(fields[lead])
+        dst.append(fields[lead + 1])
+        weights.append(weight)
+    return (src, dst, np.array(weights, dtype=np.float64),
+            np.array(stamps, dtype=np.float64) if timed else None)
 
 
-def _node_labels(records, sort_nodes: bool) -> list[str]:
-    """Labels met in ``(src, dst, weight)`` records, in order of first
-    appearance, or sorted with ``sort_nodes``."""
-    labels = list(dict.fromkeys(chain.from_iterable(map(itemgetter(0, 1), records))))
-    return sorted(labels) if sort_nodes else labels
+def _code_labels(src: list, dst: list, *, node_labels=None, sort_nodes: bool = False):
+    """Node labels and the int64 codes of the ``src`` and ``dst`` label
+    columns.  The labels are those met in the interleaved (src, dst) column
+    in order of first appearance, or sorted with ``sort_nodes``; an explicit
+    ``node_labels`` list pins them instead."""
+    ends = [None] * (2 * len(src))
+    ends[0::2], ends[1::2] = src, dst
+    if node_labels is None:
+        labels = list(dict.fromkeys(ends))
+        if sort_nodes:
+            labels.sort()
+        codes = dict(zip(labels, count()))
+    else:
+        labels = list(node_labels)
+        codes = {lab: i for i, lab in enumerate(labels)}
+        # a label outside the fixed node set gets a negative code of its own,
+        # so that only equal labels make a self-loop
+        outside = count(-1, -1)
+        for lab in ends:
+            if lab not in codes:
+                codes[lab] = next(outside)
+    coded = np.fromiter(map(codes.__getitem__, ends), np.int64, len(ends))
+    return labels, coded[0::2], coded[1::2]
 
 
 def graph_from_records(
@@ -203,33 +287,24 @@ def graph_from_records(
     ``merge`` controls duplicate (src, dst) pairs: ``"reject"`` raises,
     ``"sum"`` accumulates weights in record order.  Self-loops raise unless
     ``drop_loops``.  Node indexing follows first appearance, or sorted labels
-    with ``sort_nodes``; an explicit ``node_labels`` list pins the universe
-    (used for temporal snapshots sharing one node set).
+    with ``sort_nodes``; an explicit ``node_labels`` list pins the universe.
     """
     records = list(records)
-    labels = _node_labels(records, sort_nodes) if node_labels is None else list(node_labels)
-    codes = {lab: i for i, lab in enumerate(labels)}
-    if node_labels is not None:
-        # a label outside the fixed node set gets a negative code of its own,
-        # so that only equal labels make a self-loop
-        outside = count(-1, -1)
-        for lab in chain.from_iterable(map(itemgetter(0, 1), records)):
-            if lab not in codes:
-                codes[lab] = next(outside)
-
-    def coded(column):
-        return np.fromiter(map(codes.__getitem__, map(itemgetter(column), records)),
-                           np.int64, len(records))
-
-    return _graph_from_codes(
-        labels,
-        coded(0),
-        coded(1),
+    return _graph_from_labels(
+        list(map(itemgetter(0), records)),
+        list(map(itemgetter(1), records)),
         np.array(list(map(itemgetter(2), records)), dtype=np.float64),
-        lambda i: records[i][:2],
-        merge=merge,
-        drop_loops=drop_loops,
+        node_labels=node_labels, merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes,
     )
+
+
+def _graph_from_labels(src, dst, weight, *, node_labels=None, merge, drop_loops,
+                       sort_nodes) -> WeightedGraph:
+    """A graph from the label columns and the weights of its records."""
+    labels, src_codes, dst_codes = _code_labels(src, dst, node_labels=node_labels,
+                                                sort_nodes=sort_nodes)
+    return _graph_from_codes(labels, src_codes, dst_codes, weight, lambda i: (src[i], dst[i]),
+                             merge=merge, drop_loops=drop_loops)
 
 
 def _graph_from_codes(labels, src, dst, weight, pair, *, merge, drop_loops) -> WeightedGraph:
@@ -288,10 +363,9 @@ def parse_edge_list(
     sort_nodes: bool = False,
 ) -> WeightedGraph:
     """Parse an edge-list text (string, iterable of lines, or open file)."""
-    records, _ = _read_records(source)
-    return graph_from_records(
-        records, merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes
-    )
+    src, dst, weight, _ = _read_columns(source)
+    return _graph_from_labels(src, dst, weight, merge=merge, drop_loops=drop_loops,
+                              sort_nodes=sort_nodes)
 
 
 def load_edge_list(path, **options) -> WeightedGraph:
@@ -374,37 +448,37 @@ class LineGraphDecomposition:
                 for s, d in zip(self.graph.src.tolist(), self.graph.dst.tolist())]
 
 
-def _chain_pattern(first: WeightedGraph, then: WeightedGraph | None = None, *,
-                   prune: bool = False):
-    """CSR pattern of the chain matrix ``R_first @ L_then.T``: row e lists,
-    ascending, the edges f of ``then`` (default ``first``) that continue edge
-    e of ``first`` (``then.src[f] == first.dst[e]``), the contiguous run of
-    node ``first.dst[e]``'s out-edges in ``(src, dst)`` order.  ``prune``
-    drops the reversals by index (``then.dst[f] == first.src[e]``), so no
-    weight enters the test.  Returns ``(indptr, indices, rows, ncols)``."""
-    then = first if then is None else then
-    out_start = np.searchsorted(then.src, np.arange(first.n + 1))
-    run = out_start[first.dst]
-    counts = out_start[first.dst + 1] - run
-    rows = np.repeat(np.arange(first.m), counts)
-    indices = np.arange(rows.size) + (run - (np.cumsum(counts) - counts))[rows]
+def _chain_pattern(graph: WeightedGraph, *, prune: bool = False):
+    """Pattern of the chain matrix ``R @ L.T`` as ``(rows, indices)``: row e
+    lists, ascending, the edges f that continue edge e (``src[f] ==
+    dst[e]``), the contiguous run of node ``dst[e]``'s out-edges in ``(src,
+    dst)`` order.  ``prune`` drops the reversals by index (``dst[f] ==
+    src[e]``), so no weight enters the test."""
+    out_start = np.searchsorted(graph.src, np.arange(graph.n + 1))
+    rows, indices = _runs(out_start[graph.dst], out_start[graph.dst + 1])
     if prune:
-        keep = then.dst[indices] != first.src[rows]
+        keep = graph.dst[indices] != graph.src[rows]
         rows, indices = rows[keep], indices[keep]
-    indptr = np.searchsorted(rows, np.arange(first.m + 1))
-    return indptr, indices, rows, then.m
+    return rows, indices
 
 
-def _on_chain(pattern, x: np.ndarray, y: np.ndarray | None = None) -> sp.csr_array:
-    """``diag(x) @ chain @ diag(y)`` on a chain pattern (``y`` defaults to
-    ``x``): entry (e, f) is ``x[e] * y[f]``, bit for bit what the sparse
-    products compute, and products that underflow to zero are dropped as
-    they drop them."""
-    indptr, indices, rows, ncols = pattern
-    y = x if y is None else y
-    # a copy of the pattern, which eliminate_zeros edits in place
-    out = sp.csr_array((x[rows] * y[indices], indices, indptr), shape=(x.size, ncols),
-                       copy=True)
+def _runs(start: np.ndarray, stop: np.ndarray):
+    """``(rows, positions)`` of the runs ``start[e]:stop[e]``: row e once for
+    each position of its run, rows ascending and positions ascending within
+    a row."""
+    counts = stop - start
+    rows = np.repeat(np.arange(start.size), counts)
+    return rows, np.arange(rows.size) + (start - (np.cumsum(counts) - counts))[rows]
+
+
+def _on_chain(pattern, x: np.ndarray) -> sp.csr_array:
+    """``diag(x) @ chain @ diag(x)`` on a square chain pattern ``(rows,
+    indices)`` with rows ascending: entry (e, f) is ``x[e] * x[f]``, bit for
+    bit what the sparse products compute, and products that underflow to
+    zero are dropped as they drop them."""
+    rows, indices = pattern
+    indptr = np.searchsorted(rows, np.arange(x.size + 1))
+    out = sp.csr_array((x[rows] * x[indices], indices, indptr), shape=(x.size, x.size))
     out.eliminate_zeros()
     return out
 

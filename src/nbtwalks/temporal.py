@@ -25,12 +25,12 @@ from .errors import NumericalError, ValidationError
 from .graph import (
     LineGraphDecomposition,
     WeightedGraph,
-    _chain_pattern,
-    _node_labels,
+    _code_labels,
+    _graph_from_codes,
     _on_chain,
-    _read_records,
+    _read_columns,
+    _runs,
     adjacency,
-    graph_from_records,
     line_graph,
 )
 from .linalg import check_t, diag_matrix, identity, matmul, range_end, solve_linear, spectral_radius
@@ -107,18 +107,18 @@ class GlobalDecomposition:
     """Stacked edge-level matrices of a temporal graph for one regime.
 
     Global edge indices concatenate the per-snapshot canonical edge orders;
-    ``offsets[tau]`` is where snapshot tau's block starts, and ``src`` and
-    ``sqrt_weights`` hold each global edge's source node and square-rooted
-    weight.  ``M`` is the block upper-triangular transition matrix in
-    half-power form: entry (e, f) equals ``sqrt(w_e) * sqrt(w_f)`` whenever
-    edge f may follow edge e under the regime, so
-    ``diag(sqrt_weights) @ M**k @ diag(sqrt_weights)`` counts weighted walks.
-    Every block scales a chain pattern of ``graph._chain_pattern``, pruned
-    of reversals (``dst[f] == src[e]``, by node index) within a snapshot
-    when the regime forbids backtracking in space and across snapshots when
-    it forbids backtracking in time.  ``M`` is assembled on first access and
-    kept; the radius and the resolvent work on the snapshot blocks and never
-    assemble it.
+    ``offsets[tau]`` is where snapshot tau's block starts, and ``src``,
+    ``dst`` and ``sqrt_weights`` hold each global edge's source node, target
+    node and square-rooted weight.  ``M`` is the block upper-triangular
+    transition matrix in half-power form: entry (e, f) equals
+    ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e under the
+    regime, so ``diag(sqrt_weights) @ M**k @ diag(sqrt_weights)`` counts
+    weighted walks.  It is built in one pass over these global arrays
+    (``_assemble_transition``), pruned of reversals (``dst[f] == src[e]``,
+    by node index) within a snapshot when the regime forbids backtracking in
+    space and across snapshots when it forbids backtracking in time.  ``M``
+    is assembled on first access and kept; the radius and the resolvent
+    work on the snapshot blocks and never assemble it.
     """
 
     temporal: TemporalGraph
@@ -126,11 +126,13 @@ class GlobalDecomposition:
     per_snapshot: list[LineGraphDecomposition]
     offsets: np.ndarray
     src: np.ndarray
+    dst: np.ndarray
     sqrt_weights: np.ndarray
 
     @cached_property
     def M(self) -> sp.csr_array:
-        return _assemble_transition(self.per_snapshot, self.regime)
+        return _assemble_transition(self.src, self.dst, self.offsets, self.sqrt_weights,
+                                    self.regime)
 
     @property
     def m_total(self) -> int:
@@ -201,32 +203,40 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
         per_snapshot=per,
         offsets=np.cumsum([0] + [d.m for d in per], dtype=np.int64),
         src=np.concatenate([d.graph.src for d in per]),
+        dst=np.concatenate([d.graph.dst for d in per]),
         sqrt_weights=np.concatenate([d.sqrt_weights for d in per]),
     )
 
 
-def _assemble_transition(per: list[LineGraphDecomposition], regime: BacktrackRegime) -> sp.csr_array:
-    """The global temporal transition matrix of one regime.
+def _assemble_transition(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray,
+                         sqrt_weights: np.ndarray, regime: BacktrackRegime) -> sp.csr_array:
+    """The global temporal transition matrix of one regime, from the global
+    edge arrays.
 
-    Diagonal blocks step within a snapshot (backtrack-pruned when the regime
-    forbids backtracking in space); upper blocks step from an earlier to a
-    later snapshot on the chain pattern between the two (pruned of
-    reversals when the regime forbids backtracking in time).  Blocks below
-    the diagonal are zero: walks may not move back in time.
+    Edge f may follow edge e when it leaves e's target (``src[f] ==
+    dst[e]``) in e's snapshot or a later one: walks may not move back in
+    time.  With the edges ordered by (source node, global index), which
+    within one node is snapshot order, those f are one run of ``dst[e]``'s
+    out-edges, from e's snapshot on.  The reversals (``dst[f] == src[e]``)
+    are dropped by index, within a snapshot when the regime forbids
+    backtracking in space and across snapshots when it forbids backtracking
+    in time.
     """
-    count = len(per)
-    if not sum(d.m for d in per):
+    m = src.size
+    if not m:
         return sp.csr_array((0, 0), dtype=np.float64)
-    blocks: list[list] = [[None] * count for _ in range(count)]
-    for t1, d1 in enumerate(per):
-        blocks[t1][t1] = _diagonal_block(d1, regime)
-        for t2 in range(t1 + 1, count):
-            d2 = per[t2]
-            chain = _chain_pattern(d1.graph, d2.graph, prune=regime.forbids_time)
-            blocks[t1][t2] = _on_chain(chain, d1.sqrt_weights, d2.sqrt_weights)
-    M = sp.csr_array(sp.block_array(blocks, format="csr"))
-    M.sort_indices()
-    return M
+    snapshot = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    by_source = np.argsort(src, kind="stable")
+    # ascending (source node, global index) keys; (n + 1) * m stays below 2^63
+    # for any node list and edge arrays that fit in memory
+    key = src[by_source] * m + by_source
+    rows, at = _runs(np.searchsorted(key, dst * m + offsets[snapshot]),
+                     np.searchsorted(key, (dst + 1) * m))
+    indices = by_source[at]
+    forbidden = np.where(snapshot[indices] == snapshot[rows],
+                         regime.forbids_space, regime.forbids_time)
+    keep = ~(forbidden & (dst[indices] == src[rows]))
+    return _on_chain((rows[keep], indices[keep]), sqrt_weights)
 
 
 def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
@@ -457,14 +467,14 @@ def parse_temporal_edge_list(
 ) -> TemporalGraph:
     """Parse ``time src dst [weight]`` records into snapshots by distinct
     sorted time values; each snapshot keeps its records in file order."""
-    records, stamps = _read_records(source, timed=True)
-    if not records:
+    src, dst, weight, stamp = _read_columns(source, timed=True)
+    if not src:
         raise ValidationError("no temporal records found")
-    by_stamp: dict[float, list] = {}
-    for stamp, record in zip(stamps, records):
-        by_stamp.setdefault(stamp, []).append(record)
-    times = sorted(by_stamp)
-    return _temporal_graph(records, [by_stamp[t] for t in times], times,
+    _, group = np.unique(stamp, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    slices = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
+    # each snapshot's stamp is its first record's, as read
+    return _temporal_graph(src, dst, weight, slices, stamp[[s[0] for s in slices]].tolist(),
                            merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes)
 
 
@@ -492,18 +502,28 @@ def load_temporal_manifest(
     for entry in entries:
         fname = entry if os.path.isabs(entry) else os.path.join(base, entry)
         with open(fname, "r", encoding="utf-8") as handle:
-            per_file.append(_read_records(handle, name=entry)[0])
-    return _temporal_graph(chain.from_iterable(per_file), per_file,
-                           [float(i) for i in range(len(per_file))],
-                           merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes)
+            per_file.append(_read_columns(handle, name=entry))
+    sizes = [len(columns[0]) for columns in per_file]
+    return _temporal_graph(
+        list(chain.from_iterable(c[0] for c in per_file)),
+        list(chain.from_iterable(c[1] for c in per_file)),
+        np.concatenate([c[2] for c in per_file]),
+        np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1]),
+        [float(i) for i in range(len(per_file))],
+        merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes,
+    )
 
 
-def _temporal_graph(records, groups, timestamps, *, merge, drop_loops, sort_nodes) -> TemporalGraph:
-    """One snapshot per group of ``(src, dst, weight)`` records, all over the
-    node set of ``records`` (every record, in input order)."""
-    labels = _node_labels(records, sort_nodes)
+def _temporal_graph(src, dst, weight, slices, timestamps, *, merge, drop_loops,
+                    sort_nodes) -> TemporalGraph:
+    """One snapshot per index array of ``slices`` into the records given by
+    the label columns ``src`` and ``dst`` and by ``weight``, all over the
+    node set of every record, in input order."""
+    labels, src_codes, dst_codes = _code_labels(src, dst, sort_nodes=sort_nodes)
     snapshots = [
-        graph_from_records(group, node_labels=labels, merge=merge, drop_loops=drop_loops)
-        for group in groups
+        _graph_from_codes(list(labels), src_codes[idx], dst_codes[idx], weight[idx],
+                          lambda i, idx=idx: (src[idx[i]], dst[idx[i]]),
+                          merge=merge, drop_loops=drop_loops)
+        for idx in slices
     ]
     return TemporalGraph(snapshots=snapshots, timestamps=timestamps)

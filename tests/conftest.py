@@ -1,17 +1,26 @@
 """Shared test helpers: random instances, deviation and bitwise comparison
 of matrices, the reference incidence matrices of a graph, and the
-environment of CLI subprocesses."""
+environment of CLI subprocesses.
 
+The suite tests the nbtwalks that ``PYTHONPATH`` or the installed packages
+provide; only when neither does is this checkout's ``src`` put on the path,
+so that a plain ``pytest`` works in a source checkout."""
+
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import nbtwalks
-from nbtwalks.graph import WeightedGraph
-from nbtwalks.linalg import diag_matrix, matmul
+if importlib.util.find_spec("nbtwalks") is None:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import nbtwalks  # noqa: E402
+from nbtwalks.graph import WeightedGraph  # noqa: E402
+from nbtwalks.linalg import diag_matrix, matmul  # noqa: E402
 
 
 def cli_env() -> dict:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,31 @@ class TestGeneratingViaLineGraph:
         d = line_graph(directed_cycle((1.0, 1.0, 1.0)))
         with pytest.raises(NumericalError):
             generating_matrix_via_line_graph(d, 1.0, rho_v=0.5)
+
+
+class TestSeriesPastTheFloat64Range:
+    """On the complete unit-weight digraph on 6 nodes, rho(V) = 4, the powers
+    of tV pass the float64 range at t = 100 / rho(V) within the series'
+    order.  The series raises a NumericalError that says so, and lets no
+    warning escape; it returned inf and nan scores with a warning."""
+
+    @staticmethod
+    def plan(series) -> CentralityPlan:
+        g = WeightedGraph([str(i) for i in range(6)],
+                          [(i, j, 1.0) for i in range(6) for j in range(6) if i != j])
+        return CentralityPlan(line_graph(g), series, 25.0)
+
+    @pytest.mark.parametrize("series", [CoefficientSeries.exponential(),
+                                        CoefficientSeries.custom(np.ones(200))],
+                             ids=["exponential", "custom"])
+    def test_raises(self, series):
+        plan = self.plan(series)
+        assert plan.rho_v == 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"^the {series.kind} series at t = 25 "
+                                                     r"exceeds the float64 range$"):
+                f_centrality(plan)
 
 
 class TestRadius:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nbtwalks.graph
 from nbtwalks.edge_level import _half_incidences, walk_counts_via_line_graph
 from nbtwalks.errors import ValidationError
 from nbtwalks.graph import (
@@ -19,6 +20,7 @@ from nbtwalks.graph import (
     save_matrix_market,
 )
 from nbtwalks.linalg import matmul, spectral_radius
+from nbtwalks.temporal import load_temporal_edge_list, parse_temporal_edge_list
 
 from conftest import (
     assert_bitwise_equal,
@@ -70,6 +72,130 @@ class TestParsing:
         assert g.node_labels == ["z", "a", "b"]
         g = parse_edge_list("z a 1\na b 1", sort_nodes=True)
         assert g.node_labels == ["a", "b", "z"]
+
+
+# Edge-list texts for the columnar reader: each must read as the line loop
+# reads the same lines.  The plain tables among them are tokenized by one
+# whole-text split; the rest go through the line loop.
+PLAIN_TABLES = {
+    "two-columns": "a b\nb c\nc a\n",
+    "three-columns": "a b 1.5\nb c 2\nc a 3\n",
+    "tabs": "a\tb\t2\nb\t\tc 3\n",
+    "space-runs": "a    b   2\n   b c 3   \n",
+    "blank-lines": "a b 1\n\n   \n\t\nb c 2\n\n",
+    "no-final-newline": "a b 1\nb c 2",
+    "weight-underscore": "a b 1_0\nb c 2\n",
+    "weight-exponent": "a b 1e3\nb c .5\n",
+    "duplicates": "a b 1\nb c 2\na b 3\n",
+    "self-loops": "a a 1\na b 2\nb b 3\nb c 1\n",
+    "numeric-labels": "1 2 3\n2 1 4\n",
+    "timed": "0 a b 1\n1 b c 2\n0 c a 3\n",
+    "timed-two-columns": "2 a b\n1 b c\n2 c a\n",
+    "timed-signed-zero": "-0 a b 1\n1 b c 2\n0 c a 3\n",
+    "timed-duplicates": "0 a b 0.1\n1 a b 9\n0 a b 0.2\n0 c c 1\n0 a b 0.3\n",
+}
+OTHER_TEXTS = {
+    "empty": "",
+    "blank-only": "\n  \n",
+    "crlf": "a b 1\r\nb c 2\r\n",
+    "comments": "# header\na b 1\nb c 2 # trailing\n",
+    "commas": "a,b,1\nb, c ,2\n",
+    "mixed-fields": "a b\nb c 2\n",
+    "form-feed": "a b 1\x0cb c 2\n",
+    "unit-separator": "a b 1\x1fb c 2\n",
+    "vertical-tab": "a b\x0b1\n",
+    "control-byte": "a b\x01 1\n",
+    "non-ascii": "\u00e9 b 1\nb \u00fc 2\n",
+    "weight-x": "a b 1\nb c x\n",
+    "weight-nan": "a b 1\nb c nan\n",
+    "weight-inf": "a b 1\nb c inf\n",
+    "weight-negative": "a b 1\nb c -1\n",
+    "one-field": "a\n",
+    "four-fields": "a b 1 2\n",
+    "many-fields": "0 a b 1 2 3\n",
+    "timed-bad-stamp": "0 a b 1\n\nt b c 1\n",
+    "timed-nan-stamp": "0 a b 2\nnan b c 3\n1 c a 1\n",
+    "timed-inf-stamp": "0 a b 2\n-inf b c 3\n",
+    "timed-bad-weight": "0 a b 1\n1 b c x\n",
+    "timed-stamp-and-weight": "0 a b x\nt b c 1\n",
+}
+OPTIONS = [{}, {"merge": "sum"}, {"drop_loops": True}, {"merge": "sum", "drop_loops": True},
+           {"sort_nodes": True}]
+
+
+def graph_bits(g: WeightedGraph):
+    return (g.node_labels, g.src.tobytes(), g.dst.tobytes(), g.weight.tobytes())
+
+
+def outcome(parse, source, options):
+    """The graph bits, timestamps included, or the error a parse gives."""
+    try:
+        result = parse(source, **options)
+    except ValidationError as exc:
+        return "error", str(exc)
+    if isinstance(result, WeightedGraph):
+        return graph_bits(result)
+    return ([graph_bits(g) for g in result.snapshots],
+            np.array(result.timestamps).tobytes())
+
+
+class TestColumnarIngestion:
+    """A text reads as the line loop reads its lines given as a list: the same
+    graph bits, or the same error text."""
+
+    @pytest.mark.parametrize("options", OPTIONS, ids=lambda o: ",".join(o) or "default")
+    @pytest.mark.parametrize("text", [*PLAIN_TABLES.values(), *OTHER_TEXTS.values()],
+                             ids=[*PLAIN_TABLES, *OTHER_TEXTS])
+    def test_string_reads_as_its_lines(self, text, options):
+        for parse in (parse_edge_list, parse_temporal_edge_list):
+            assert outcome(parse, text, options) == outcome(parse, text.splitlines(), options)
+
+    @pytest.mark.parametrize("text", [*PLAIN_TABLES.values(), *OTHER_TEXTS.values()],
+                             ids=[*PLAIN_TABLES, *OTHER_TEXTS])
+    def test_file_reads_as_its_lines(self, tmp_path, text):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+        for load, parse in ((load_edge_list, parse_edge_list),
+                            (load_temporal_edge_list, parse_temporal_edge_list)):
+            for options in OPTIONS:
+                assert outcome(load, path, options) == outcome(parse, lines, options)
+
+    @pytest.mark.parametrize("text", PLAIN_TABLES.values(), ids=PLAIN_TABLES)
+    def test_plain_tables_skip_the_line_loop(self, monkeypatch, text):
+        def refuse(*args):
+            raise AssertionError("a plain table went through the line loop")
+
+        served = 0
+        for parse in (parse_edge_list, parse_temporal_edge_list):
+            kind, detail, *_ = outcome(parse, text.splitlines(), {})
+            if kind == "error" and detail.startswith("line "):
+                continue   # a field count, weight or stamp the line loop reports
+            with monkeypatch.context() as patch:
+                patch.setattr(nbtwalks.graph, "_line_columns", refuse)
+                outcome(parse, text, {})
+            served += 1
+        assert served
+
+    def test_signed_zero_stamp_of_first_record(self):
+        tg = parse_temporal_edge_list(PLAIN_TABLES["timed-signed-zero"])
+        assert [math.copysign(1.0, t) for t in tg.timestamps] == [-1.0, 1.0]
+
+    def test_bench_size_file(self, tmp_path, bench_size_graph):
+        g = bench_size_graph
+        path = tmp_path / "large.txt"
+        path.write_text("".join(f"{s} {d} {w!r}\n" for s, d, w in g.edges), encoding="utf-8")
+        parsed = load_edge_list(path)
+        with open(path, encoding="utf-8") as handle:
+            assert graph_bits(parsed) == graph_bits(parse_edge_list(list(handle)))
+        # the file lists the edges in canonical order, so mapping the labels
+        # back to node indices gives the fixture's arrays in that order
+        node = np.array([int(label) for label in parsed.node_labels])
+        src, dst = node[parsed.src], node[parsed.dst]
+        order = np.lexsort((dst, src))
+        assert np.array_equal(src[order], g.src) and np.array_equal(dst[order], g.dst)
+        assert parsed.weight[order].tobytes() == g.weight.tobytes()
 
 
 def raises_exactly(message):

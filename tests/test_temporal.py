@@ -247,13 +247,26 @@ def product_block_form(tg: TemporalGraph, regime: BacktrackRegime) -> sp.csr_arr
 
 
 class TestBlockAssemblyBitwise:
-    """Every block of M scales a chain pattern between two snapshots; M must
-    match the incidence-product block form bit for bit under every regime."""
+    """M, built in one pass over the global edge arrays, must match the
+    incidence-product block form bit for bit under every regime."""
 
     @staticmethod
     def instances(tmp_path):
         # the smallest subnormal weight meets the tiny ones across snapshots
         out = [two_snapshot_example(), underflow_example(), underflow_example(5e-324)]
+        # a reciprocated pair in every snapshot: reversals across time
+        labels = ["a", "b", "c"]
+        out.append(TemporalGraph(
+            [WeightedGraph(labels, [(0, 1, w), (1, 0, 2 * w), (1, 2, w)]) for w in (0.5, 1.5, 3.0)],
+            [0.0, 1.0, 2.0]))
+        # node 0 has out-edges in every snapshot, and edges come back to it
+        hub = [WeightedGraph([str(i) for i in range(5)],
+                             [(0, j, 1.0 + tau + j) for j in range(1, 5)]
+                             + [(j, 0, 0.5 * j) for j in range(tau % 2 + 1, 5, 2)])
+               for tau in range(4)]
+        out.append(TemporalGraph(hub, [0.0, 1.0, 2.0, 3.0]))
+        # a single snapshot: M is the snapshot's V or half-walk matrix
+        out.append(TemporalGraph([random_digraph(np.random.default_rng(5), 6)], [0.0]))
         for seed in (1, 3, 8):
             tg = load_temporal_edge_list(
                 write_uniform_temporal(tmp_path / f"u{seed}.txt", seed, 40, 60, 4))
@@ -273,6 +286,28 @@ class TestBlockAssemblyBitwise:
             for regime in BacktrackRegime:
                 assert_bitwise_equal(build_global_transition(tg, regime).M,
                                      product_block_form(tg, regime))
+
+    def test_bench_shaped_instance(self, tmp_path):
+        # 500 nodes and 20 snapshots of 500 uniformly placed edges
+        tg = load_temporal_edge_list(
+            write_uniform_temporal(tmp_path / "uniform.txt", 1, 500, 500, 20))
+        for regime in BacktrackRegime:
+            assert_bitwise_equal(build_global_transition(tg, regime).M,
+                                 product_block_form(tg, regime))
+
+    def test_one_pass(self, monkeypatch):
+        # the values of M are scaled once, not once per block
+        scaled = []
+        real = nbtwalks.temporal._on_chain
+
+        def counted(*args):
+            scaled.append(args)
+            return real(*args)
+
+        gd = build_global_transition(random_temporal(np.random.default_rng(3), 4, 5),
+                                     BacktrackRegime.FORBID_ALL)
+        monkeypatch.setattr(nbtwalks.temporal, "_on_chain", counted)
+        assert gd.M.nnz and len(scaled) == 1
 
 
 class TestWalkCounts:
@@ -640,6 +675,17 @@ class TestScoresPastTheFloat64Range:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=self.MESSAGE):
                 classical_temporal_katz(tg, 0.99 / tg.max_adjacency_radius)
+
+    def test_exponential_series_raises(self):
+        # the powers of tM pass the float64 range at 50 / rho(M); the sum was
+        # returned as inf scores with only an overflow warning
+        gd = build_global_transition(self.complete_sequence(), BacktrackRegime.FORBID_ALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^the exponential series at t = 12\.5 "
+                                                     r"exceeds the float64 range$"):
+                temporal_f_centrality(gd, CoefficientSeries.exponential(),
+                                      50 / gd.transition_radius)
 
 
 class TestPermittedRange:

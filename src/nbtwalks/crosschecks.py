@@ -130,8 +130,8 @@ def temporal_battery(
     """All temporal cross-checks on one temporal graph."""
     results: list[CheckResult] = []
 
-    for regime in BacktrackRegime:
-        gd = build_global_transition(tg, regime)
+    decompositions = {regime: build_global_transition(tg, regime) for regime in BacktrackRegime}
+    for regime, gd in decompositions.items():
         oracle = count_temporal_walks_bruteforce(tg, regime, kmax + 1)
         dev = max(
             deviation(temporal_walk_counts(gd, k), oracle[k + 1])
@@ -143,7 +143,7 @@ def temporal_battery(
         results.append(_resolvent_check(gd, tol))
         results.append(_assembled_radius_check(gd, tol))
 
-    direct = build_global_transition(tg, BacktrackRegime.FORBID_ALL).M
+    direct = decompositions[BacktrackRegime.FORBID_ALL].M
     fast = forbid_all_transition_fast(tg)
     same_pattern = (
         np.array_equal(direct.indptr, fast.indptr)

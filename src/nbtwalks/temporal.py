@@ -23,7 +23,6 @@ import scipy.sparse as sp
 from .edge_level import CoefficientSeries, apply_shifted_series, project_to_nodes
 from .errors import NumericalError, ValidationError
 from .graph import (
-    LineGraphDecomposition,
     WeightedGraph,
     _code_labels,
     _graph_from_codes,
@@ -31,7 +30,6 @@ from .graph import (
     _read_columns,
     _runs,
     adjacency,
-    line_graph,
 )
 from .linalg import check_t, diag_matrix, identity, matmul, range_end, solve_linear, spectral_radius
 
@@ -82,7 +80,7 @@ class TemporalGraph:
             raise ValidationError("a temporal graph needs at least one snapshot")
         labels = self.snapshots[0].node_labels
         for g in self.snapshots[1:]:
-            if g.node_labels != labels:
+            if g.node_labels is not labels and g.node_labels != labels:
                 raise ValidationError("all snapshots must share one node set")
         ts = list(self.timestamps)
         if any(b < a for a, b in zip(ts, ts[1:])):
@@ -99,7 +97,8 @@ class TemporalGraph:
     @cached_property
     def max_adjacency_radius(self) -> float:
         """Largest snapshot adjacency radius, the classical measure's bound."""
-        return _max_radius(adjacency(g) for g in self.snapshots)
+        return _max_radius(sp.block_diag([adjacency(g) for g in self.snapshots], format="csr"),
+                           self.n * np.arange(len(self.snapshots) + 1))
 
 
 @dataclass
@@ -112,22 +111,22 @@ class GlobalDecomposition:
     node and square-rooted weight.  ``M`` is the block upper-triangular
     transition matrix in half-power form: entry (e, f) equals
     ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e under the
-    regime, so ``diag(sqrt_weights) @ M**k @ diag(sqrt_weights)`` counts
-    weighted walks.  It is built in one pass over these global arrays
-    (``_assemble_transition``), pruned of reversals (``dst[f] == src[e]``,
-    by node index) within a snapshot when the regime forbids backtracking in
-    space and across snapshots when it forbids backtracking in time.  ``M``
-    is assembled on first access and kept; the radius and the resolvent
-    work on the snapshot blocks and never assemble it.
+    regime (``_chain_matrix``), so ``diag(sqrt_weights) @ M**k @
+    diag(sqrt_weights)`` counts weighted walks; it is assembled on first
+    access and kept.  ``blocks``, its block diagonal, is built with the
+    decomposition: the line graph of the snapshots' disjoint union, V when
+    the regime forbids backtracking in space and the half-walk matrix
+    otherwise.  The radius and the resolvent work on ``blocks`` and never
+    assemble ``M``.
     """
 
     temporal: TemporalGraph
     regime: BacktrackRegime
-    per_snapshot: list[LineGraphDecomposition]
     offsets: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     sqrt_weights: np.ndarray
+    blocks: sp.csr_array
 
     @cached_property
     def M(self) -> sp.csr_array:
@@ -143,42 +142,41 @@ class GlobalDecomposition:
         return self.temporal.n
 
     def edge_labels(self) -> list[str]:
-        return [f"{tau}:{label}" for tau, d in enumerate(self.per_snapshot)
-                for label in d.edge_labels()]
+        labels = self.temporal.node_labels
+        snapshot = np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
+        return [f"{tau}:{labels[s]}->{labels[d]}" for tau, s, d in
+                zip(snapshot.tolist(), self.src.tolist(), self.dst.tolist())]
 
     @cached_property
     def transition_radius(self) -> float:
-        """Spectral radius of ``M``: the largest radius over its diagonal
-        snapshot blocks, which is exact because walks cannot go back in time,
-        so ``M`` is block upper-triangular.  Under allow-all and forbid-time
-        a block is the half-walk matrix ``Z^1/2 R L^T Z^1/2``, in the paper's
-        incidence notation, with the nonzero spectrum of ``L^T Z R``, the
-        snapshot's adjacency matrix, so the radius is
-        ``temporal.max_adjacency_radius``."""
+        """Spectral radius of ``M``: the radius of ``blocks``, the largest
+        over M's diagonal snapshot blocks, which is exact because walks
+        cannot go back in time, so ``M`` is block upper-triangular.  Under
+        allow-all and forbid-time a block is the half-walk matrix ``Z^1/2 R
+        L^T Z^1/2``, in the paper's incidence notation, with the nonzero
+        spectrum of ``L^T Z R``, the snapshot's adjacency matrix, so the
+        radius is ``temporal.max_adjacency_radius``."""
         if not self.regime.forbids_space:
             return self.temporal.max_adjacency_radius
-        return _max_radius(_diagonal_block(d, self.regime) for d in self.per_snapshot)
+        return _max_radius(self.blocks, self.offsets)
 
     @cached_property
     def block_radius_bound(self) -> float:
-        """Largest radius over the full-weight snapshot blocks, B or W."""
-        return _max_radius(d.B if self.regime.forbids_space else d.W for d in self.per_snapshot)
+        """Largest radius over the full-weight snapshot blocks, B or W:
+        ``blocks``' pattern scaled by the weights, not their square roots."""
+        weights = np.concatenate([g.weight for g in self.temporal.snapshots])
+        return _max_radius(_chain_matrix(self.src, self.dst, self.offsets, weights, self.regime,
+                                         diagonal=True), self.offsets)
 
 
-def _max_radius(matrices) -> float:
-    """Largest spectral radius over square matrices; 0 for none.  One
-    ``spectral_radius`` call on their block-diagonal matrix, whose radius is
-    the largest of theirs: its visit of the irreducible blocks in descending
-    order of their bounds skips, or stops early on, every matrix that cannot
-    hold the maximum.  A :class:`NumericalError` from it names the snapshot
-    whose matrix failed and the node in that matrix's own numbering."""
-    matrices = list(matrices)
-    if not matrices:
-        return 0.0
+def _max_radius(matrix: sp.csr_array, starts: np.ndarray) -> float:
+    """Spectral radius of a block-diagonal matrix whose snapshot blocks start
+    at rows ``starts``, by one ``spectral_radius`` call.  A
+    :class:`NumericalError` names the snapshot whose block failed and the
+    node in that block's own numbering."""
     try:
-        return spectral_radius(sp.block_diag(matrices, format="csr"))
+        return spectral_radius(matrix)
     except NumericalError as exc:
-        starts = np.cumsum([0] + [m.shape[0] for m in matrices])
         tau = int(np.searchsorted(starts, exc.node, side="right")) - 1
         node = exc.node - int(starts[tau])
         message = str(exc).replace(f"starting at node {exc.node} ", f"starting at node {node} ")
@@ -186,57 +184,55 @@ def _max_radius(matrices) -> float:
                              node=node) from exc
 
 
-def _diagonal_block(d: LineGraphDecomposition, regime: BacktrackRegime) -> sp.csr_array:
-    """Snapshot block of ``M``: one step within the snapshot, backtrack-pruned
-    when the regime forbids backtracking in space."""
-    return d.V if regime.forbids_space else d.half_walk_matrix()
-
-
 def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> GlobalDecomposition:
-    """Stack the snapshot line graphs of a temporal graph for one regime; the
-    global transition matrix ``M`` is assembled on first access."""
+    """Stack the snapshots' edge arrays for one regime and build ``blocks``,
+    the block diagonal of the global transition matrix ``M``; ``M`` itself
+    is assembled on first access."""
     regime = BacktrackRegime(regime)
-    per = [line_graph(g) for g in tg.snapshots]
+    offsets = np.cumsum([0] + [g.m for g in tg.snapshots], dtype=np.int64)
+    src = np.concatenate([g.src for g in tg.snapshots])
+    dst = np.concatenate([g.dst for g in tg.snapshots])
+    sqrt_weights = np.sqrt(np.concatenate([g.weight for g in tg.snapshots]))
     return GlobalDecomposition(
-        temporal=tg,
-        regime=regime,
-        per_snapshot=per,
-        offsets=np.cumsum([0] + [d.m for d in per], dtype=np.int64),
-        src=np.concatenate([d.graph.src for d in per]),
-        dst=np.concatenate([d.graph.dst for d in per]),
-        sqrt_weights=np.concatenate([d.sqrt_weights for d in per]),
+        temporal=tg, regime=regime, offsets=offsets, src=src, dst=dst, sqrt_weights=sqrt_weights,
+        blocks=_chain_matrix(src, dst, offsets, sqrt_weights, regime, diagonal=True),
     )
 
 
 def _assemble_transition(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray,
                          sqrt_weights: np.ndarray, regime: BacktrackRegime) -> sp.csr_array:
-    """The global temporal transition matrix of one regime, from the global
-    edge arrays.
+    """The global temporal transition matrix ``M`` of one regime."""
+    return _chain_matrix(src, dst, offsets, sqrt_weights, regime, diagonal=False)
+
+
+def _chain_matrix(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, x: np.ndarray,
+                  regime: BacktrackRegime, *, diagonal: bool) -> sp.csr_array:
+    """The regime's global transition pattern, or with ``diagonal`` its
+    diagonal snapshot blocks alone, scaled by ``x`` as ``_on_chain`` does.
 
     Edge f may follow edge e when it leaves e's target (``src[f] ==
     dst[e]``) in e's snapshot or a later one: walks may not move back in
     time.  With the edges ordered by (source node, global index), which
     within one node is snapshot order, those f are one run of ``dst[e]``'s
-    out-edges, from e's snapshot on.  The reversals (``dst[f] == src[e]``)
-    are dropped by index, within a snapshot when the regime forbids
-    backtracking in space and across snapshots when it forbids backtracking
-    in time.
+    out-edges, from e's snapshot on, and with ``diagonal`` to the end of
+    e's snapshot.  The reversals (``dst[f] == src[e]``) are dropped by
+    index, within a snapshot when the regime forbids backtracking in space
+    and across snapshots when it forbids backtracking in time.
     """
     m = src.size
-    if not m:
-        return sp.csr_array((0, 0), dtype=np.float64)
     snapshot = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
     by_source = np.argsort(src, kind="stable")
     # ascending (source node, global index) keys; (n + 1) * m stays below 2^63
     # for any node list and edge arrays that fit in memory
     key = src[by_source] * m + by_source
+    stop = dst * m + offsets[snapshot + 1] if diagonal else (dst + 1) * m
     rows, at = _runs(np.searchsorted(key, dst * m + offsets[snapshot]),
-                     np.searchsorted(key, (dst + 1) * m))
+                     np.searchsorted(key, stop))
     indices = by_source[at]
     forbidden = np.where(snapshot[indices] == snapshot[rows],
                          regime.forbids_space, regime.forbids_time)
     keep = ~(forbidden & (dst[indices] == src[rows]))
-    return _on_chain((rows[keep], indices[keep]), sqrt_weights)
+    return _on_chain((rows[keep], indices[keep]), x)
 
 
 def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
@@ -324,7 +320,8 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
 
     M is block upper-triangular, so the system is solved from the last
     snapshot to the first without assembling M.  Row block tau reads
-    ``(I - t D_tau) y_tau = b_tau`` with D_tau the diagonal block and
+    ``(I - t D_tau) y_tau = b_tau`` with D_tau the diagonal block, a CSR
+    slice of ``gd.blocks``, and
     ``b_tau = sqrt_w * (1 + t (s[dst] - r[(dst, src)]))``: ``s`` sums
     ``sqrt_w * y`` over the later edges leaving each node, and ``r`` the
     same sums per ordered node pair, subtracted only when the regime forbids
@@ -336,24 +333,27 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
     n = gd.n
     s = np.zeros(n)
     if gd.regime.forbids_time:
-        pair_keys = np.unique(np.concatenate([d.graph.src * n + d.graph.dst
-                                              for d in gd.per_snapshot]))
+        pair_keys = np.unique(gd.src * n + gd.dst)
         r = np.zeros(pair_keys.size)
+    indptr, indices, data = gd.blocks.indptr, gd.blocks.indices, gd.blocks.data
     # an overflow is reported by _in_range, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau in reversed(range(len(gd.per_snapshot))):
-            d = gd.per_snapshot[tau]
-            if d.m == 0:
+        for tau in reversed(range(gd.offsets.size - 1)):
+            lo, hi = int(gd.offsets[tau]), int(gd.offsets[tau + 1])
+            if lo == hi:
                 continue
-            src, dst = d.graph.src, d.graph.dst
+            src, dst, sqrt_w = gd.src[lo:hi], gd.dst[lo:hi], gd.sqrt_weights[lo:hi]
+            first, last = indptr[lo], indptr[hi]
+            block = sp.csr_array((data[first:last], indices[first:last] - lo,
+                                  indptr[lo:hi + 1] - first), shape=(hi - lo, hi - lo))
             later = s[dst]
             if gd.regime.forbids_time:
                 reverse = dst * n + src
                 at = np.minimum(np.searchsorted(pair_keys, reverse), pair_keys.size - 1)
                 later = later - np.where(pair_keys[at] == reverse, r[at], 0.0)
-            b = _in_range(d.sqrt_weights * (1.0 + t * later), tau)
-            y = _certified_block_solve(_diagonal_block(d, gd.regime), t, b, tol, tau)
-            z = d.sqrt_weights * y
+            b = _in_range(sqrt_w * (1.0 + t * later), tau)
+            y = _certified_block_solve(block, t, b, tol, tau)
+            z = sqrt_w * y
             s += np.bincount(src, weights=z, minlength=n)
             if gd.regime.forbids_time:
                 r[np.searchsorted(pair_keys, src * n + dst)] += z
@@ -521,7 +521,7 @@ def _temporal_graph(src, dst, weight, slices, timestamps, *, merge, drop_loops,
     node set of every record, in input order."""
     labels, src_codes, dst_codes = _code_labels(src, dst, sort_nodes=sort_nodes)
     snapshots = [
-        _graph_from_codes(list(labels), src_codes[idx], dst_codes[idx], weight[idx],
+        _graph_from_codes(labels, src_codes[idx], dst_codes[idx], weight[idx],
                           lambda i, idx=idx: (src[idx[i]], dst[idx[i]]),
                           merge=merge, drop_loops=drop_loops)
         for idx in slices

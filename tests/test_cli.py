@@ -12,11 +12,10 @@ import nbtwalks.cli
 import nbtwalks.edge_level
 import nbtwalks.temporal
 from nbtwalks.cli import _kendall_tau_b, _ranking, main, printed, read_back
-from nbtwalks.graph import adjacency
+from nbtwalks.graph import adjacency, line_graph
 from nbtwalks.linalg import spectral_radius
 from nbtwalks.temporal import (
     BacktrackRegime,
-    _diagonal_block,
     build_global_transition,
     parse_temporal_edge_list,
 )
@@ -156,7 +155,7 @@ class TestRadiusCalls:
             coo = sp.coo_array(m)
             assert np.all(snapshot[coo.row] == snapshot[coo.col])
         # the snapshot blocks of M, each once, enter one call
-        blocks = sp.block_diag([_diagonal_block(d, gd.regime) for d in gd.per_snapshot])
+        blocks = sp.block_diag([line_graph(g).V for g in gd.temporal.snapshots])
         assert sum((m != blocks).nnz == 0 for m in edge_level) == 1
 
 

@@ -38,7 +38,6 @@ from nbtwalks.node_level import build_node_system, nbt_katz
 from nbtwalks.temporal import (
     BacktrackRegime,
     TemporalGraph,
-    _diagonal_block,
     build_global_transition,
     classical_temporal_katz,
     load_temporal_edge_list,
@@ -297,7 +296,7 @@ def _krylov_system(kind, digraph2000, tmp_path) -> sp.csr_array:
     if kind == "temporal block":
         tg = load_temporal_edge_list(write_uniform_temporal(tmp_path / "t.txt", 8, 500, 500, 2))
         gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
-        block = _diagonal_block(gd.per_snapshot[0], gd.regime)
+        block = line_graph(tg.snapshots[0]).V
         return as_csr(identity(block.shape[0]) - (0.9 / gd.transition_radius) * block)
     if kind == "N(t)":
         rho_v = spectral_radius(line_graph(digraph2000).V)
@@ -466,7 +465,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 def _golden_matrices():
     """Adjacency and V of the static golden inputs, and every snapshot
-    adjacency and diagonal block of M of the temporal one."""
+    adjacency, V and half-walk matrix of the temporal one: the diagonal
+    blocks of M under every regime."""
     g300 = load_edge_list(GOLDEN / "g300.txt")
     mtx = load_matrix_market(GOLDEN / "small.mtx", drop_loops=True, merge="sum")
     for name, g in (("g300", g300), ("g300 binarized", binarize(g300)), ("small.mtx", mtx)):
@@ -475,10 +475,9 @@ def _golden_matrices():
     tg = load_temporal_edge_list(GOLDEN / "temporal.txt")
     for tau, g in enumerate(tg.snapshots):
         yield f"temporal snapshot {tau} A", adjacency(g)
-    for regime in BacktrackRegime:
-        gd = build_global_transition(tg, regime)
-        for tau, d in enumerate(gd.per_snapshot):
-            yield f"temporal {regime.value} block {tau}", _diagonal_block(d, regime)
+    for tau, d in enumerate(map(line_graph, tg.snapshots)):
+        yield f"temporal snapshot {tau} V", d.V
+        yield f"temporal snapshot {tau} half-walk", d.half_walk_matrix()
 
 
 def test_radius_matches_dense_eigenvalues_to_machine_precision():

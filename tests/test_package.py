@@ -31,3 +31,23 @@ def test_package_imports_resolve():
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
             assert alias.name in getattr(module, "__all__", [alias.name])
             assert hasattr(nbtwalks, alias.asname or alias.name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # a stand-in for a linter's unused-import rule: a name a module imports
+    # is used in it, or exported through its __all__
+    tree = ast.parse(Path(nbtwalks.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    assert not imported - used - exported

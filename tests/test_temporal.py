@@ -106,7 +106,7 @@ class TestGlobalAssembly:
     def test_block_triangular(self, rng):
         tg = random_temporal(rng, 3, 4)
         gd = build_global_transition(tg, BacktrackRegime.ALLOW_ALL)
-        block_of = np.repeat(np.arange(3), [d.m for d in gd.per_snapshot])
+        block_of = np.repeat(np.arange(3), [g.m for g in tg.snapshots])
         coo = gd.M.tocoo()
         assert np.all(block_of[coo.row] <= block_of[coo.col])
 
@@ -147,8 +147,9 @@ class TestGlobalAssembly:
                 if gd.m_total == 0:
                     continue
                 dense_blocks = []
-                for tau, d in enumerate(gd.per_snapshot):
+                for tau, d in enumerate(map(line_graph, tg.snapshots)):
                     lo, hi = gd.offsets[tau], gd.offsets[tau + 1]
+                    assert hi - lo == d.m
                     dense_blocks.append(gd.M[lo:hi, lo:hi].toarray())
                 want = max(dense_radius(b) for b in dense_blocks)
                 assert spectral_radius(gd.M) == pytest.approx(want, rel=1e-6, abs=1e-8)
@@ -206,7 +207,8 @@ class TestGradedRadius:
         second[1:, 1:] = 1.0
         monkeypatch.setattr(nbtwalks.linalg, "_power_radius", lambda m, *args: (None, 0.5))
         with pytest.raises(NumericalError, match=r"^snapshot 1: .* order 3 starting at node 1 ") as info:
-            nbtwalks.temporal._max_radius([pair, sp.csr_array(second)])
+            nbtwalks.temporal._max_radius(sp.block_diag([pair, sp.csr_array(second)], format="csr"),
+                                          np.array([0, 2, 6]))
         assert info.value.node == 1
         assert info.value.estimate == 1.0   # 0.5 on the block's scale 2^-1
 
@@ -308,6 +310,34 @@ class TestBlockAssemblyBitwise:
                                      BacktrackRegime.FORBID_ALL)
         monkeypatch.setattr(nbtwalks.temporal, "_on_chain", counted)
         assert gd.M.nnz and len(scaled) == 1
+
+
+class TestUnionBlocks:
+    """``blocks``, and the full-weight matrix whose radius is
+    ``block_radius_bound``, equal the block-diagonal matrix of the snapshots'
+    own line graphs bit for bit under every regime."""
+
+    @staticmethod
+    def check(tg, monkeypatch):
+        per = [line_graph(g) for g in tg.snapshots]
+        seen = []
+        monkeypatch.setattr(nbtwalks.temporal, "spectral_radius", lambda m: seen.append(m) or 0.0)
+        for regime in BacktrackRegime:
+            gd = build_global_transition(tg, regime)
+            space = regime.forbids_space
+            assert_bitwise_equal(gd.blocks, sp.block_diag(
+                [d.V if space else d.half_walk_matrix() for d in per], format="csr"))
+            assert gd.block_radius_bound == 0.0
+            assert_bitwise_equal(seen.pop(), sp.block_diag(
+                [d.B if space else d.W for d in per], format="csr"))
+
+    def test_instances(self, tmp_path, monkeypatch):
+        for tg in TestBlockAssemblyBitwise.instances(tmp_path):
+            self.check(tg, monkeypatch)
+
+    def test_a_thousand_snapshots(self, tmp_path, monkeypatch):
+        path = write_uniform_temporal(tmp_path / "long.txt", 1, 100, 150, 1000)
+        self.check(load_temporal_edge_list(path), monkeypatch)
 
 
 class TestWalkCounts:
@@ -463,10 +493,11 @@ class TestBlockCertificate:
 
     @pytest.fixture
     def example(self):
-        gd = build_global_transition(parse_temporal_edge_list(CERTIFICATE_EXAMPLE),
-                                     BacktrackRegime.FORBID_ALL)
-        assert [d.m for d in gd.per_snapshot] == [4, 2]
-        small = gd.per_snapshot[0].edge_labels().index("b->d")
+        tg = parse_temporal_edge_list(CERTIFICATE_EXAMPLE)
+        gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
+        line_graphs = [line_graph(g) for g in tg.snapshots]
+        assert [d.m for d in line_graphs] == [4, 2]
+        small = line_graphs[0].edge_labels().index("b->d")
         return gd, 0.5 / gd.transition_radius, small
 
     def stub_solver(self, monkeypatch, perturb):
@@ -725,6 +756,17 @@ class TestIngestion:
         assert len(tg.snapshots) == 2
         assert tg.node_labels == ["a", "b", "c"]
         assert tg.snapshots[1].m == 2
+
+    def test_snapshots_share_one_label_list(self, tmp_path):
+        (tmp_path / "s0.txt").write_text("a b 2\n")
+        (tmp_path / "s1.txt").write_text("b a 3\nc a 1\n")
+        (tmp_path / "s2.txt").write_text("")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("s0.txt\ns1.txt\ns2.txt\n")
+        for tg in (parse_temporal_edge_list("0 a b 2\n1 b a 3\n2 b c 1\n"),
+                   load_temporal_manifest(manifest)):
+            first = tg.snapshots[0].node_labels
+            assert all(g.node_labels is first for g in tg.snapshots)
 
     @pytest.mark.parametrize("text, message", [
         ("0 a b 1\n1 b c x\n", "line 2: bad weight 'x'"),

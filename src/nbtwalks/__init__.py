@@ -19,7 +19,6 @@ from .edge_level import (
     walk_counts_via_line_graph,
 )
 from .errors import (
-    ConvergenceWarning,
     ExplosionGuardError,
     NumericalError,
     ValidationError,

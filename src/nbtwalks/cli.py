@@ -450,7 +450,24 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
+def _ranged(kind, admits, requirement: str):
+    """An argparse type: ``kind(text)`` when ``admits`` it, else an error that
+    argparse reports, naming the option, with exit code 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not admits(value):
+            raise argparse.ArgumentTypeError(f"expected {requirement}, got {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    count = _ranged(int, lambda k: k >= 1, "an integer >= 1")
+    length = _ranged(int, lambda k: k >= 0, "an integer >= 0")
+    tol = _ranged(float, lambda x: math.isfinite(x) and x > 0.0, "a finite number > 0")
     parser = argparse.ArgumentParser(
         prog="nbtwalks",
         description="Nonbacktracking walk counts and centralities on weighted graphs.",
@@ -471,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--regime", choices=[r.value for r in BacktrackRegime],
                         default="forbid-all", help="temporal backtracking regime")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--tol", type=float, default=1e-10,
+    common.add_argument("--tol", type=tol, default=1e-10,
                         help="tolerance; bounds the relative residual of each linear solve, "
                              "or the componentwise backward error of a temporal snapshot solve")
 
@@ -484,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", choices=SERIES, default="resolvent")
     p.add_argument("--t", required=True,
                    help="attenuation factor, absolute or a fraction of the radius like '0.95r'")
-    p.add_argument("--top", type=int, help="emit only the top-k nodes")
+    p.add_argument("--top", type=count, help="emit only the top-k nodes")
     p.add_argument("--compare", help="two measures 'a:b'; adds both columns and Kendall tau")
     p.set_defaults(func=cmd_centrality)
 
@@ -493,19 +510,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=MEASURES, default="nbt-katz")
     p.add_argument("--series", choices=SERIES, default="resolvent")
     p.add_argument("--grid", help="comma-separated t values (absolute or '0.5r' fractions)")
-    p.add_argument("--grid-points", type=int, default=25,
+    p.add_argument("--grid-points", type=count, default=25,
                    help="number of evenly spaced points over [0, 0.99) of the radius")
-    p.add_argument("--top", type=int,
+    p.add_argument("--top", type=count,
                    help="keep the k most prominent nodes at the largest grid t")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("walk-count", parents=[common], help="weighted walk-count tables")
-    p.add_argument("--kmax", type=int, default=4, help="largest walk length")
+    p.add_argument("--kmax", type=length, default=4, help="largest walk length")
     p.set_defaults(func=cmd_walk_count)
 
     p = sub.add_parser("oracle-check", parents=[common],
                        help="cross-validate every route against enumeration")
-    p.add_argument("--kmax", type=int, default=5, help="largest walk length to check")
+    p.add_argument("--kmax", type=length, default=5, help="largest walk length to check")
     p.set_defaults(func=cmd_oracle_check)
     return parser
 

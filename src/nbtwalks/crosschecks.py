@@ -70,15 +70,10 @@ def static_battery(
     graph: WeightedGraph,
     kmax: int = 5,
     tol: float = 1e-10,
-    decomposition=None,
 ) -> list[CheckResult]:
-    """All static cross-checks on one graph.
-
-    ``decomposition`` may inject a prebuilt (possibly tampered) line-graph
-    decomposition for fault-detection testing.
-    """
+    """All static cross-checks on one graph."""
     a = adjacency(graph)
-    d = decomposition if decomposition is not None else line_graph(graph)
+    d = line_graph(graph)
     results: list[CheckResult] = []
 
     oracle = count_nbt_walks_bruteforce(graph, kmax)

@@ -157,12 +157,11 @@ def apply_shifted_series(
         order = _exponential_order(a, tol)
         out = np.array(w)
         v = np.array(w)
-        fact = 1.0
+        # v is the term t^k M^k w / (k+1)!, which stays in range with the sum
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite_sum
             for k in range(1, order + 1):
-                v = t * (m @ v)
-                fact *= k + 1
-                out += v / fact
+                v = (t / (k + 1)) * (m @ v)
+                out += v
         return _finite_sum(out, series, t)
 
     if series.kind == "custom":

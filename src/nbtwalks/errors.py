@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class ValidationError(ValueError):
@@ -18,7 +18,3 @@ class NumericalError(RuntimeError):
 
 class ExplosionGuardError(ValidationError):
     """Brute-force enumeration would exceed the walk-count budget."""
-
-
-class ConvergenceWarning(UserWarning):
-    """A computation proceeded without a certified convergence radius."""

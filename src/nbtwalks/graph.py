@@ -47,7 +47,8 @@ class WeightedGraph:
 
     def __init__(self, node_labels, edges):
         labels = list(node_labels)
-        _check_labels(labels)
+        if len(set(labels)) != len(labels):
+            raise ValidationError("duplicate node labels")
         n = len(labels)
         edges = list(edges)
         columns = tuple(zip(*edges)) or ((), (), ())
@@ -98,11 +99,6 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
-
-
-def _check_labels(labels: list) -> None:
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate node labels")
 
 
 def _canonical_order(src: np.ndarray, dst: np.ndarray):
@@ -249,27 +245,14 @@ def _line_columns(lines, timed: bool, name: str | None):
             np.array(stamps, dtype=np.float64) if timed else None)
 
 
-def _code_labels(src: list, dst: list, *, node_labels=None, sort_nodes: bool = False):
+def _code_labels(src: list, dst: list):
     """Node labels and the int64 codes of the ``src`` and ``dst`` label
-    columns.  The labels are those met in the interleaved (src, dst) column
-    in order of first appearance, or sorted with ``sort_nodes``; an explicit
-    ``node_labels`` list pins them instead."""
+    columns.  The labels are those met in the interleaved (src, dst) column,
+    in order of first appearance, so they are distinct."""
     ends = [None] * (2 * len(src))
     ends[0::2], ends[1::2] = src, dst
-    if node_labels is None:
-        labels = list(dict.fromkeys(ends))
-        if sort_nodes:
-            labels.sort()
-        codes = dict(zip(labels, count()))
-    else:
-        labels = list(node_labels)
-        codes = {lab: i for i, lab in enumerate(labels)}
-        # a label outside the fixed node set gets a negative code of its own,
-        # so that only equal labels make a self-loop
-        outside = count(-1, -1)
-        for lab in ends:
-            if lab not in codes:
-                codes[lab] = next(outside)
+    labels = list(dict.fromkeys(ends))
+    codes = dict(zip(labels, count()))
     coded = np.fromiter(map(codes.__getitem__, ends), np.int64, len(ends))
     return labels, coded[0::2], coded[1::2]
 
@@ -277,32 +260,28 @@ def _code_labels(src: list, dst: list, *, node_labels=None, sort_nodes: bool = F
 def graph_from_records(
     records,
     *,
-    node_labels=None,
     merge: str = "reject",
     drop_loops: bool = False,
-    sort_nodes: bool = False,
 ) -> WeightedGraph:
     """Build a validated graph from ``(src_label, dst_label, weight)`` records.
 
     ``merge`` controls duplicate (src, dst) pairs: ``"reject"`` raises,
     ``"sum"`` accumulates weights in record order.  Self-loops raise unless
-    ``drop_loops``.  Node indexing follows first appearance, or sorted labels
-    with ``sort_nodes``; an explicit ``node_labels`` list pins the universe.
+    ``drop_loops``.  The nodes are the labels the records name, indexed in
+    order of first appearance.
     """
     records = list(records)
     return _graph_from_labels(
         list(map(itemgetter(0), records)),
         list(map(itemgetter(1), records)),
         np.array(list(map(itemgetter(2), records)), dtype=np.float64),
-        node_labels=node_labels, merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes,
+        merge=merge, drop_loops=drop_loops,
     )
 
 
-def _graph_from_labels(src, dst, weight, *, node_labels=None, merge, drop_loops,
-                       sort_nodes) -> WeightedGraph:
+def _graph_from_labels(src, dst, weight, *, merge, drop_loops) -> WeightedGraph:
     """A graph from the label columns and the weights of its records."""
-    labels, src_codes, dst_codes = _code_labels(src, dst, node_labels=node_labels,
-                                                sort_nodes=sort_nodes)
+    labels, src_codes, dst_codes = _code_labels(src, dst)
     return _graph_from_codes(labels, src_codes, dst_codes, weight, lambda i: (src[i], dst[i]),
                              merge=merge, drop_loops=drop_loops)
 
@@ -310,34 +289,26 @@ def _graph_from_labels(src, dst, weight, *, node_labels=None, merge, drop_loops,
 def _graph_from_codes(labels, src, dst, weight, pair, *, merge, drop_loops) -> WeightedGraph:
     """Validate edge records and merge them into a graph.
 
-    ``src`` and ``dst`` index ``labels``; a negative code marks a label
-    outside that node set.  ``pair(i)`` names the labels of record i in
-    messages.  Each record is checked for its weight, a self-loop, unknown
-    labels and a repeated pair, in that order, and the first failing record
-    in input order is reported.  Repeated pairs are summed in record order.
+    ``src`` and ``dst`` index ``labels``, which the caller makes distinct.
+    ``pair(i)`` names the labels of record i in messages.  Each record is
+    checked for its weight, a self-loop and a repeated pair, in that order,
+    and the first failing record in input order is reported.  Repeated pairs
+    are summed in record order.
     """
     if merge not in ("reject", "sum"):
         raise ValidationError(f"unknown merge policy {merge!r}")
     loop = src == dst
     kept = np.flatnonzero(~loop)
     order, repeat = _canonical_order(src[kept], dst[kept])
-
-    def missing(i):
-        src_label, dst_label = pair(i)
-        return src_label if src[i] < 0 else dst_label
-
     checks = [
         (~((weight > 0) & np.isfinite(weight)),
          lambda i: "edge (%r, %r) has non-positive weight %r" % (*pair(i), float(weight[i]))),
         (loop & (not drop_loops), lambda i: f"self-loop on node {pair(i)[0]!r}"),
-        (~loop & ((src < 0) | (dst < 0)),
-         lambda i: f"node {missing(i)!r} not in the fixed node set"),
     ]
     if merge == "reject":
         checks.append((_flag(kept[order[repeat]], src.size),
                        lambda i: "duplicate edge (%r, %r)" % pair(i)))
     _raise_first(checks)
-    _check_labels(labels)
 
     group = np.empty(order.size, dtype=np.int64)
     group[order] = np.cumsum(~repeat) - 1
@@ -360,12 +331,10 @@ def parse_edge_list(
     *,
     merge: str = "reject",
     drop_loops: bool = False,
-    sort_nodes: bool = False,
 ) -> WeightedGraph:
     """Parse an edge-list text (string, iterable of lines, or open file)."""
     src, dst, weight, _ = _read_columns(source)
-    return _graph_from_labels(src, dst, weight, merge=merge, drop_loops=drop_loops,
-                              sort_nodes=sort_nodes)
+    return _graph_from_labels(src, dst, weight, merge=merge, drop_loops=drop_loops)
 
 
 def load_edge_list(path, **options) -> WeightedGraph:

@@ -291,7 +291,7 @@ def _gmres(m: sp.csr_array, b: np.ndarray, target: float, maxiter: int) -> tuple
     return x, r_norm, cycle, products
 
 
-def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITER) -> float:
+def spectral_radius(matrix) -> float:
     """Spectral radius of a nonnegative square matrix, one irreducible block
     at a time.
 
@@ -309,11 +309,11 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
     diagonal similarity in powers of two when its entries span at least
     2^``BALANCE_SPAN``, then runs a shifted power iteration
     (``_block_radius``).  Its Collatz–Wielandt bracket certifies the radius
-    to the relative tolerance ``tol``; the iteration then runs on until the
-    estimate stops moving, within a few ulp of the radius.  A block whose
+    to the relative tolerance ``POWER_TOL``; the iteration then runs on until
+    the estimate stops moving, within a few ulp of the radius.  A block whose
     bracket ends below the largest radius found so far cannot hold the
     maximum and stops there, certified or not.  A block without a
-    certificate after ``max_iter`` steps raises :class:`NumericalError`,
+    certificate after ``POWER_MAXITER`` steps raises :class:`NumericalError`,
     which names the block's order, its first node and the last estimate,
     kept as ``node`` and ``estimate``.
     """
@@ -358,12 +358,12 @@ def spectral_radius(matrix, tol: float = POWER_TOL, max_iter: int = POWER_MAXITE
             break
         lo, hi = int(starts[b]), int(ends[b])
         block = blocks if hi - lo == k else blocks[lo:hi, lo:hi]
-        rho, estimate = _block_radius(block, tol, max_iter, best)
+        rho, estimate = _block_radius(block, POWER_TOL, POWER_MAXITER, best)
         if rho is None:
             raise NumericalError(
                 f"spectral radius of the strongly connected block of order {hi - lo} "
-                f"starting at node {int(nodes[lo])} did not converge: power iteration "
-                f"missed tol {tol:.1e} in {max_iter} steps (last estimate {estimate})",
+                f"starting at node {int(nodes[lo])} did not converge: power iteration missed "
+                f"tol {POWER_TOL:.1e} in {POWER_MAXITER} steps (last estimate {estimate})",
                 estimate=estimate,
                 node=int(nodes[lo]),
             )

@@ -9,12 +9,11 @@ solve against the all-ones vector.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceWarning, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import (
     DENSE_SOLVE_MAX,
     as_csr,
@@ -147,24 +146,13 @@ def build_node_system(adjacency, t: float) -> sp.csr_array:
     return matrix
 
 
-def _check_radius(t: float, rho_v, what: str) -> None:
-    if rho_v is None:
-        warnings.warn(
-            f"{what}: convergence radius not certified; only the elementwise "
-            "pole condition was checked (supply rho_v from the line-graph "
-            "route for a guarantee)",
-            ConvergenceWarning,
-            stacklevel=3,
-        )
-        return
-    check_t(t, range_end(rho_v), " for the nonbacktracking series")
-
-
-def generating_matrix(adjacency, t: float, *, rho_v: float | None = None) -> np.ndarray:
+def generating_matrix(adjacency, t: float, *, rho_v: float) -> np.ndarray:
     """Dense walk generating function: the inverse of the node-level system.
 
     Equals the attenuated sum over all lengths of the nonbacktracking
-    walk-count matrices, for ``t`` inside the convergence radius.
+    walk-count matrices for ``t`` in [0, 1 / ``rho_v``), where ``rho_v`` is
+    the spectral radius of the edge-level matrix ``V``; any other ``t`` is
+    rejected.
     """
     system = build_node_system(adjacency, t)
     n = system.shape[0]
@@ -172,7 +160,7 @@ def generating_matrix(adjacency, t: float, *, rho_v: float | None = None) -> np.
         raise ValidationError(
             f"dense generating matrix limited to order {DENSE_SOLVE_MAX}, got {n}"
         )
-    _check_radius(t, rho_v, "generating_matrix")
+    check_t(t, range_end(rho_v), " for the nonbacktracking series")
     dense = system.toarray()
     try:
         phi = np.linalg.inv(dense)
@@ -186,15 +174,13 @@ def generating_matrix(adjacency, t: float, *, rho_v: float | None = None) -> np.
     return phi
 
 
-def nbt_katz(adjacency, t: float, *, tol: float = 1e-10, rho_v: float | None = None) -> np.ndarray:
+def nbt_katz(adjacency, t: float, *, tol: float = 1e-10, rho_v: float) -> np.ndarray:
     """Nonbacktracking Katz centrality: solve the node-level system against
     the all-ones vector.
 
-    When ``rho_v`` (the spectral radius of the edge-level matrix ``V``) is
-    supplied, ``t`` is validated against the exact permitted range;
-    otherwise only the elementwise pole condition is enforced and a
-    :class:`ConvergenceWarning` is attached.
+    ``rho_v`` is the spectral radius of the edge-level matrix ``V``: ``t``
+    must lie in the series range [0, 1 / ``rho_v``).
     """
     system = build_node_system(adjacency, t)
-    _check_radius(t, rho_v, "nbt_katz")
+    check_t(t, range_end(rho_v), " for the nonbacktracking series")
     return solve_linear(system, np.ones(system.shape[0]), tol)

@@ -463,7 +463,6 @@ def parse_temporal_edge_list(
     *,
     merge: str = "reject",
     drop_loops: bool = False,
-    sort_nodes: bool = False,
 ) -> TemporalGraph:
     """Parse ``time src dst [weight]`` records into snapshots by distinct
     sorted time values; each snapshot keeps its records in file order."""
@@ -475,7 +474,7 @@ def parse_temporal_edge_list(
     slices = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
     # each snapshot's stamp is its first record's, as read
     return _temporal_graph(src, dst, weight, slices, stamp[[s[0] for s in slices]].tolist(),
-                           merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes)
+                           merge=merge, drop_loops=drop_loops)
 
 
 def load_temporal_edge_list(path, **options) -> TemporalGraph:
@@ -488,7 +487,6 @@ def load_temporal_manifest(
     *,
     merge: str = "reject",
     drop_loops: bool = False,
-    sort_nodes: bool = False,
 ) -> TemporalGraph:
     """Build a temporal graph from a manifest listing per-snapshot edge-list
     files in order (paths resolved relative to the manifest)."""
@@ -510,16 +508,15 @@ def load_temporal_manifest(
         np.concatenate([c[2] for c in per_file]),
         np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1]),
         [float(i) for i in range(len(per_file))],
-        merge=merge, drop_loops=drop_loops, sort_nodes=sort_nodes,
+        merge=merge, drop_loops=drop_loops,
     )
 
 
-def _temporal_graph(src, dst, weight, slices, timestamps, *, merge, drop_loops,
-                    sort_nodes) -> TemporalGraph:
+def _temporal_graph(src, dst, weight, slices, timestamps, *, merge, drop_loops) -> TemporalGraph:
     """One snapshot per index array of ``slices`` into the records given by
     the label columns ``src`` and ``dst`` and by ``weight``, all over the
     node set of every record, in input order."""
-    labels, src_codes, dst_codes = _code_labels(src, dst, sort_nodes=sort_nodes)
+    labels, src_codes, dst_codes = _code_labels(src, dst)
     snapshots = [
         _graph_from_codes(labels, src_codes[idx], dst_codes[idx], weight[idx],
                           lambda i, idx=idx: (src[idx[i]], dst[idx[i]]),

@@ -512,9 +512,9 @@ class TestOracleCheck:
         assert code == 0
         assert "6/6 checks passed" in out
 
-    def test_tampered_decomposition_fails_projection(self, rng):
+    def test_tampered_decomposition_fails_projection(self, rng, monkeypatch):
         from conftest import random_digraph
-        from nbtwalks.crosschecks import static_battery
+        from nbtwalks import crosschecks
         from nbtwalks.graph import line_graph
 
         g = random_digraph(rng, 5, p=0.5)
@@ -522,7 +522,8 @@ class TestOracleCheck:
         if d.V.nnz == 0:
             pytest.skip("no pruned transitions to tamper with")
         d.V.data[0] *= 1.5
-        results = static_battery(g, kmax=4, decomposition=d)
+        monkeypatch.setattr(crosschecks, "line_graph", lambda graph: d)
+        results = crosschecks.static_battery(g, kmax=4)
         failing = [r for r in results if not r.passed]
         assert failing
         assert any("projection" in r.name for r in failing)
@@ -556,6 +557,29 @@ class TestValidationPaths:
         assert code == 2
         code, out, _ = run_cli(["radius", "--input", str(path), "--merge", "sum"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        "centrality --t 0.5r --top -3",
+        "centrality --t 0.5r --top 0",
+        "centrality --t 0.5r --compare katz:nbt-katz --top -3",
+        "sweep --top -3",
+        "sweep --grid-points -1",
+        "sweep --grid-points 0",
+        "walk-count --temporal --kmax -1",
+        "walk-count --kmax -1",
+        "oracle-check --kmax -1",
+        "centrality --t 0.5r --tol -1",
+        "centrality --t 0.5r --tol nan",
+        "centrality --t 0.5r --tol 0",
+        "centrality --t 0.5r --tol inf",
+    ])
+    def test_out_of_range_number_exits_2(self, triangle, temporal, capsys, argv):
+        *command, option, value = argv.split()
+        path = temporal if "--temporal" in command else triangle
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--input", path, option, value])
+        assert info.value.code == 2
+        assert f"argument {option}: expected " in capsys.readouterr().err
 
 
 class TestImports:

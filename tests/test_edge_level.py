@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from nbtwalks.edge_level import (
@@ -241,8 +242,9 @@ class TestGeneratingViaLineGraph:
 class TestSeriesPastTheFloat64Range:
     """On the complete unit-weight digraph on 6 nodes, rho(V) = 4, the powers
     of tV pass the float64 range at t = 100 / rho(V) within the series'
-    order.  The series raises a NumericalError that says so, and lets no
-    warning escape; it returned inf and nan scores with a warning."""
+    order.  A series whose sum passes it too raises a NumericalError that
+    says so, and lets no warning escape; it returned inf and nan scores with
+    a warning.  The exponential's sum, about 3.4e43, stays in range."""
 
     @staticmethod
     def plan(series) -> CentralityPlan:
@@ -250,9 +252,22 @@ class TestSeriesPastTheFloat64Range:
                           [(i, j, 1.0) for i in range(6) for j in range(6) if i != j])
         return CentralityPlan(line_graph(g), series, 25.0)
 
-    @pytest.mark.parametrize("series", [CoefficientSeries.exponential(),
-                                        CoefficientSeries.custom(np.ones(200))],
-                             ids=["exponential", "custom"])
+    def test_exponential_stays_in_range(self):
+        plan = self.plan(CoefficientSeries.exponential())
+        d, t = plan.decomposition, plan.t
+        # the last column of exp([[tV, w], [0, 0]]) holds phi_1(tV) w
+        augmented = np.zeros((d.m + 1, d.m + 1))
+        augmented[:d.m, :d.m] = t * d.V.toarray()
+        augmented[:d.m, d.m] = d.sqrt_weights
+        y = scipy.linalg.expm(augmented)[:d.m, d.m]
+        want = 1.0 + t * project_to_nodes(d.graph.src, d.sqrt_weights, y, d.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f_centrality(plan)
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    @pytest.mark.parametrize("series", [CoefficientSeries.custom(np.ones(200))],
+                             ids=["custom"])
     def test_raises(self, series):
         plan = self.plan(series)
         assert plan.rho_v == 4.0

@@ -69,9 +69,7 @@ class TestParsing:
 
     def test_first_appearance_vs_sorted_order(self):
         g = parse_edge_list("z a 1\na b 1")
-        assert g.node_labels == ["z", "a", "b"]
-        g = parse_edge_list("z a 1\na b 1", sort_nodes=True)
-        assert g.node_labels == ["a", "b", "z"]
+        assert g.node_labels == ["z", "a", "b"] != sorted(g.node_labels)
 
 
 # Edge-list texts for the columnar reader: each must read as the line loop
@@ -119,8 +117,7 @@ OTHER_TEXTS = {
     "timed-bad-weight": "0 a b 1\n1 b c x\n",
     "timed-stamp-and-weight": "0 a b x\nt b c 1\n",
 }
-OPTIONS = [{}, {"merge": "sum"}, {"drop_loops": True}, {"merge": "sum", "drop_loops": True},
-           {"sort_nodes": True}]
+OPTIONS = [{}, {"merge": "sum"}, {"drop_loops": True}, {"merge": "sum", "drop_loops": True}]
 
 
 def graph_bits(g: WeightedGraph):
@@ -255,23 +252,9 @@ class TestValidation:
         with raises_exactly(message):
             parse_edge_list(text, **options)
 
-    def test_labels_outside_the_fixed_node_set(self):
-        fixed = dict(node_labels=self.LABELS)
-        with raises_exactly("node 'x' not in the fixed node set"):
-            graph_from_records([("a", "b", 1.0), ("c", "x", 1.0), ("y", "a", 1.0)], **fixed)
-        with raises_exactly("node 'y' not in the fixed node set"):
-            graph_from_records([("a", "b", 1.0), ("y", "x", 1.0)], **fixed)
-        # an unknown label on both ends is a self-loop, dropped on request
-        with raises_exactly("self-loop on node 'x'"):
-            graph_from_records([("x", "x", 1.0), ("y", "z", 1.0)], **fixed)
-        g = graph_from_records([("x", "x", 1.0), ("a", "b", 2.0)], drop_loops=True, **fixed)
-        assert g.edges == [(0, 1, 2.0)]
-
     def test_duplicate_node_labels(self):
         with raises_exactly("duplicate node labels"):
             WeightedGraph(["a", "a"], [])
-        with raises_exactly("duplicate node labels"):
-            graph_from_records([("a", "b", 1.0)], node_labels=["a", "b", "a"])
 
     def test_edges_are_python_triples_in_canonical_order(self):
         g = WeightedGraph(["a", "b", "c"],
@@ -280,7 +263,7 @@ class TestValidation:
         assert isinstance(g.edges, list)
         assert all(type(s) is int and type(d) is int and type(w) is float
                    for s, d, w in g.edges)
-        parsed = parse_edge_list("c a 1.5\na c 2\na b 3\n", sort_nodes=True)
+        parsed = parse_edge_list("a b 3\na c 2\nc a 1.5\n")
         assert parsed.edges == g.edges
 
     def test_arrays_are_sorted_and_read_only(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nbtwalks.errors import ConvergenceWarning, ValidationError
+from nbtwalks.errors import ValidationError
 from nbtwalks.graph import WeightedGraph, adjacency, line_graph, parse_edge_list
 from nbtwalks.linalg import hadamard, solve_linear, identity, spectral_radius
 from nbtwalks.node_level import (
@@ -165,10 +165,11 @@ class TestGeneratingMatrix:
         phi = generating_matrix(a, 0.1, rho_v=0.0)
         assert rel_dev(phi, np.eye(2) + 0.1 * a.toarray()) <= 1e-14
 
-    def test_warns_without_radius_certificate(self):
+    def test_radius_is_required(self):
         a = adjacency(two_node_reciprocated(2.0))
-        with pytest.warns(ConvergenceWarning):
-            generating_matrix(a, 0.1)
+        for route in (generating_matrix, nbt_katz):
+            with pytest.raises(TypeError, match="rho_v"):
+                route(a, 0.1)
 
     def test_undirected_binary_closed_form(self, rng):
         for _ in range(10):

@@ -59,7 +59,6 @@ from .temporal import (
     load_temporal_edge_list,
     load_temporal_manifest,
     parse_temporal_edge_list,
-    permitted_t_range,
     temporal_f_centrality,
     temporal_walk_counts,
 )

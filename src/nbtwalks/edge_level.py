@@ -9,7 +9,7 @@ edges can exceed the number of nodes by orders of magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,6 +67,8 @@ class CoefficientSeries:
 
     @classmethod
     def custom(cls, coefficients, radius: float = math.inf, tail_bound: float = 0.0) -> "CoefficientSeries":
+        """A series truncated after ``coefficients``.  ``tail_bound`` is trusted
+        input: nothing checks it, except against the tolerance of each call."""
         coeffs = np.asarray(coefficients, dtype=np.float64)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValidationError("custom series needs a non-empty 1-D coefficient array")
@@ -128,7 +130,7 @@ def apply_shifted_series(
     vector,
     tol: float = 1e-10,
     *,
-    rho: float | None = None,
+    rho: float,
 ) -> np.ndarray:
     """Apply the shifted series sum_k c_{k+1} (t M)^k to a vector.
 
@@ -137,15 +139,14 @@ def apply_shifted_series(
     by a truncated Taylor sum whose order is fixed a priori from the scalar
     tail bound at t times a 10%-inflated radius estimate.  Custom series are
     truncated at their declared order; an undeliverable declared tail bound
-    is an error, and so is a sum that passes the float64 range.
+    is an error, and so is a sum that passes the float64 range.  ``rho`` is
+    the spectral radius of ``matrix``, which gates ``t``.
     """
     m = sp.csr_array(matrix)
     w = np.asarray(vector, dtype=np.float64)
     n = m.shape[0]
     if m.shape[0] != m.shape[1] or w.shape != (n,):
         raise ValidationError("matrix must be square and match the vector length")
-    if rho is None:
-        rho = spectral_radius(m)
     check_t(t, range_end(rho, series.radius), " for the series to converge")
 
     if series.kind == "resolvent":
@@ -192,18 +193,19 @@ def _finite_sum(out: np.ndarray, series: CoefficientSeries, t: float) -> np.ndar
 
 
 def _exponential_order(a: float, tol: float) -> int:
-    """Smallest K with sum_{k>K} a^k / (k+1)! certified below tol."""
+    """Smallest K with sum_{k>K} a^k / (k+1)! certified below tol.  The term
+    is carried as ``term * 2**scale``, scale 0 up to 2**512 and a multiple of
+    512 above, so it stays in range; power-of-two scaling is exact."""
     if a == 0.0:
         return 0
-    term = 1.0  # a^k / (k+1)! at k = 0
-    k = 0
-    while k < _MAX_SERIES_TERMS:
+    term, scale = 1.0, 0  # a^k / (k+1)! at k = 0
+    for k in range(_MAX_SERIES_TERMS):
         nxt = term * a / (k + 2)
         q = a / (k + 3)
-        if q < 1.0 and nxt / (1.0 - q) <= tol:
+        if q < 1.0 and nxt / (1.0 - q) <= math.ldexp(tol, -scale):
             return k
-        term = nxt
-        k += 1
+        step = 512 if nxt > 2.0**512 else -512 if scale and nxt < 1.0 else 0
+        term, scale = math.ldexp(nxt, -step), scale + step
     raise NumericalError(f"series truncation bound unattainable at tolerance {tol}")
 
 
@@ -211,20 +213,19 @@ def _exponential_order(a: float, tol: float) -> int:
 class CentralityPlan:
     """A fully determined edge-level centrality computation.
 
-    Binds a line-graph decomposition, a coefficient series, and an
-    attenuation factor; the spectral radius of the pruned transition matrix
-    is computed once and cached.  Construction fails when ``t`` lies outside
-    the series' permitted range.
+    Binds a line-graph decomposition, a coefficient series, an attenuation
+    factor and ``rho_v``, the spectral radius of the pruned transition
+    matrix V.  Construction fails when ``t`` lies outside the series'
+    permitted range.
     """
 
     decomposition: LineGraphDecomposition
     series: CoefficientSeries
     t: float
-    rho_v: float | None = None
+    _: KW_ONLY
+    rho_v: float
 
     def __post_init__(self):
-        if self.rho_v is None:
-            self.rho_v = spectral_radius(self.decomposition.V)
         check_t(self.t, range_end(self.rho_v, self.series.radius), " for this series")
 
 
@@ -253,13 +254,14 @@ def generating_matrix_via_line_graph(
     decomposition: LineGraphDecomposition,
     t: float,
     *,
-    rho_v: float | None = None,
+    rho_v: float,
 ) -> np.ndarray:
     """Dense walk generating function reconstructed through the line graph.
 
     Solves the edge-level resolvent system against all n weighted target
     columns in one dense solve and projects back; agrees with the
-    node-level route inside the convergence radius.  Meant for oracle-sized
+    node-level route inside the convergence radius [0, 1 / ``rho_v``),
+    ``rho_v`` being the spectral radius of V.  Meant for oracle-sized
     graphs: at most ``DENSE_SOLVE_MAX`` edges.
     """
     d = decomposition
@@ -269,8 +271,6 @@ def generating_matrix_via_line_graph(
             f"dense generating matrix via the line graph limited to {DENSE_SOLVE_MAX} edges, "
             f"got {d.m}"
         )
-    if rho_v is None:
-        rho_v = spectral_radius(d.V)
     check_t(t, range_end(rho_v))
     if d.m == 0 or t == 0.0:
         return np.eye(n)

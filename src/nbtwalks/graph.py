@@ -373,10 +373,11 @@ class LineGraphDecomposition:
       pruned chain pattern, so that ``Z^1/2 V**k Z^1/2`` carries true
       multiplicative walk weights.
 
-    All three scale one chain pattern (``_chain_pattern``); f reverses e
-    when ``dst[f] == src[e]``, a test on indices that no underflow can miss.
-    ``W`` and ``B`` are built on first access and kept; no static route
-    reads them.
+    All three, and the half-walk matrix, scale one chain pattern: the graph
+    is the single snapshot of ``_continuations``, which builds the temporal
+    matrices too.  f reverses e when ``dst[f] == src[e]``, a test on indices
+    that no underflow can miss.  ``W`` and ``B`` are built on first access
+    and kept; no static route reads them.
     ``V`` (and every half-power matrix in the package) is assembled from the
     square-rooted weights rather than by square-rooting products, so that
     independently built edge-level constructions agree bitwise.
@@ -401,15 +402,15 @@ class LineGraphDecomposition:
 
     @cached_property
     def _half_walk(self) -> sp.csr_array:
-        return _on_chain(_chain_pattern(self.graph), self.sqrt_weights)
+        return _static_chain(self.graph, self.sqrt_weights, prune=False)
 
     @cached_property
     def W(self) -> sp.csr_array:
-        return _on_chain(_chain_pattern(self.graph), self.graph.weight)
+        return _static_chain(self.graph, self.graph.weight, prune=False)
 
     @cached_property
     def B(self) -> sp.csr_array:
-        return _on_chain(_chain_pattern(self.graph, prune=True), self.graph.weight)
+        return _static_chain(self.graph, self.graph.weight, prune=True)
 
     def edge_labels(self) -> list[str]:
         labels = self.graph.node_labels
@@ -417,46 +418,76 @@ class LineGraphDecomposition:
                 for s, d in zip(self.graph.src.tolist(), self.graph.dst.tolist())]
 
 
-def _chain_pattern(graph: WeightedGraph, *, prune: bool = False):
-    """Pattern of the chain matrix ``R @ L.T`` as ``(rows, indices)``: row e
-    lists, ascending, the edges f that continue edge e (``src[f] ==
-    dst[e]``), the contiguous run of node ``dst[e]``'s out-edges in ``(src,
-    dst)`` order.  ``prune`` drops the reversals by index (``dst[f] ==
-    src[e]``), so no weight enters the test."""
-    out_start = np.searchsorted(graph.src, np.arange(graph.n + 1))
-    rows, indices = _runs(out_start[graph.dst], out_start[graph.dst + 1])
-    if prune:
-        keep = graph.dst[indices] != graph.src[rows]
-        rows, indices = rows[keep], indices[keep]
-    return rows, indices
+def _continuations(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, n: int,
+                   x: np.ndarray, *, within: bool, across: bool,
+                   diagonal: bool = False) -> sp.csr_array:
+    """``diag(x) @ chain @ diag(x)`` for the continuation pattern ``chain``
+    of edges stacked in snapshot blocks: the builder of every edge-level
+    matrix, static and temporal.
 
-
-def _runs(start: np.ndarray, stop: np.ndarray):
-    """``(rows, positions)`` of the runs ``start[e]:stop[e]``: row e once for
-    each position of its run, rows ascending and positions ascending within
-    a row."""
+    Snapshot tau holds the edges ``offsets[tau]:offsets[tau + 1]``, sorted
+    by (src, dst) within the block; a static graph is the one snapshot
+    ``[0, m]``.  Edge f may follow edge e when it leaves e's target
+    (``src[f] == dst[e]``) in e's snapshot or, unless ``diagonal``, a later
+    one: walks may not move back in time.  With the edges ordered by
+    (source node, global index), which within one node is snapshot order,
+    those f are one run of ``dst[e]``'s out-edges.  Its ends are read from
+    a table of each node's out-edges, and searched for only where these
+    span the start or the end of e's snapshot.  The reversals (``dst[f] ==
+    src[e]``) are dropped by index, so no weight enters the test: within a
+    snapshot with ``within``, across snapshots with ``across``.  Entry (e,
+    f) is ``x[e] * x[f]``, bit for bit what the sparse products compute,
+    and products that underflow to zero are dropped as they drop them.
+    """
+    m = src.size
+    snapshot = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    # a single snapshot is in source order already and needs no sort
+    ordered = bool(np.all(src[1:] >= src[:-1]))
+    by_source = np.arange(m) if ordered else np.argsort(src, kind="stable")
+    node_start = np.searchsorted(src[by_source], np.arange(n + 1))
+    # the snapshots of each node's first and last out-edge; a node without
+    # out-edges starts after the last snapshot
+    seen = np.append(snapshot[by_source], offsets.size)
+    first, last = seen[node_start[:-1]][dst], seen[node_start[1:] - 1][dst]
+    lo, hi = node_start[dst], node_start[dst + 1]
+    start = np.where(first >= snapshot, lo, hi)
+    stop = np.where(last <= snapshot, hi, lo) if diagonal else hi
+    search = np.flatnonzero((first <= snapshot) & (snapshot <= last) & (first < last))
+    if search.size:
+        # sorted needles search fast, and both ends of a run sort alike;
+        # (n + 1) * m stays below 2^63 for any arrays that fit in memory
+        key = src[by_source] * m + by_source
+        search = search[np.argsort(dst[search] * m + offsets[snapshot[search]])]
+        start[search] = np.searchsorted(key, dst[search] * m + offsets[snapshot[search]])
+        if diagonal:
+            stop[search] = np.searchsorted(key, dst[search] * m + offsets[snapshot[search] + 1])
     counts = stop - start
-    rows = np.repeat(np.arange(start.size), counts)
-    return rows, np.arange(rows.size) + (start - (np.cumsum(counts) - counts))[rows]
-
-
-def _on_chain(pattern, x: np.ndarray) -> sp.csr_array:
-    """``diag(x) @ chain @ diag(x)`` on a square chain pattern ``(rows,
-    indices)`` with rows ascending: entry (e, f) is ``x[e] * x[f]``, bit for
-    bit what the sparse products compute, and products that underflow to
-    zero are dropped as they drop them."""
-    rows, indices = pattern
-    indptr = np.searchsorted(rows, np.arange(x.size + 1))
-    out = sp.csr_array((x[rows] * x[indices], indices, indptr), shape=(x.size, x.size))
+    rows = np.repeat(np.arange(m), counts)
+    at = np.arange(rows.size) + (start - (np.cumsum(counts) - counts))[rows]
+    indices = at if ordered else by_source[at]
+    across = within if diagonal else across  # a block holds no step across snapshots
+    if within or across:
+        keep = dst[indices] != src[rows]
+        if within != across:  # keep the reversals on the side whose flag is off
+            keep |= (snapshot[indices] == snapshot[rows]) != within
+        rows, indices = rows[keep], indices[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+    out = sp.csr_array((x[rows] * x[indices], indices, indptr), shape=(m, m))
     out.eliminate_zeros()
     return out
+
+
+def _static_chain(graph: WeightedGraph, x: np.ndarray, *, prune: bool) -> sp.csr_array:
+    """One graph's chain matrix, the snapshot ``[0, m]``, pruned or not."""
+    return _continuations(graph.src, graph.dst, np.array([0, graph.m]), graph.n, x,
+                          within=prune, across=prune)
 
 
 def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
     """Build the canonical line-graph decomposition of a graph."""
     sqrt_weights = np.sqrt(graph.weight)
     # no edge followed by its reversal
-    V = _on_chain(_chain_pattern(graph, prune=True), sqrt_weights)
+    V = _static_chain(graph, sqrt_weights, prune=True)
     return LineGraphDecomposition(graph=graph, sqrt_weights=sqrt_weights, V=V)
 
 

@@ -25,10 +25,9 @@ from .errors import NumericalError, ValidationError
 from .graph import (
     WeightedGraph,
     _code_labels,
+    _continuations,
     _graph_from_codes,
-    _on_chain,
     _read_columns,
-    _runs,
     adjacency,
 )
 from .linalg import check_t, diag_matrix, identity, matmul, range_end, solve_linear, spectral_radius
@@ -42,7 +41,6 @@ __all__ = [
     "temporal_walk_counts",
     "temporal_f_centrality",
     "classical_temporal_katz",
-    "permitted_t_range",
     "parse_temporal_edge_list",
     "load_temporal_edge_list",
     "load_temporal_manifest",
@@ -111,13 +109,14 @@ class GlobalDecomposition:
     node and square-rooted weight.  ``M`` is the block upper-triangular
     transition matrix in half-power form: entry (e, f) equals
     ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e under the
-    regime (``_chain_matrix``), so ``diag(sqrt_weights) @ M**k @
-    diag(sqrt_weights)`` counts weighted walks; it is assembled on first
-    access and kept.  ``blocks``, its block diagonal, is built with the
-    decomposition: the line graph of the snapshots' disjoint union, V when
-    the regime forbids backtracking in space and the half-walk matrix
-    otherwise.  The radius and the resolvent work on ``blocks`` and never
-    assemble ``M``.
+    regime, so ``diag(sqrt_weights) @ M**k @ diag(sqrt_weights)`` counts
+    weighted walks; it is assembled on first access and kept.  ``blocks``,
+    its block diagonal, is built with the decomposition: the line graph of
+    the snapshots' disjoint union, V when the regime forbids backtracking in
+    space and the half-walk matrix otherwise.  Both come from
+    ``graph._continuations``, the builder of the static line graph, with the
+    regime's two reversal flags.  The radius and the resolvent work on
+    ``blocks`` and never assemble ``M``.
     """
 
     temporal: TemporalGraph
@@ -130,8 +129,8 @@ class GlobalDecomposition:
 
     @cached_property
     def M(self) -> sp.csr_array:
-        return _assemble_transition(self.src, self.dst, self.offsets, self.sqrt_weights,
-                                    self.regime)
+        return _continuations(self.src, self.dst, self.offsets, self.n, self.sqrt_weights,
+                              within=self.regime.forbids_space, across=self.regime.forbids_time)
 
     @property
     def m_total(self) -> int:
@@ -165,8 +164,9 @@ class GlobalDecomposition:
         """Largest radius over the full-weight snapshot blocks, B or W:
         ``blocks``' pattern scaled by the weights, not their square roots."""
         weights = np.concatenate([g.weight for g in self.temporal.snapshots])
-        return _max_radius(_chain_matrix(self.src, self.dst, self.offsets, weights, self.regime,
-                                         diagonal=True), self.offsets)
+        full = _continuations(self.src, self.dst, self.offsets, self.n, weights, diagonal=True,
+                              within=self.regime.forbids_space, across=self.regime.forbids_time)
+        return _max_radius(full, self.offsets)
 
 
 def _max_radius(matrix: sp.csr_array, starts: np.ndarray) -> float:
@@ -195,44 +195,9 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
     sqrt_weights = np.sqrt(np.concatenate([g.weight for g in tg.snapshots]))
     return GlobalDecomposition(
         temporal=tg, regime=regime, offsets=offsets, src=src, dst=dst, sqrt_weights=sqrt_weights,
-        blocks=_chain_matrix(src, dst, offsets, sqrt_weights, regime, diagonal=True),
+        blocks=_continuations(src, dst, offsets, tg.n, sqrt_weights, within=regime.forbids_space,
+                              across=regime.forbids_time, diagonal=True),
     )
-
-
-def _assemble_transition(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray,
-                         sqrt_weights: np.ndarray, regime: BacktrackRegime) -> sp.csr_array:
-    """The global temporal transition matrix ``M`` of one regime."""
-    return _chain_matrix(src, dst, offsets, sqrt_weights, regime, diagonal=False)
-
-
-def _chain_matrix(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, x: np.ndarray,
-                  regime: BacktrackRegime, *, diagonal: bool) -> sp.csr_array:
-    """The regime's global transition pattern, or with ``diagonal`` its
-    diagonal snapshot blocks alone, scaled by ``x`` as ``_on_chain`` does.
-
-    Edge f may follow edge e when it leaves e's target (``src[f] ==
-    dst[e]``) in e's snapshot or a later one: walks may not move back in
-    time.  With the edges ordered by (source node, global index), which
-    within one node is snapshot order, those f are one run of ``dst[e]``'s
-    out-edges, from e's snapshot on, and with ``diagonal`` to the end of
-    e's snapshot.  The reversals (``dst[f] == src[e]``) are dropped by
-    index, within a snapshot when the regime forbids backtracking in space
-    and across snapshots when it forbids backtracking in time.
-    """
-    m = src.size
-    snapshot = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    by_source = np.argsort(src, kind="stable")
-    # ascending (source node, global index) keys; (n + 1) * m stays below 2^63
-    # for any node list and edge arrays that fit in memory
-    key = src[by_source] * m + by_source
-    stop = dst * m + offsets[snapshot + 1] if diagonal else (dst + 1) * m
-    rows, at = _runs(np.searchsorted(key, dst * m + offsets[snapshot]),
-                     np.searchsorted(key, stop))
-    indices = by_source[at]
-    forbidden = np.where(snapshot[indices] == snapshot[rows],
-                         regime.forbids_space, regime.forbids_time)
-    keep = ~(forbidden & (dst[indices] == src[rows]))
-    return _on_chain((rows[keep], indices[keep]), x)
 
 
 def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
@@ -432,30 +397,6 @@ def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> 
             except NumericalError:   # A and x are nonnegative, as the resolvent's are
                 x = _certified_block_solve(a, t, x, tol, tau)
     return x
-
-
-def permitted_t_range(
-    tg: TemporalGraph,
-    regime: BacktrackRegime | None = None,
-    *,
-    classical: bool = False,
-    gd: GlobalDecomposition | None = None,
-) -> tuple[float, float]:
-    """Half-open interval [0, hi) of admissible attenuation factors.
-
-    ``classical=True`` bounds by the largest snapshot adjacency radius;
-    otherwise the bound is the reciprocal radius of the regime's transition
-    matrix (a prebuilt decomposition can be passed to avoid reassembly).
-    """
-    if classical:
-        rho = tg.max_adjacency_radius
-    else:
-        if gd is None:
-            if regime is None:
-                raise ValidationError("a backtracking regime is required")
-            gd = build_global_transition(tg, regime)
-        rho = gd.transition_radius
-    return (0.0, range_end(rho))
 
 
 def parse_temporal_edge_list(

@@ -174,20 +174,20 @@ class TestTransitionAssembly:
         def refuse(*args, **kwargs):
             raise AssertionError("the global transition matrix was assembled")
 
-        monkeypatch.setattr(nbtwalks.temporal, "_assemble_transition", refuse)
+        monkeypatch.setattr(nbtwalks.temporal.GlobalDecomposition, "M", property(refuse))
         code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
         assert code == 0
 
     @pytest.mark.parametrize("command", [["walk-count", "--kmax", "2"], ["oracle-check"]])
     def test_assembled_on_demand(self, temporal3, monkeypatch, command, capsys):
         assembled = []
-        real = nbtwalks.temporal._assemble_transition
+        real = nbtwalks.temporal.GlobalDecomposition.M
 
-        def counted(*args, **kwargs):
-            assembled.append(args)
-            return real(*args, **kwargs)
+        def counted(gd):
+            assembled.append(gd)
+            return real.__get__(gd)
 
-        monkeypatch.setattr(nbtwalks.temporal, "_assemble_transition", counted)
+        monkeypatch.setattr(nbtwalks.temporal.GlobalDecomposition, "M", property(counted))
         code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
         assert code == 0
         assert assembled

@@ -111,18 +111,20 @@ class TestProjectToNodes:
 class TestShiftedSeries:
     def test_resolvent_identity_matrix(self):
         w = np.array([2.0, 3.0])
-        out = apply_shifted_series(CoefficientSeries.resolvent(), sp.csr_array((2, 2)), 0.7, w)
+        out = apply_shifted_series(CoefficientSeries.resolvent(), sp.csr_array((2, 2)), 0.7, w,
+                                   rho=0.0)
         assert np.allclose(out, w, atol=1e-14)
 
     def test_exponential_removable_singularity(self):
         w = np.array([2.0, 3.0])
-        out = apply_shifted_series(CoefficientSeries.exponential(), sp.csr_array((2, 2)), 0.7, w)
+        out = apply_shifted_series(CoefficientSeries.exponential(), sp.csr_array((2, 2)), 0.7, w,
+                                   rho=0.0)
         assert np.allclose(out, w, atol=1e-14)
 
     def test_resolvent_nilpotent(self):
         m = sp.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
         out = apply_shifted_series(
-            CoefficientSeries.resolvent(), m, 0.5, np.array([1.0, 1.0])
+            CoefficientSeries.resolvent(), m, 0.5, np.array([1.0, 1.0]), rho=0.0
         )
         assert np.allclose(out, [1.5, 1.0], atol=1e-14)
 
@@ -130,7 +132,8 @@ class TestShiftedSeries:
         m = sp.csr_array(rng.random((5, 5)) * (rng.random((5, 5)) < 0.5))
         w = rng.random(5)
         t = 0.3
-        out = apply_shifted_series(CoefficientSeries.exponential(), m, t, w, tol=1e-13)
+        out = apply_shifted_series(CoefficientSeries.exponential(), m, t, w, tol=1e-13,
+                                   rho=spectral_radius(m))
         dense = (t * m.toarray())
         want = np.zeros(5)
         acc = w.copy()
@@ -145,19 +148,20 @@ class TestShiftedSeries:
         # f(x) = 1 + 2x + 3x^2: shifted series is 2 + 3x
         series = CoefficientSeries.custom([1.0, 2.0, 3.0])
         m = sp.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        out = apply_shifted_series(series, m, 0.5, np.array([1.0, 1.0]))
+        out = apply_shifted_series(series, m, 0.5, np.array([1.0, 1.0]), rho=0.0)
         # 2*w + 3*(0.5*M)w = [2+1.5, 2]
         assert np.allclose(out, [3.5, 2.0], atol=1e-14)
 
     def test_custom_tail_bound_unattainable(self):
         series = CoefficientSeries.custom([1.0, 1.0], tail_bound=1e-3)
         with pytest.raises(NumericalError, match="tail bound"):
-            apply_shifted_series(series, sp.csr_array((2, 2)), 0.1, np.ones(2), tol=1e-10)
+            apply_shifted_series(series, sp.csr_array((2, 2)), 0.1, np.ones(2), tol=1e-10,
+                                 rho=0.0)
 
     def test_radius_violation(self):
         m = sp.csr_array(np.array([[0.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(ValidationError, match="converge"):
-            apply_shifted_series(CoefficientSeries.resolvent(), m, 0.6, np.ones(2))
+            apply_shifted_series(CoefficientSeries.resolvent(), m, 0.6, np.ones(2), rho=2.0)
 
 
 class TestCentrality:
@@ -178,26 +182,36 @@ class TestCentrality:
     def test_empty_graph_gives_constant(self):
         g = WeightedGraph(["a", "b", "c"], [])
         d = line_graph(g)
-        plan = CentralityPlan(d, CoefficientSeries.resolvent(), 0.4)
+        plan = CentralityPlan(d, CoefficientSeries.resolvent(), 0.4, rho_v=0.0)
         assert np.allclose(f_centrality(plan), 1.0)
-        plan = CentralityPlan(d, CoefficientSeries.custom([2.5, 1.0]), 0.4)
+        plan = CentralityPlan(d, CoefficientSeries.custom([2.5, 1.0]), 0.4, rho_v=0.0)
         assert np.allclose(f_centrality(plan), 2.5)
 
     def test_two_node_example(self):
         d = line_graph(two_node_reciprocated(2.0))
-        plan = CentralityPlan(d, CoefficientSeries.resolvent(), 0.1)
+        plan = CentralityPlan(d, CoefficientSeries.resolvent(), 0.1, rho_v=spectral_radius(d.V))
         assert np.allclose(f_centrality(plan), [1.2, 1.2], atol=1e-12)
 
     def test_plan_rejects_out_of_range(self):
         d = line_graph(directed_cycle((1, 2, 3)))
         with pytest.raises(ValidationError, match="permitted range"):
-            CentralityPlan(d, CoefficientSeries.resolvent(), 1.0)
+            CentralityPlan(d, CoefficientSeries.resolvent(), 1.0, rho_v=spectral_radius(d.V))
+
+    def test_radius_is_required(self):
+        d = line_graph(two_node_reciprocated(2.0))
+        with pytest.raises(TypeError, match="rho_v"):
+            CentralityPlan(d, CoefficientSeries.resolvent(), 0.1)
+        with pytest.raises(TypeError, match="rho_v"):
+            generating_matrix_via_line_graph(d, 0.1)
+        with pytest.raises(TypeError, match="rho"):
+            apply_shifted_series(CoefficientSeries.resolvent(), d.V, 0.1, d.sqrt_weights)
 
 
 class TestGeneratingViaLineGraph:
     def test_t_zero(self, rng):
-        g = random_digraph(rng, 4)
-        assert rel_dev(generating_matrix_via_line_graph(line_graph(g), 0.0), np.eye(4)) == 0.0
+        d = line_graph(random_digraph(rng, 4))
+        phi = generating_matrix_via_line_graph(d, 0.0, rho_v=spectral_radius(d.V))
+        assert rel_dev(phi, np.eye(4)) == 0.0
 
     def test_no_reciprocation_is_plain_resolvent(self, rng):
         for _ in range(8):
@@ -205,7 +219,7 @@ class TestGeneratingViaLineGraph:
             d = line_graph(g)
             rho_a = spectral_radius(adjacency(g))
             t = 0.3 if rho_a == 0 else 0.3 / rho_a
-            phi = generating_matrix_via_line_graph(d, t)
+            phi = generating_matrix_via_line_graph(d, t, rho_v=spectral_radius(d.V))
             want = np.linalg.inv(np.eye(5) - t * adjacency(g).toarray())
             assert rel_dev(phi, want) <= 1e-12
 
@@ -224,12 +238,12 @@ class TestGeneratingViaLineGraph:
     def test_rejects_t_at_radius(self):
         d = line_graph(directed_cycle((1, 1, 1)))
         with pytest.raises(ValidationError):
-            generating_matrix_via_line_graph(d, 1.0)
+            generating_matrix_via_line_graph(d, 1.0, rho_v=spectral_radius(d.V))
 
     def test_limited_to_dense_order(self):
         d = line_graph(directed_cycle((1.0,) * (DENSE_SOLVE_MAX + 1)))
         with pytest.raises(ValidationError, match="limited to 2000 edges"):
-            generating_matrix_via_line_graph(d, 0.5)
+            generating_matrix_via_line_graph(d, 0.5, rho_v=1.0)  # the unit cycle's radius
 
     def test_singular_resolvent_raises(self):
         # unit 3-cycle at t = 1: I - tV is singular; a false radius lets t
@@ -247,10 +261,11 @@ class TestSeriesPastTheFloat64Range:
     a warning.  The exponential's sum, about 3.4e43, stays in range."""
 
     @staticmethod
-    def plan(series) -> CentralityPlan:
+    def plan(series, t=25.0) -> CentralityPlan:
         g = WeightedGraph([str(i) for i in range(6)],
                           [(i, j, 1.0) for i in range(6) for j in range(6) if i != j])
-        return CentralityPlan(line_graph(g), series, 25.0)
+        d = line_graph(g)
+        return CentralityPlan(d, series, t, rho_v=spectral_radius(d.V))
 
     def test_exponential_stays_in_range(self):
         plan = self.plan(CoefficientSeries.exponential())
@@ -264,6 +279,15 @@ class TestSeriesPastTheFloat64Range:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = f_centrality(plan)
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    @pytest.mark.parametrize("t", [163.0, 175.0])
+    def test_exponential_order_stays_in_range(self, t):
+        # V 1 = 4 * 1, so every score is 1 + (5/4)(e^{4t} - 1), 1.9e283 at
+        # t = 163; the truncation order's scalar term a^k / (k+1)!, with
+        # a = 1.1 t rho(V), overflowed from a of about 715 and the call raised
+        want = 1.0 + 1.25 * math.expm1(4.0 * t)
+        got = f_centrality(self.plan(CoefficientSeries.exponential(), t))
         assert np.max(np.abs(got - want) / want) <= 1e-10
 
     @pytest.mark.parametrize("series", [CoefficientSeries.custom(np.ones(200))],

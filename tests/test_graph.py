@@ -419,6 +419,11 @@ class TestLineGraphBitwise:
             assert_bitwise_equal(out_half, matmul(ref["L"].T, ref["sqrt_Z"]))
             assert_bitwise_equal(in_half, matmul(ref["sqrt_Z"], ref["R"]))
 
+    def test_matches_product_form_at_bench_size(self, bench_size_graph):
+        # 20,000 nodes and about 125,000 edges: the run lookup at the size of
+        # the benchmark's static-large input
+        assert_bitwise_equal(line_graph(bench_size_graph).V, product_form(bench_size_graph)["V"])
+
     def test_v_holds_no_reversal(self):
         # f reverses e when dst[f] == src[e]; V keeps no such step, even where
         # the weight product w_e * w_f underflows to zero

@@ -51,3 +51,26 @@ def test_no_unused_imports(name):
                                                 for t in node.targets):
             exported.update(ast.literal_eval(node.value))
     assert not imported - used - exported
+
+
+def test_no_dead_definitions():
+    # every module-level function and class is named somewhere else in the
+    # package: called or read, imported, or exported through an __all__
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(nbtwalks.__file__).parent.glob("*.py"))]
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                      for t in node.targets):
+                named.update(ast.literal_eval(node.value))
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    dead = sorted(defined - named)
+    assert not dead

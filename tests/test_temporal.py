@@ -21,7 +21,7 @@ from nbtwalks.edge_level import (
 )
 from nbtwalks.errors import NumericalError, ValidationError
 from nbtwalks.graph import WeightedGraph, adjacency, line_graph
-from nbtwalks.linalg import diag_matrix, matmul, spectral_radius
+from nbtwalks.linalg import diag_matrix, matmul, range_end, spectral_radius
 from nbtwalks.oracle import count_temporal_walks_bruteforce
 from nbtwalks.temporal import (
     BacktrackRegime,
@@ -32,7 +32,6 @@ from nbtwalks.temporal import (
     load_temporal_edge_list,
     load_temporal_manifest,
     parse_temporal_edge_list,
-    permitted_t_range,
     temporal_f_centrality,
     temporal_walk_counts,
 )
@@ -224,10 +223,10 @@ def underflow_example(weight=1.0) -> TemporalGraph:
 
 
 def product_block_form(tg: TemporalGraph, regime: BacktrackRegime) -> sp.csr_array:
-    """M built block by block from incidence products, the construction
-    ``_assemble_transition`` replaced: each upper block is ``sqrt_Z1 R1 L2^T
-    sqrt_Z2``, with the reversals of ``R2 L1^T`` masked out when the regime
-    forbids backtracking in time."""
+    """M built block by block from incidence products, the reference that
+    ``graph._continuations`` must match: each upper block is ``sqrt_Z1 R1
+    L2^T sqrt_Z2``, with the reversals of ``R2 L1^T`` masked out when the
+    regime forbids backtracking in time."""
     per = [line_graph(g) for g in tg.snapshots]
     if not sum(d.m for d in per):
         return sp.csr_array((0, 0), dtype=np.float64)
@@ -299,18 +298,18 @@ class TestBlockAssemblyBitwise:
                                  product_block_form(tg, regime))
 
     def test_one_pass(self, monkeypatch):
-        # the values of M are scaled once, not once per block
-        scaled = []
-        real = nbtwalks.temporal._on_chain
+        # M is built by one call of the builder, not one per block
+        built = []
+        real = nbtwalks.temporal._continuations
 
-        def counted(*args):
-            scaled.append(args)
-            return real(*args)
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
 
         gd = build_global_transition(random_temporal(np.random.default_rng(3), 4, 5),
                                      BacktrackRegime.FORBID_ALL)
-        monkeypatch.setattr(nbtwalks.temporal, "_on_chain", counted)
-        assert gd.M.nnz and len(scaled) == 1
+        monkeypatch.setattr(nbtwalks.temporal, "_continuations", counted)
+        assert gd.M.nnz and len(built) == 1
 
 
 class TestUnionBlocks:
@@ -679,6 +678,22 @@ class TestClassicalKatz:
             classical_temporal_katz(tg, 0.5)
 
 
+class TestAllowAllIsClassicalKatz:
+    """Under allow-all a temporal walk may take any continuation, reversals
+    included, so the resolvent communicability is the classical product of
+    snapshot resolvents, and both measures share one range."""
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9])
+    def test_measures_coincide(self, fraction):
+        tg = load_temporal_edge_list(GOLDEN_TEMPORAL)
+        gd = build_global_transition(tg, BacktrackRegime.ALLOW_ALL)
+        assert gd.transition_radius == tg.max_adjacency_radius > 0.0
+        t = fraction * range_end(gd.transition_radius)
+        communicability = temporal_f_centrality(gd, RESOLVENT, t)
+        katz = classical_temporal_katz(tg, t)
+        assert np.max(np.abs(communicability - katz) / katz) <= 1e-12
+
+
 class TestScoresPastTheFloat64Range:
     """On 200 copies of the complete digraph on 6 nodes with unit weights, at
     0.99 of the range end, the scores pass the float64 range some 150
@@ -729,23 +744,19 @@ class TestScoresPastTheFloat64Range:
 
 
 class TestPermittedRange:
+    """The permitted range [0, range_end(rho)) of t, from the transition
+    radius or, for the classical measure, the largest adjacency radius."""
+
     def test_zero_transition_is_unbounded(self):
-        tg = two_snapshot_example()
-        lo, hi = permitted_t_range(tg, BacktrackRegime.FORBID_ALL)
-        assert lo == 0.0 and hi == math.inf
+        gd = build_global_transition(two_snapshot_example(), BacktrackRegime.FORBID_ALL)
+        assert gd.transition_radius == 0.0 and range_end(gd.transition_radius) == math.inf
 
     def test_classical_uses_largest_snapshot_radius(self):
         tg = two_snapshot_example()
-        lo, hi = permitted_t_range(tg, classical=True)
-        assert (lo, hi) == (0.0, math.inf)  # single edges have radius zero
+        assert range_end(tg.max_adjacency_radius) == math.inf  # single edges have radius zero
         tri = WeightedGraph(["1", "2"], [(0, 1, 4.0), (1, 0, 4.0)])
         tg2 = TemporalGraph([tri, tri], [0.0, 1.0])
-        lo, hi = permitted_t_range(tg2, classical=True)
-        assert hi == pytest.approx(0.25, rel=1e-8)
-
-    def test_regime_required_without_gd(self):
-        with pytest.raises(ValidationError):
-            permitted_t_range(two_snapshot_example())
+        assert range_end(tg2.max_adjacency_radius) == pytest.approx(0.25, rel=1e-8)
 
 
 class TestIngestion:

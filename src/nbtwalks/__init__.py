@@ -12,7 +12,6 @@ from .edge_level import (
     CentralityPlan,
     CoefficientSeries,
     apply_shifted_series,
-    convergence_radius,
     f_centrality,
     generating_matrix_via_line_graph,
     nbt_counts_via_line_graph,
@@ -28,12 +27,10 @@ from .graph import (
     WeightedGraph,
     adjacency,
     binarize,
-    graph_from_records,
     line_graph,
     load_edge_list,
     load_matrix_market,
     parse_edge_list,
-    save_matrix_market,
 )
 from .linalg import (
     elementwise_map,

@@ -416,7 +416,7 @@ def cmd_walk_count(args) -> int:
         header = ["length", "source", "target", "count"]
     else:
         gd = build_global_transition(data, BacktrackRegime(args.regime))
-        tables = ((k, temporal_walk_counts(gd, k - 1)) for k in range(1, args.kmax + 1))
+        tables = enumerate(temporal_walk_counts(gd, args.kmax - 1) if args.kmax else [], start=1)
         labels = gd.edge_labels()
         header = ["length", "from_edge", "to_edge", "count"]
     labels = np.asarray(labels)

@@ -81,7 +81,8 @@ def static_battery(
     dev = max(deviation(recurrence[k], oracle[k]) for k in range(kmax + 1))
     results.append(CheckResult("nbt recurrence vs enumeration", dev, tol))
 
-    projected = [nbt_counts_via_line_graph(d, k) for k in range(kmax)]
+    # entry k of the projections walks k + 1 edges
+    projected = nbt_counts_via_line_graph(d, kmax - 1) if kmax else []
     dev = max(
         (deviation(projected[k], oracle[k + 1]) for k in range(kmax)), default=0.0
     )
@@ -95,8 +96,8 @@ def static_battery(
     dense_a = a.toarray()
     power = dense_a.copy()
     dev = 0.0
-    for k in range(kmax):
-        dev = max(dev, deviation(walk_counts_via_line_graph(d, k), power))
+    for walks in walk_counts_via_line_graph(d, kmax - 1) if kmax else []:
+        dev = max(dev, deviation(walks, power))
         power = power @ dense_a
     results.append(CheckResult("line-graph walk projection vs adjacency powers", dev, tol))
 
@@ -128,10 +129,8 @@ def temporal_battery(
     decompositions = {regime: build_global_transition(tg, regime) for regime in BacktrackRegime}
     for regime, gd in decompositions.items():
         oracle = count_temporal_walks_bruteforce(tg, regime, kmax + 1)
-        dev = max(
-            deviation(temporal_walk_counts(gd, k), oracle[k + 1])
-            for k in range(kmax + 1)
-        )
+        dev = max(deviation(counts, oracle[k + 1])
+                  for k, counts in enumerate(temporal_walk_counts(gd, kmax)))
         results.append(
             CheckResult(f"temporal transition counts vs enumeration [{regime.value}]", dev, tol)
         )

@@ -1,5 +1,5 @@
-"""Edge-level route: projections through the line graph, series-weighted
-centralities, and convergence-radius certification.
+"""Edge-level route: projections through the line graph and series-weighted
+centralities.
 
 All centralities here are computed matrix-free: the edge-level resolvent or
 series is only ever applied to vectors, never inverted, since the number of
@@ -23,7 +23,6 @@ from .linalg import (
     matmul,
     range_end,
     solve_linear,
-    spectral_radius,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "f_centrality",
     "project_to_nodes",
     "generating_matrix_via_line_graph",
-    "convergence_radius",
 ]
 
 _MAX_SERIES_TERMS = 100_000
@@ -85,31 +83,34 @@ class CoefficientSeries:
         return 1.0
 
 
-def walk_counts_via_line_graph(decomposition: LineGraphDecomposition, k: int) -> sp.csr_array:
-    """Project k line-graph steps back to node level; equals the (k+1)-th
-    power of the adjacency matrix."""
-    if k < 0:
-        raise ValidationError(f"k must be nonnegative, got {k}")
-    return _project(decomposition, decomposition.half_walk_matrix(), k)
+def walk_counts_via_line_graph(decomposition: LineGraphDecomposition,
+                               kmax: int) -> list[sp.csr_array]:
+    """Project k line-graph steps back to node level for k = 0..kmax; entry
+    k equals the (k+1)-th power of the adjacency matrix."""
+    return _project(decomposition, decomposition.half_walk_matrix, kmax)
 
 
-def nbt_counts_via_line_graph(decomposition: LineGraphDecomposition, k: int) -> sp.csr_array:
-    """Project k backtrack-pruned steps back to node level; equals the
-    nonbacktracking walk-count matrix of length k+1."""
-    if k < 0:
-        raise ValidationError(f"k must be nonnegative, got {k}")
-    return _project(decomposition, decomposition.V, k)
+def nbt_counts_via_line_graph(decomposition: LineGraphDecomposition,
+                              kmax: int) -> list[sp.csr_array]:
+    """Project k backtrack-pruned steps back to node level for k = 0..kmax;
+    entry k equals the nonbacktracking walk-count matrix of length k+1."""
+    return _project(decomposition, decomposition.V, kmax)
 
 
-def _project(d: LineGraphDecomposition, transition: sp.csr_array, k: int) -> sp.csr_array:
-    if k == 0:
-        # zero steps collapse the two half-weight brackets into one full
-        # weight: the factorization L^T Z R is the adjacency itself
-        return adjacency(d.graph)
+def _project(d: LineGraphDecomposition, transition: sp.csr_array,
+             kmax: int) -> list[sp.csr_array]:
+    """``L^T Z^1/2 (T^k (Z^1/2 R))`` for k = 0..kmax, with T the transition:
+    one pass, one product with T per length."""
+    if kmax < 0:
+        raise ValidationError(f"kmax must be nonnegative, got {kmax}")
+    # zero steps collapse the two half-weight brackets into one full weight:
+    # the factorization L^T Z R is the adjacency itself
+    out = [adjacency(d.graph)]
     out_half, acc = _half_incidences(d)
-    for _ in range(k):
+    for _ in range(kmax):
         acc = matmul(transition, acc)
-    return matmul(out_half, acc)
+        out.append(matmul(out_half, acc))
+    return out
 
 
 def _half_incidences(d: LineGraphDecomposition) -> tuple[sp.csr_array, sp.csr_array]:
@@ -288,10 +289,3 @@ def generating_matrix_via_line_graph(
             f"edge-level resolvent is too ill-conditioned (inverse residual {residual:.3e})"
         )
     return np.eye(n) + t * (out_half @ y)
-
-
-def convergence_radius(decomposition: LineGraphDecomposition) -> float:
-    """Largest permitted attenuation factor for the plain walk generating
-    function: the reciprocal spectral radius of the pruned transition matrix
-    (infinite when that matrix is nilpotent)."""
-    return range_end(spectral_radius(decomposition.V))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,12 +25,10 @@ __all__ = [
     "LineGraphDecomposition",
     "parse_edge_list",
     "load_edge_list",
-    "graph_from_records",
     "adjacency",
     "binarize",
     "line_graph",
     "load_matrix_market",
-    "save_matrix_market",
 ]
 
 
@@ -257,35 +254,6 @@ def _code_labels(src: list, dst: list):
     return labels, coded[0::2], coded[1::2]
 
 
-def graph_from_records(
-    records,
-    *,
-    merge: str = "reject",
-    drop_loops: bool = False,
-) -> WeightedGraph:
-    """Build a validated graph from ``(src_label, dst_label, weight)`` records.
-
-    ``merge`` controls duplicate (src, dst) pairs: ``"reject"`` raises,
-    ``"sum"`` accumulates weights in record order.  Self-loops raise unless
-    ``drop_loops``.  The nodes are the labels the records name, indexed in
-    order of first appearance.
-    """
-    records = list(records)
-    return _graph_from_labels(
-        list(map(itemgetter(0), records)),
-        list(map(itemgetter(1), records)),
-        np.array(list(map(itemgetter(2), records)), dtype=np.float64),
-        merge=merge, drop_loops=drop_loops,
-    )
-
-
-def _graph_from_labels(src, dst, weight, *, merge, drop_loops) -> WeightedGraph:
-    """A graph from the label columns and the weights of its records."""
-    labels, src_codes, dst_codes = _code_labels(src, dst)
-    return _graph_from_codes(labels, src_codes, dst_codes, weight, lambda i: (src[i], dst[i]),
-                             merge=merge, drop_loops=drop_loops)
-
-
 def _graph_from_codes(labels, src, dst, weight, pair, *, merge, drop_loops) -> WeightedGraph:
     """Validate edge records and merge them into a graph.
 
@@ -334,7 +302,9 @@ def parse_edge_list(
 ) -> WeightedGraph:
     """Parse an edge-list text (string, iterable of lines, or open file)."""
     src, dst, weight, _ = _read_columns(source)
-    return _graph_from_labels(src, dst, weight, merge=merge, drop_loops=drop_loops)
+    labels, src_codes, dst_codes = _code_labels(src, dst)
+    return _graph_from_codes(labels, src_codes, dst_codes, weight, lambda i: (src[i], dst[i]),
+                             merge=merge, drop_loops=drop_loops)
 
 
 def load_edge_list(path, **options) -> WeightedGraph:
@@ -349,9 +319,9 @@ def adjacency(graph: WeightedGraph) -> sp.csr_array:
 
 
 def binarize(graph: WeightedGraph) -> WeightedGraph:
-    """Copy of the graph with every weight set to 1."""
-    return WeightedGraph._canonical(list(graph.node_labels), graph.src, graph.dst,
-                                    np.ones(graph.m))
+    """The graph with every weight set to 1.  It shares the node-label list,
+    so binarized snapshots of a temporal graph keep their one list."""
+    return WeightedGraph._canonical(graph.node_labels, graph.src, graph.dst, np.ones(graph.m))
 
 
 @dataclass
@@ -365,20 +335,18 @@ class LineGraphDecomposition:
     weights.  None of the three is stored; the graph's ``src``, ``dst`` and
     ``weight`` arrays are them.  The matrices kept or built here are:
 
-    - ``W``: line-graph weight matrix, ``W[e, f] = w_e * w_f`` when edge f
-      continues edge e (end of e equals start of f).
-    - ``B``: W without the steps from an edge to its reversal (the Hashimoto
-      matrix); only chains that do not backtrack survive.
-    - ``V``: half-power form of B, ``sqrt(w_e) * sqrt(w_f)`` on the same
-      pruned chain pattern, so that ``Z^1/2 V**k Z^1/2`` carries true
-      multiplicative walk weights.
+    - ``V``: the backtrack-pruned line graph in half-power form, entry (e,
+      f) ``sqrt(w_e) * sqrt(w_f)`` when edge f continues edge e (end of e
+      equals start of f) and is not its reversal, so that ``Z^1/2 V**k
+      Z^1/2`` carries true multiplicative walk weights of nonbacktracking
+      walks.
+    - ``half_walk_matrix``: the same on the full continuation pattern,
+      reversals included; built on first access and kept.
 
-    All three, and the half-walk matrix, scale one chain pattern: the graph
-    is the single snapshot of ``_continuations``, which builds the temporal
-    matrices too.  f reverses e when ``dst[f] == src[e]``, a test on indices
-    that no underflow can miss.  ``W`` and ``B`` are built on first access
-    and kept; no static route reads them.
-    ``V`` (and every half-power matrix in the package) is assembled from the
+    Both scale one chain pattern: the graph is the single snapshot of
+    ``_continuations``, which builds the temporal matrices too.  f reverses
+    e when ``dst[f] == src[e]``, a test on indices that no underflow can
+    miss.  Every half-power matrix in the package is assembled from the
     square-rooted weights rather than by square-rooting products, so that
     independently built edge-level constructions agree bitwise.
     """
@@ -395,27 +363,9 @@ class LineGraphDecomposition:
     def n(self) -> int:
         return self.graph.n
 
+    @cached_property
     def half_walk_matrix(self) -> sp.csr_array:
-        """Half-power form of W: ``sqrt(w_e) * sqrt(w_f)`` on W's full pattern.
-        Built on the first call and kept."""
-        return self._half_walk
-
-    @cached_property
-    def _half_walk(self) -> sp.csr_array:
         return _static_chain(self.graph, self.sqrt_weights, prune=False)
-
-    @cached_property
-    def W(self) -> sp.csr_array:
-        return _static_chain(self.graph, self.graph.weight, prune=False)
-
-    @cached_property
-    def B(self) -> sp.csr_array:
-        return _static_chain(self.graph, self.graph.weight, prune=True)
-
-    def edge_labels(self) -> list[str]:
-        labels = self.graph.node_labels
-        return [f"{labels[s]}->{labels[d]}"
-                for s, d in zip(self.graph.src.tolist(), self.graph.dst.tolist())]
 
 
 def _continuations(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, n: int,
@@ -518,14 +468,4 @@ def load_matrix_market(
         labels, src, dst, matrix.data[stored].astype(np.float64),
         lambda i: (labels[src[i]], labels[dst[i]]),
         merge=merge, drop_loops=drop_loops,
-    )
-
-
-def save_matrix_market(graph: WeightedGraph, path) -> None:
-    """Write the adjacency matrix in MatrixMarket coordinate format (1-based,
-    general real)."""
-    import scipy.io
-
-    scipy.io.mmwrite(
-        path, sp.coo_matrix(adjacency(graph)), field="real", symmetry="general"
     )

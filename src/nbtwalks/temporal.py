@@ -235,15 +235,18 @@ def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
     return out
 
 
-def temporal_walk_counts(gd: GlobalDecomposition, k: int) -> sp.csr_array:
-    """Weighted counts of permitted temporal walks of length k+1 between
-    ordered pairs of global edges."""
-    if k < 0:
-        raise ValidationError(f"k must be nonnegative, got {k}")
+def temporal_walk_counts(gd: GlobalDecomposition, kmax: int) -> list[sp.csr_array]:
+    """Weighted counts of permitted temporal walks between ordered pairs of
+    global edges: entry k, for k = 0..kmax, counts the walks of length k+1.
+    One pass, one product with ``M`` per length."""
+    if kmax < 0:
+        raise ValidationError(f"kmax must be nonnegative, got {kmax}")
     acc = sqrt_z = diag_matrix(gd.sqrt_weights)
-    for _ in range(k):
+    out = [matmul(acc, sqrt_z)]
+    for _ in range(kmax):
         acc = matmul(acc, gd.M)
-    return matmul(acc, sqrt_z)
+        out.append(matmul(acc, sqrt_z))
+    return out
 
 
 def temporal_f_centrality(
@@ -334,7 +337,8 @@ def _in_range(x: np.ndarray, tau: int) -> np.ndarray:
     return x
 
 
-def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int) -> np.ndarray:
+def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int,
+                           rejected: NumericalError | None = None) -> np.ndarray:
     """Solve ``(I - t D) y = b`` for one snapshot with a componentwise
     (Oettli-Prager) backward error ``max_i |b + tDy - y|_i / (|b| + |y| +
     tD|y|)_i`` of at most tol.
@@ -346,14 +350,19 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
     :class:`NumericalError` naming the snapshot and the value reached, with
     the block's best solution as ``estimate``.  A solution, or a scale of
     the backward error, past the float64 range fails as ``_in_range`` does.
+    ``rejected``, the error of a ``solve_linear`` call on this system and b
+    that the caller made already, stands in for the first solve.
     """
     system = identity(b.size) - t * block
+
+    def estimate(exc, size):   # the componentwise test below decides
+        return np.zeros(size) if exc.estimate is None else exc.estimate
 
     def solve(rhs):
         try:
             return solve_linear(system, rhs, tol)
-        except NumericalError as exc:   # the componentwise test below decides
-            return np.zeros(rhs.size) if exc.estimate is None else exc.estimate
+        except NumericalError as exc:
+            return estimate(exc, rhs.size)
 
     def backward_error(y):
         # every weight is positive, so b > 0 and no scale entry is zero
@@ -361,7 +370,7 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
         scale = _in_range(b + np.abs(y) + t * (block @ np.abs(y)), tau)
         return float(np.max(np.abs(residual) / scale)), residual
 
-    y = _in_range(solve(b), tau)
+    y = _in_range(solve(b) if rejected is None else estimate(rejected, b.size), tau)
     best, best_error = y, math.inf
     for attempt in range(CORRECTION_SOLVES + 1):
         error, residual = backward_error(y)
@@ -383,8 +392,9 @@ def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> 
     resolvents applied to the all-ones vector, right to left, one sparse
     solve per snapshot.  A solve that misses ``solve_linear``'s normwise
     certificate may still meet the componentwise one of
-    ``_certified_block_solve``, which decides.  The first solution that is
-    not finite raises :class:`NumericalError` (``_in_range``)."""
+    ``_certified_block_solve``, which starts from the rejected solution.
+    The first solution that is not finite raises :class:`NumericalError`
+    (``_in_range``)."""
     check_t(t, range_end(tg.max_adjacency_radius), " for the classical temporal measure")
     x = np.ones(tg.n)
     eye = identity(tg.n)
@@ -393,9 +403,10 @@ def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> 
         for tau in reversed(range(len(tg.snapshots))):
             a = adjacency(tg.snapshots[tau])
             try:
-                x = _in_range(solve_linear(eye - t * a, x, tol), tau)
-            except NumericalError:   # A and x are nonnegative, as the resolvent's are
-                x = _certified_block_solve(a, t, x, tol, tau)
+                y = solve_linear(eye - t * a, x, tol)
+            except NumericalError as exc:   # A and x are nonnegative, as the resolvent's are
+                y = _certified_block_solve(a, t, x, tol, tau, rejected=exc)
+            x = _in_range(y, tau)
     return x
 
 

@@ -9,7 +9,6 @@ import pytest
 import scipy.sparse as sp
 
 import nbtwalks.cli
-import nbtwalks.edge_level
 import nbtwalks.temporal
 from nbtwalks.cli import _kendall_tau_b, _ranking, main, printed, read_back
 from nbtwalks.graph import adjacency, line_graph
@@ -121,7 +120,7 @@ class TestRadiusCalls:
             seen.append(matrix)
             return spectral_radius(matrix, *args, **kwargs)
 
-        for module in (nbtwalks.cli, nbtwalks.temporal, nbtwalks.edge_level):
+        for module in (nbtwalks.cli, nbtwalks.temporal):
             monkeypatch.setattr(module, "spectral_radius", counted)
         return seen
 
@@ -341,6 +340,23 @@ class TestTinyWeights:
         assert code == 0
         assert "a,6.66666666667e+169,1" in out.splitlines()
 
+    def test_temporal_katz_solves_each_snapshot_once(self, tiny, monkeypatch, capsys):
+        # the componentwise check starts from the rejected solve's estimate
+        # instead of repeating that solve: one call per snapshot
+        calls = []
+        solve = nbtwalks.temporal.solve_linear
+
+        def counted(matrix, rhs, tol=1e-10):
+            calls.append(matrix.shape)
+            return solve(matrix, rhs, tol)
+
+        monkeypatch.setattr(nbtwalks.temporal, "solve_linear", counted)
+        code, out, _ = run_cli(["centrality", "--input", tiny, "--temporal", "--measure", "katz",
+                                "--t", "0.5r"], capsys)
+        assert code == 0
+        assert "a,6.66666666667e+169,1" in out.splitlines()
+        assert len(calls) == 2
+
     def test_oracle_check_passes(self, tiny, capsys):
         code, out, _ = run_cli(["oracle-check", "--input", tiny, "--temporal"], capsys)
         assert code == 0
@@ -542,10 +558,13 @@ class TestValidationPaths:
         assert "required" in err
 
     def test_matrix_market_input(self, tmp_path, capsys):
-        from nbtwalks.graph import parse_edge_list, save_matrix_market
+        import scipy.io
+
+        from nbtwalks.graph import parse_edge_list
 
         path = tmp_path / "g.mtx"
-        save_matrix_market(parse_edge_list(TRIANGLE), path)
+        scipy.io.mmwrite(path, sp.coo_matrix(adjacency(parse_edge_list(TRIANGLE))),
+                         field="real", symmetry="general")
         code, out, _ = run_cli(["radius", "--input", str(path)], capsys)
         assert code == 0
         assert "original,rho_adjacency,2" in out

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from nbtwalks.edge_level import (
     CentralityPlan,
     CoefficientSeries,
+    _half_incidences,
     apply_shifted_series,
-    convergence_radius,
     f_centrality,
     generating_matrix_via_line_graph,
     nbt_counts_via_line_graph,
@@ -18,11 +18,12 @@ from nbtwalks.edge_level import (
     walk_counts_via_line_graph,
 )
 from nbtwalks.errors import NumericalError, ValidationError
-from nbtwalks.graph import WeightedGraph, adjacency, binarize, line_graph
-from nbtwalks.linalg import DENSE_SOLVE_MAX, spectral_radius
+from nbtwalks.graph import WeightedGraph, _static_chain, adjacency, binarize, line_graph
+from nbtwalks.linalg import DENSE_SOLVE_MAX, matmul, range_end, spectral_radius
 from nbtwalks.node_level import generating_matrix, nbt_katz, nbt_walk_counts
 
 from conftest import (
+    assert_bitwise_equal,
     directed_cycle,
     product_form,
     random_digraph,
@@ -37,12 +38,12 @@ class TestProjections:
     def test_zero_steps_recovers_adjacency(self, rng):
         g = random_digraph(rng, 5)
         d = line_graph(g)
-        assert rel_dev(walk_counts_via_line_graph(d, 0), adjacency(g)) == 0.0
-        assert rel_dev(nbt_counts_via_line_graph(d, 0), adjacency(g)) == 0.0
+        assert rel_dev(walk_counts_via_line_graph(d, 0)[0], adjacency(g)) == 0.0
+        assert rel_dev(nbt_counts_via_line_graph(d, 0)[0], adjacency(g)) == 0.0
 
     def test_cycle_three_steps(self):
         d = line_graph(directed_cycle((1, 2, 3)))
-        out = walk_counts_via_line_graph(d, 2)
+        out = walk_counts_via_line_graph(d, 2)[2]
         assert rel_dev(out, 6 * np.eye(3)) <= 1e-15
 
     def test_one_step_equals_squared_adjacency(self, rng):
@@ -50,15 +51,15 @@ class TestProjections:
             g = random_digraph(rng, 5)
             d = line_graph(g)
             dense = adjacency(g).toarray()
-            assert rel_dev(walk_counts_via_line_graph(d, 1), dense @ dense) <= 1e-13
+            assert rel_dev(walk_counts_via_line_graph(d, 1)[1], dense @ dense) <= 1e-13
 
     def test_reciprocated_pair_projects_to_zero(self):
         d = line_graph(two_node_reciprocated(1.5))
-        assert nbt_counts_via_line_graph(d, 1).nnz == 0
+        assert nbt_counts_via_line_graph(d, 1)[1].nnz == 0
 
     def test_path_projection_matches_hand_count(self):
         d = line_graph(undirected_path())
-        p2 = nbt_counts_via_line_graph(d, 1).toarray()
+        p2 = nbt_counts_via_line_graph(d, 1)[1].toarray()
         assert p2[0, 2] == pytest.approx(2.0, abs=1e-14)
         assert p2[2, 0] == pytest.approx(2.0, abs=1e-14)
         assert np.count_nonzero(p2) == 2
@@ -68,8 +69,27 @@ class TestProjections:
             g = random_digraph(rng, int(rng.integers(2, 7)))
             d = line_graph(g)
             counts = nbt_walk_counts(adjacency(g), 6)
+            projected = nbt_counts_via_line_graph(d, 5)
+            assert len(projected) == 6
             for k in range(6):
-                assert rel_dev(nbt_counts_via_line_graph(d, k), counts[k + 1]) <= 1e-12
+                assert rel_dev(projected[k], counts[k + 1]) <= 1e-12
+
+    @pytest.mark.parametrize("route", [walk_counts_via_line_graph, nbt_counts_via_line_graph])
+    def test_every_length_from_one_pass(self, rng, route):
+        # entry k is bit for bit the projection L^T Z^1/2 (T (T ... (T Z^1/2 R)))
+        # with k factors T, as a separate call for each k would compute it
+        for g in [random_digraph(rng, 7) for _ in range(5)] + [undirected_path()]:
+            d = line_graph(g)
+            transition = d.half_walk_matrix if route is walk_counts_via_line_graph else d.V
+            out_half, acc = _half_incidences(d)
+            counts = route(d, 4)
+            assert len(counts) == 5
+            assert_bitwise_equal(counts[0], adjacency(g))
+            for k in range(1, 5):
+                acc = matmul(transition, acc)
+                assert_bitwise_equal(counts[k], matmul(out_half, acc))
+        with pytest.raises(ValidationError, match="kmax must be nonnegative"):
+            route(d, -1)
 
 
 class TestProjectToNodes:
@@ -304,19 +324,20 @@ class TestSeriesPastTheFloat64Range:
 
 class TestRadius:
     def test_path_is_unbounded(self):
-        assert convergence_radius(line_graph(undirected_path())) == math.inf
+        assert range_end(spectral_radius(line_graph(undirected_path()).V)) == math.inf
 
     def test_cycle_radius(self):
-        r = convergence_radius(line_graph(directed_cycle((1, 2, 3))))
+        r = range_end(spectral_radius(line_graph(directed_cycle((1, 2, 3))).V))
         assert r == pytest.approx(6 ** (-1 / 3), rel=1e-7)
 
     def test_binarized_half_power_is_itself(self, rng):
         for _ in range(5):
             g = binarize(random_digraph(rng, 6))
             d = line_graph(g)
-            assert rel_dev(d.V, d.B) == 0.0
+            b = _static_chain(g, g.weight, prune=True)
+            assert rel_dev(d.V, b) == 0.0
             assert spectral_radius(d.V) == pytest.approx(
-                spectral_radius(d.B), rel=1e-9, abs=1e-12
+                spectral_radius(b), rel=1e-9, abs=1e-12
             )
 
     def test_pruning_cannot_increase_radius(self, rng):
@@ -324,5 +345,5 @@ class TestRadius:
             g = random_digraph(rng, 6)
             d = line_graph(g)
             rho_pruned = spectral_radius(d.V)
-            rho_full = spectral_radius(d.half_walk_matrix())
+            rho_full = spectral_radius(d.half_walk_matrix)
             assert rho_pruned <= rho_full * (1 + 1e-7) + 1e-12

@@ -4,20 +4,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 import nbtwalks.graph
+from nbtwalks import cli
 from nbtwalks.edge_level import _half_incidences, walk_counts_via_line_graph
 from nbtwalks.errors import ValidationError
 from nbtwalks.graph import (
     WeightedGraph,
     adjacency,
     binarize,
-    graph_from_records,
     line_graph,
     load_edge_list,
     load_matrix_market,
     parse_edge_list,
-    save_matrix_market,
 )
 from nbtwalks.linalg import matmul, spectral_radius
 from nbtwalks.temporal import load_temporal_edge_list, parse_temporal_edge_list
@@ -30,6 +31,7 @@ from conftest import (
     rel_dev,
     two_node_reciprocated,
     undirected_path,
+    write_uniform_temporal,
 )
 
 
@@ -295,14 +297,30 @@ class TestAdjacency:
         g = binarize(directed_cycle((1, 2, 3)))
         assert all(w == 1.0 for _, _, w in g.edges)
 
+    def test_binarized_snapshots_share_one_label_list(self, tmp_path):
+        tg = load_temporal_edge_list(write_uniform_temporal(tmp_path / "t.txt", 1, 50, 20, 30))
+        binarized = cli._binarized("temporal", tg)
+        labels = tg.snapshots[0].node_labels
+        assert all(g.node_labels is labels for g in binarized.snapshots)
+        assert binarize(tg.snapshots[0]).node_labels is labels
+
+
+def full_weight(g, *, prune):
+    """The line graph scaled by the weights, not their square roots: W, or
+    the Hashimoto matrix B when pruned.  ``block_radius_bound`` takes the
+    radius of these."""
+    return nbtwalks.graph._static_chain(g, g.weight, prune=prune)
+
 
 class TestLineGraph:
     def test_undirected_path(self):
-        d = line_graph(undirected_path())
+        g = undirected_path()
+        d = line_graph(g)
         assert d.m == 4
         # canonical lexicographic order: (0,1), (1,0), (1,2), (2,1)
-        assert d.edge_labels() == ["1->2", "2->1", "2->3", "3->2"]
-        b = d.B.toarray()
+        labels = [f"{g.node_labels[s]}->{g.node_labels[d]}" for s, d, _ in g.edges]
+        assert labels == ["1->2", "2->1", "2->3", "3->2"]
+        b = full_weight(g, prune=True).toarray()
         assert np.count_nonzero(b) == 2
         assert b[0, 2] == 2.0 and b[3, 1] == 2.0
         v = d.V.toarray()
@@ -310,15 +328,19 @@ class TestLineGraph:
         assert spectral_radius(d.V) == 0.0
 
     def test_two_node_reciprocated(self):
-        d = line_graph(two_node_reciprocated(2.0))
-        w = d.W.toarray()
+        g = two_node_reciprocated(2.0)
+        w = full_weight(g, prune=False).toarray()
         assert w[0, 1] == 4.0 and w[1, 0] == 4.0 and np.count_nonzero(w) == 2
-        assert d.B.nnz == 0
+        assert full_weight(g, prune=True).nnz == 0
+        assert line_graph(g).V.nnz == 0
 
     def test_directed_cycle_has_no_backtracking(self):
-        d = line_graph(directed_cycle((1, 2, 3)))
-        assert rel_dev(d.B, d.W) == 0.0
-        assert sorted(d.W.tocoo().data.tolist()) == [2.0, 3.0, 6.0]
+        g = directed_cycle((1, 2, 3))
+        d = line_graph(g)
+        w = full_weight(g, prune=False)
+        assert rel_dev(full_weight(g, prune=True), w) == 0.0
+        assert rel_dev(d.V, d.half_walk_matrix) == 0.0
+        assert sorted(w.tocoo().data.tolist()) == [2.0, 3.0, 6.0]
 
     def test_incidence_factorization_exact(self, rng, bench_size_graph):
         # the factorization A = L^T Z R: zero line-graph steps give the
@@ -328,7 +350,7 @@ class TestLineGraph:
         for g in graphs + TestLineGraphBitwise.graphs() + [bench_size_graph]:
             d = line_graph(g)
             a = adjacency(g)
-            assert_bitwise_equal(walk_counts_via_line_graph(d, 0), a)
+            assert_bitwise_equal(walk_counts_via_line_graph(d, 0)[0], a)
             product = matmul(*_half_incidences(d))
             assert np.array_equal(product.indptr, a.indptr)
             assert np.array_equal(product.indices, a.indices)
@@ -337,8 +359,7 @@ class TestLineGraph:
     def test_line_matrix_semantics(self, rng):
         # W[e, f] is nonzero exactly when f continues e, with value w_e * w_f
         g = random_digraph(rng, 5)
-        d = line_graph(g)
-        w = d.W.toarray()
+        w = full_weight(g, prune=False).toarray()
         for e in range(g.m):
             for f in range(g.m):
                 if g.dst[e] == g.src[f]:
@@ -348,44 +369,42 @@ class TestLineGraph:
 
     def test_no_reciprocation_means_no_pruning(self, rng):
         g = directed_cycle((1.5, 0.5, 2.5, 1.0))
-        d = line_graph(g)
-        assert rel_dev(d.B, d.W) == 0.0
+        assert rel_dev(full_weight(g, prune=True), full_weight(g, prune=False)) == 0.0
 
     def test_half_power_identity(self, rng):
         # entries of the half walk matrix are sqrt(w_e) * sqrt(w_f) on W's
         # pattern, and squaring them reproduces W to within rounding
         for _ in range(10):
             g = random_digraph(rng, 5)
-            d = line_graph(g)
-            half = d.half_walk_matrix()
-            assert np.array_equal(half.indices, d.W.indices)
-            assert np.array_equal(half.indptr, d.W.indptr)
-            assert rel_dev(half.multiply(half), d.W) <= 4e-16
-            sq = d.W.copy()
+            half = line_graph(g).half_walk_matrix
+            w = full_weight(g, prune=False)
+            assert np.array_equal(half.indices, w.indices)
+            assert np.array_equal(half.indptr, w.indptr)
+            assert rel_dev(half.multiply(half), w) <= 4e-16
+            sq = w.copy()
             sq.data = np.sqrt(sq.data)
             assert rel_dev(half, sq) <= 4e-16
 
     def test_half_power_identity_exact_binary(self, rng):
         # for 0/1 weights both routes are exact
         g = binarize(random_digraph(rng, 6))
-        d = line_graph(g)
-        half = d.half_walk_matrix()
-        sq = d.W.copy()
+        half = line_graph(g).half_walk_matrix
+        sq = full_weight(g, prune=False).copy()
         sq.data = np.sqrt(sq.data)
         assert (half - sq).count_nonzero() == 0
 
     def test_v_matches_hashimoto_pattern(self, rng):
         g = random_digraph(rng, 6)
-        d = line_graph(g)
-        assert np.array_equal(d.V.indices, d.B.indices)
-        assert np.array_equal(d.V.indptr, d.B.indptr)
-        if d.B.nnz:
-            assert rel_dev(d.V.multiply(d.V), d.B) <= 4e-16
+        v, b = line_graph(g).V, full_weight(g, prune=True)
+        assert np.array_equal(v.indices, b.indices)
+        assert np.array_equal(v.indptr, b.indptr)
+        if b.nnz:
+            assert rel_dev(v.multiply(v), b) <= 4e-16
 
     def test_empty_graph(self):
         d = line_graph(WeightedGraph(["a", "b"], []))
         assert d.m == 0
-        assert d.W.shape == (0, 0)
+        assert d.V.shape == d.half_walk_matrix.shape == (0, 0)
 
 
 
@@ -412,9 +431,10 @@ class TestLineGraphBitwise:
         for g in graphs:
             d = line_graph(g)
             ref = product_form(g)
-            for name in ("W", "B", "V"):
-                assert_bitwise_equal(getattr(d, name), ref[name])
-            assert_bitwise_equal(d.half_walk_matrix(), ref["half"])
+            assert_bitwise_equal(full_weight(g, prune=False), ref["W"])
+            assert_bitwise_equal(full_weight(g, prune=True), ref["B"])
+            assert_bitwise_equal(d.V, ref["V"])
+            assert_bitwise_equal(d.half_walk_matrix, ref["half"])
             out_half, in_half = _half_incidences(d)
             assert_bitwise_equal(out_half, matmul(ref["L"].T, ref["sqrt_Z"]))
             assert_bitwise_equal(in_half, matmul(ref["sqrt_Z"], ref["R"]))
@@ -434,14 +454,14 @@ class TestLineGraphBitwise:
     def test_half_walk_matrix_is_built_once(self):
         d = line_graph(undirected_path())
         assert set(vars(d)) == {"graph", "sqrt_weights", "V"}
-        assert d.half_walk_matrix() is d.half_walk_matrix()
+        assert d.half_walk_matrix is d.half_walk_matrix
 
 
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path, rng):
         g = random_digraph(rng, 5)
         path = tmp_path / "adj.mtx"
-        save_matrix_market(g, path)
+        scipy.io.mmwrite(path, sp.coo_matrix(adjacency(g)), field="real", symmetry="general")
         back = load_matrix_market(path)
         assert rel_dev(adjacency(back), adjacency(g)) <= 1e-12
         assert back.node_labels == [str(i + 1) for i in range(5)]

@@ -477,7 +477,7 @@ def _golden_matrices():
         yield f"temporal snapshot {tau} A", adjacency(g)
     for tau, d in enumerate(map(line_graph, tg.snapshots)):
         yield f"temporal snapshot {tau} V", d.V
-        yield f"temporal snapshot {tau} half-walk", d.half_walk_matrix()
+        yield f"temporal snapshot {tau} half-walk", d.half_walk_matrix
 
 
 def test_radius_matches_dense_eigenvalues_to_machine_precision():

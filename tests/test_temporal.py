@@ -101,7 +101,7 @@ class TestGlobalAssembly:
         forbid = build_global_transition(tg, BacktrackRegime.FORBID_SPACE)
         assert (forbid.M - d.V).count_nonzero() == 0
         allow = build_global_transition(tg, BacktrackRegime.ALLOW_ALL)
-        assert (allow.M - d.half_walk_matrix()).count_nonzero() == 0
+        assert (allow.M - d.half_walk_matrix).count_nonzero() == 0
 
     def test_block_triangular(self, rng):
         tg = random_temporal(rng, 3, 4)
@@ -192,7 +192,7 @@ class TestGradedRadius:
         want = 10.0 ** (-373 / 3)
         tg = underflow_example()
         d = line_graph(tg.snapshots[0])
-        for m in (adjacency(tg.snapshots[0]), d.half_walk_matrix(), d.V):
+        for m in (adjacency(tg.snapshots[0]), d.half_walk_matrix, d.V):
             assert abs(spectral_radius(m) - want) <= 1e-13 * want
         for regime in BacktrackRegime:
             rho = build_global_transition(tg, regime).transition_radius
@@ -233,7 +233,7 @@ def product_block_form(tg: TemporalGraph, regime: BacktrackRegime) -> sp.csr_arr
     blocks = [[None] * len(per) for _ in per]
     refs = [product_form(g) for g in tg.snapshots]
     for t1, (d1, r1) in enumerate(zip(per, refs)):
-        blocks[t1][t1] = d1.V if regime.forbids_space else d1.half_walk_matrix()
+        blocks[t1][t1] = d1.V if regime.forbids_space else d1.half_walk_matrix
         for t2 in range(t1 + 1, len(per)):
             r2 = refs[t2]
             half = matmul(matmul(r1["sqrt_Z"], matmul(r1["R"], r2["L"].T)), r2["sqrt_Z"])
@@ -320,16 +320,17 @@ class TestUnionBlocks:
     @staticmethod
     def check(tg, monkeypatch):
         per = [line_graph(g) for g in tg.snapshots]
+        refs = [product_form(g) for g in tg.snapshots]
         seen = []
         monkeypatch.setattr(nbtwalks.temporal, "spectral_radius", lambda m: seen.append(m) or 0.0)
         for regime in BacktrackRegime:
             gd = build_global_transition(tg, regime)
             space = regime.forbids_space
             assert_bitwise_equal(gd.blocks, sp.block_diag(
-                [d.V if space else d.half_walk_matrix() for d in per], format="csr"))
+                [d.V if space else d.half_walk_matrix for d in per], format="csr"))
             assert gd.block_radius_bound == 0.0
             assert_bitwise_equal(seen.pop(), sp.block_diag(
-                [d.B if space else d.W for d in per], format="csr"))
+                [ref["B" if space else "W"] for ref in refs], format="csr"))
 
     def test_instances(self, tmp_path, monkeypatch):
         for tg in TestBlockAssemblyBitwise.instances(tmp_path):
@@ -343,18 +344,19 @@ class TestUnionBlocks:
 class TestWalkCounts:
     def test_example_allow_all(self):
         gd = build_global_transition(two_snapshot_example(), BacktrackRegime.ALLOW_ALL)
-        counts = temporal_walk_counts(gd, 1)
+        counts = temporal_walk_counts(gd, 1)[1]
         assert counts[0, 1] == pytest.approx(6.0, rel=1e-14)
         assert counts.nnz == 1
 
     def test_example_forbid_all_vanishes(self):
         gd = build_global_transition(two_snapshot_example(), BacktrackRegime.FORBID_ALL)
-        for k in (1, 2, 3):
-            assert temporal_walk_counts(gd, k).nnz == 0
+        counts = temporal_walk_counts(gd, 3)
+        assert len(counts) == 4 and counts[0].nnz == 2
+        assert all(c.nnz == 0 for c in counts[1:])
 
     def test_nilpotent_beyond_longest_walk(self):
         gd = build_global_transition(two_snapshot_example(), BacktrackRegime.ALLOW_ALL)
-        assert temporal_walk_counts(gd, 2).nnz == 0
+        assert temporal_walk_counts(gd, 2)[2].nnz == 0
 
     def test_matches_oracle_all_regimes(self, rng):
         for _ in range(8):
@@ -362,8 +364,25 @@ class TestWalkCounts:
             for regime in BacktrackRegime:
                 gd = build_global_transition(tg, regime)
                 oracle = count_temporal_walks_bruteforce(tg, regime, 5)
-                for k in range(5):
-                    assert rel_dev(temporal_walk_counts(gd, k), oracle[k + 1]) <= 1e-12
+                for k, counts in enumerate(temporal_walk_counts(gd, 4)):
+                    assert rel_dev(counts, oracle[k + 1]) <= 1e-12
+
+    def test_every_length_from_one_pass(self, rng):
+        # entry k is bit for bit ((Z^1/2 M) M ... M) Z^1/2 with k factors M,
+        # as a separate call for each k would compute it
+        for _ in range(5):
+            tg = random_temporal(rng)
+            for regime in BacktrackRegime:
+                gd = build_global_transition(tg, regime)
+                counts = temporal_walk_counts(gd, 4)
+                assert len(counts) == 5
+                acc = sqrt_z = diag_matrix(gd.sqrt_weights)
+                assert_bitwise_equal(counts[0], matmul(acc, sqrt_z))
+                for k in range(1, 5):
+                    acc = matmul(acc, gd.M)
+                    assert_bitwise_equal(counts[k], matmul(acc, sqrt_z))
+        with pytest.raises(ValidationError, match="kmax must be nonnegative"):
+            temporal_walk_counts(gd, -1)
 
 
 class TestCentrality:
@@ -497,7 +516,8 @@ class TestBlockCertificate:
         gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
         line_graphs = [line_graph(g) for g in tg.snapshots]
         assert [d.m for d in line_graphs] == [4, 2]
-        small = line_graphs[0].edge_labels().index("b->d")
+        labels = tg.node_labels
+        small = [(labels[s], labels[d]) for s, d, _ in tg.snapshots[0].edges].index(("b", "d"))
         return gd, 0.5 / gd.transition_radius, small
 
     def stub_solver(self, monkeypatch, perturb):
@@ -858,4 +878,4 @@ class TestIngestion:
         tg = parse_temporal_edge_list("0 1 2 2\n1 2 1 3\n")
         gd = build_global_transition(tg, BacktrackRegime.ALLOW_ALL)
         oracle = count_temporal_walks_bruteforce(tg, BacktrackRegime.ALLOW_ALL, 2)
-        assert rel_dev(temporal_walk_counts(gd, 1), oracle[2]) <= 1e-12
+        assert rel_dev(temporal_walk_counts(gd, 1)[1], oracle[2]) <= 1e-12

@@ -18,6 +18,7 @@ from .errors import NumericalError, ValidationError
 from .graph import LineGraphDecomposition, adjacency
 from .linalg import (
     DENSE_SOLVE_MAX,
+    _dense_solve,
     check_t,
     identity,
     matmul,
@@ -277,15 +278,6 @@ def generating_matrix_via_line_graph(
         return np.eye(n)
 
     out_half, in_half = _half_incidences(d)
-    system = (identity(d.m) - t * d.V).toarray()
-    targets = in_half.toarray()
-    try:
-        y = np.linalg.solve(system, targets)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"edge-level resolvent is singular: {exc}") from exc
-    residual = float(np.max(np.abs(system @ y - targets)))
-    if residual > 1e-6 * float(np.max(np.abs(targets))):
-        raise NumericalError(
-            f"edge-level resolvent is too ill-conditioned (inverse residual {residual:.3e})"
-        )
+    y = _dense_solve((identity(d.m) - t * d.V).toarray(), in_half.toarray(),
+                     "edge-level resolvent")
     return np.eye(n) + t * (out_half @ y)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
+from operator import index
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,8 +39,9 @@ class WeightedGraph:
     The edges are three read-only arrays over 0-based node indices: ``src``,
     ``dst`` and ``weight``, sorted lexicographically by ``(src, dst)``, which
     fixes the canonical edge labelling used everywhere downstream.  The
-    constructor takes ``(src, dst, weight)`` triples in any order, validates
-    them and sorts them.
+    constructor takes ``(src, dst, weight)`` triples of two node indices and
+    a weight, in any order, validates them with the readers' checks and
+    sorts them.
     """
 
     def __init__(self, node_labels, edges):
@@ -48,22 +50,21 @@ class WeightedGraph:
             raise ValidationError("duplicate node labels")
         n = len(labels)
         edges = list(edges)
+        # only records from outside carry indices: check them before the
+        # shared record checks, as an out-of-range index names no label
+        for record in edges:
+            try:
+                s, d, _ = record
+                s, d = index(s), index(d)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"edge record {record!r} is not a (src, dst, weight) "
+                                      "triple with integer src and dst") from exc
+            if not (0 <= s < n and 0 <= d < n):
+                raise ValidationError(f"edge ({s}, {d}) out of range for {n} nodes")
         columns = tuple(zip(*edges)) or ((), (), ())
-        src = np.array(columns[0], dtype=np.int64)
-        dst = np.array(columns[1], dtype=np.int64)
-        weight = np.array(columns[2], dtype=np.float64)
-        order, repeat = _canonical_order(src, dst)
-        _raise_first([
-            ((src < 0) | (src >= n) | (dst < 0) | (dst >= n),
-             lambda i: f"edge ({edges[i][0]}, {edges[i][1]}) out of range for {n} nodes"),
-            (src == dst, lambda i: f"self-loop on node {labels[src[i]]!r}"),
-            (~((weight > 0) & np.isfinite(weight)),
-             lambda i: f"edge ({labels[src[i]]!r}, {labels[dst[i]]!r}) "
-                       f"has non-positive or non-finite weight {edges[i][2]!r}"),
-            (_flag(order[repeat], src.size),
-             lambda i: f"duplicate edge ({labels[src[i]]!r}, {labels[dst[i]]!r})"),
-        ])
-        self._assign(labels, src[order], dst[order], weight[order])
+        self._assign(labels, *_merged_edges(
+            labels, np.array(columns[0], dtype=np.int64), np.array(columns[1], dtype=np.int64),
+            np.array(columns[2], dtype=np.float64), merge="reject", drop_loops=False))
 
     @classmethod
     def _canonical(cls, labels, src, dst, weight) -> WeightedGraph:
@@ -96,22 +97,6 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
-
-
-def _canonical_order(src: np.ndarray, dst: np.ndarray):
-    """Stable order of edge records by ``(src, dst)``, and for each sorted
-    record whether it repeats the pair of the record before it."""
-    order = np.lexsort((dst, src))
-    s, d = src[order], dst[order]
-    repeat = np.zeros(order.size, dtype=bool)
-    repeat[1:] = (s[1:] == s[:-1]) & (d[1:] == d[:-1])
-    return order, repeat
-
-
-def _flag(positions: np.ndarray, size: int) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    mask[positions] = True
-    return mask
 
 
 def _raise_first(checks) -> None:
@@ -254,28 +239,39 @@ def _code_labels(src: list, dst: list):
     return labels, coded[0::2], coded[1::2]
 
 
-def _graph_from_codes(labels, src, dst, weight, pair, *, merge, drop_loops) -> WeightedGraph:
-    """Validate edge records and merge them into a graph.
+def _merged_edges(labels, src, dst, weight, *, merge, drop_loops):
+    """Validate edge records and merge them: the edge arrays ``(src, dst,
+    weight)`` sorted by (src, dst).
 
-    ``src`` and ``dst`` index ``labels``, which the caller makes distinct.
-    ``pair(i)`` names the labels of record i in messages.  Each record is
-    checked for its weight, a self-loop and a repeated pair, in that order,
-    and the first failing record in input order is reported.  Repeated pairs
-    are summed in record order.
+    ``src`` and ``dst`` index ``labels``, which are distinct.  Each record
+    is checked for its weight, a self-loop and a repeated pair, in that
+    order, and the first failing record in input order is reported by its
+    labels.  Repeated pairs are summed in record order.
     """
     if merge not in ("reject", "sum"):
         raise ValidationError(f"unknown merge policy {merge!r}")
+
+    def bad_weight(i, value):
+        return (f"edge ({labels[src[i]]!r}, {labels[dst[i]]!r}) "
+                f"has non-positive or non-finite weight {float(value)!r}")
+
     loop = src == dst
     kept = np.flatnonzero(~loop)
-    order, repeat = _canonical_order(src[kept], dst[kept])
+    # the kept records in stable (src, dst) order, and for each whether it
+    # repeats the pair of the one before it
+    order = np.lexsort((dst[kept], src[kept]))
+    s, d = src[kept[order]], dst[kept[order]]
+    repeat = np.zeros(order.size, dtype=bool)
+    repeat[1:] = (s[1:] == s[:-1]) & (d[1:] == d[:-1])
     checks = [
-        (~((weight > 0) & np.isfinite(weight)),
-         lambda i: "edge (%r, %r) has non-positive weight %r" % (*pair(i), float(weight[i]))),
-        (loop & (not drop_loops), lambda i: f"self-loop on node {pair(i)[0]!r}"),
+        (~((weight > 0) & np.isfinite(weight)), lambda i: bad_weight(i, weight[i])),
+        (loop & (not drop_loops), lambda i: f"self-loop on node {labels[src[i]]!r}"),
     ]
     if merge == "reject":
-        checks.append((_flag(kept[order[repeat]], src.size),
-                       lambda i: "duplicate edge (%r, %r)" % pair(i)))
+        duplicate = np.zeros(src.size, dtype=bool)
+        duplicate[kept[order[repeat]]] = True
+        checks.append((duplicate,
+                       lambda i: f"duplicate edge ({labels[src[i]]!r}, {labels[dst[i]]!r})"))
     _raise_first(checks)
 
     group = np.empty(order.size, dtype=np.int64)
@@ -287,11 +283,14 @@ def _graph_from_codes(labels, src, dst, weight, pair, *, merge, drop_loops) -> W
     overflow = np.flatnonzero(~np.isfinite(total))
     if overflow.size:
         e = overflow[np.argmin(first[overflow])]
-        raise ValidationError(
-            f"edge ({labels[src[first[e]]]!r}, {labels[dst[first[e]]]!r}) "
-            f"has non-positive or non-finite weight {float(total[e])!r}"
-        )
-    return WeightedGraph._canonical(labels, src[first], dst[first], total)
+        raise ValidationError(bad_weight(first[e], total[e]))
+    return src[first], dst[first], total
+
+
+def _graph_from_codes(labels, src, dst, weight, *, merge, drop_loops) -> WeightedGraph:
+    """The graph of the edge records ``_merged_edges`` validates and merges."""
+    return WeightedGraph._canonical(
+        labels, *_merged_edges(labels, src, dst, weight, merge=merge, drop_loops=drop_loops))
 
 
 def parse_edge_list(
@@ -303,7 +302,7 @@ def parse_edge_list(
     """Parse an edge-list text (string, iterable of lines, or open file)."""
     src, dst, weight, _ = _read_columns(source)
     labels, src_codes, dst_codes = _code_labels(src, dst)
-    return _graph_from_codes(labels, src_codes, dst_codes, weight, lambda i: (src[i], dst[i]),
+    return _graph_from_codes(labels, src_codes, dst_codes, weight,
                              merge=merge, drop_loops=drop_loops)
 
 
@@ -464,8 +463,5 @@ def load_matrix_market(
     stored = matrix.data != 0.0
     src = matrix.row[stored].astype(np.int64)
     dst = matrix.col[stored].astype(np.int64)
-    return _graph_from_codes(
-        labels, src, dst, matrix.data[stored].astype(np.float64),
-        lambda i: (labels[src[i]], labels[dst[i]]),
-        merge=merge, drop_loops=drop_loops,
-    )
+    return _graph_from_codes(labels, src, dst, matrix.data[stored].astype(np.float64),
+                             merge=merge, drop_loops=drop_loops)

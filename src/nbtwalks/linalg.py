@@ -217,6 +217,21 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
     )
 
 
+def _dense_solve(system: np.ndarray, targets: np.ndarray, name: str) -> np.ndarray:
+    """``system^-1 @ targets`` by one dense LU solve, the rule of the dense
+    generating functions.  A singular ``system`` (named ``name`` in the
+    message) raises :class:`NumericalError`, and so does a residual above
+    1e-6 times max|targets|."""
+    try:
+        y = np.linalg.solve(system, targets)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{name} is singular: {exc}") from exc
+    residual = float(np.max(np.abs(system @ y - targets), initial=0.0))
+    if residual > 1e-6 * float(np.max(np.abs(targets), initial=0.0)):
+        raise NumericalError(f"{name} is too ill-conditioned (inverse residual {residual:.3e})")
+    return y
+
+
 def _gmres(m: sp.csr_array, b: np.ndarray, target: float, maxiter: int) -> tuple:
     """Restarted GMRES(``GMRES_RESTART``) from x0 = 0 (Saad & Schultz, SISSC 7,
     1986), for at most ``maxiter`` cycles, until ``||b - Ax|| <= target``.
@@ -358,7 +373,7 @@ def spectral_radius(matrix) -> float:
             break
         lo, hi = int(starts[b]), int(ends[b])
         block = blocks if hi - lo == k else blocks[lo:hi, lo:hi]
-        rho, estimate = _block_radius(block, POWER_TOL, POWER_MAXITER, best)
+        rho, estimate = _block_radius(block, best)
         if rho is None:
             raise NumericalError(
                 f"spectral radius of the strongly connected block of order {hi - lo} "
@@ -371,9 +386,9 @@ def spectral_radius(matrix) -> float:
     return best
 
 
-def _block_radius(m: sp.csr_array, tol: float, max_iter: int, below: float = 0.0) -> tuple:
+def _block_radius(m: sp.csr_array, below: float = 0.0) -> tuple:
     """Radius of an irreducible nonnegative block, or None without a
-    certificate after ``max_iter`` steps, and the last estimate.  A block
+    certificate after ``POWER_MAXITER`` steps, and the last estimate.  A block
     that cannot reach ``below`` returns an upper bound of its radius under
     ``below`` instead, as soon as its bracket shows it.
 
@@ -403,7 +418,7 @@ def _block_radius(m: sp.csr_array, tol: float, max_iter: int, below: float = 0.0
         below = math.ldexp(below, -top)
     except OverflowError:  # far above the scaled block's row sums
         below = sys.float_info.max
-    rho, estimate = _power_radius(m, tol, max_iter, below)
+    rho, estimate = _power_radius(m, below)
     return (None if rho is None else float(np.ldexp(rho, top))), float(np.ldexp(estimate, top))
 
 
@@ -450,7 +465,7 @@ def _balance_exponents(m: sp.csr_array) -> np.ndarray:
     return k[m.indices] - k[row]
 
 
-def _power_radius(m: sp.csr_array, tol: float, max_iter: int, below: float) -> tuple:
+def _power_radius(m: sp.csr_array, below: float) -> tuple:
     """Shifted power iteration: the radius, or None without a certificate,
     and the last estimate.
 
@@ -473,11 +488,11 @@ def _power_radius(m: sp.csr_array, tol: float, max_iter: int, below: float) -> t
     ``min_i (y_i / x_i) <= rho + s <= max_i (y_i / x_i)``.  When the upper
     end falls below ``below + s`` by the relative ``EXIT_MARGIN``, which
     outweighs its rounding, M cannot reach ``below`` and the upper end, less
-    s, is returned at once.  Once the bracket closes to ``tol`` the radius
-    is certified; the iteration then runs on over a 9-step window until the
-    upper end is stationary to 8 eps of the radius, or has stopped
-    decreasing because it reached the rounding of rho + s (at ``max_iter``
-    steps it returns the last certified value).
+    s, is returned at once.  Once the bracket closes to ``POWER_TOL`` the
+    radius is certified; the iteration then runs on over a 9-step window
+    until the upper end is stationary to 8 eps of the radius, or has stopped
+    decreasing because it reached the rounding of rho + s (at
+    ``POWER_MAXITER`` steps it returns the last certified value).
     """
     n = m.shape[0]
     shift = 0.125 * float(m.data.max())
@@ -486,7 +501,7 @@ def _power_radius(m: sp.csr_array, tol: float, max_iter: int, below: float) -> t
     eps = np.finfo(np.float64).eps
     window: list[float] = []
     certified = estimate = None
-    for step in range(max_iter):
+    for step in range(POWER_MAXITER):
         if step == SHIFT_STEPS and certified is None and estimate > 0:
             shift = 0.5 * estimate
             window.clear()
@@ -503,7 +518,7 @@ def _power_radius(m: sp.csr_array, tol: float, max_iter: int, below: float) -> t
         estimate = upper - shift
         if positive and upper < (below + shift) * (1.0 - EXIT_MARGIN):
             return estimate, estimate
-        if positive and lower > shift and upper - lower <= tol * (lower - shift):
+        if positive and lower > shift and upper - lower <= POWER_TOL * (lower - shift):
             certified = 0.5 * (upper + lower) - shift
         window.append(upper)
         if len(window) > 8:

@@ -13,9 +13,10 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     DENSE_SOLVE_MAX,
+    _dense_solve,
     as_csr,
     check_t,
     diag_matrix,
@@ -161,17 +162,7 @@ def generating_matrix(adjacency, t: float, *, rho_v: float) -> np.ndarray:
             f"dense generating matrix limited to order {DENSE_SOLVE_MAX}, got {n}"
         )
     check_t(t, range_end(rho_v), " for the nonbacktracking series")
-    dense = system.toarray()
-    try:
-        phi = np.linalg.inv(dense)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"system matrix is singular: {exc}") from exc
-    residual = float(np.max(np.abs(dense @ phi - np.eye(n)))) if n else 0.0
-    if residual > 1e-6:
-        raise NumericalError(
-            f"system matrix is too ill-conditioned (inverse residual {residual:.3e})"
-        )
-    return phi
+    return _dense_solve(system.toarray(), np.eye(n), "system matrix")
 
 
 def nbt_katz(adjacency, t: float, *, tol: float = 1e-10, rho_v: float) -> np.ndarray:

@@ -471,7 +471,6 @@ def _temporal_graph(src, dst, weight, slices, timestamps, *, merge, drop_loops) 
     labels, src_codes, dst_codes = _code_labels(src, dst)
     snapshots = [
         _graph_from_codes(labels, src_codes[idx], dst_codes[idx], weight[idx],
-                          lambda i, idx=idx: (src[idx[i]], dst[idx[i]]),
                           merge=merge, drop_loops=drop_loops)
         for idx in slices
     ]

@@ -201,9 +201,12 @@ def raises_exactly(message):
     return pytest.raises(ValidationError, match=f"^{re.escape(message)}$")
 
 
+NOT_A_RECORD = "edge record %s is not a (src, dst, weight) triple with integer src and dst"
+
+
 class TestValidation:
-    """Both constructors report each fault with the same message as before
-    the edge arrays, naming the first offending record in input order."""
+    """The constructor and the readers report each fault of a record with
+    one message, naming the first offending record in input order."""
 
     LABELS = ["a", "b", "c"]
 
@@ -213,21 +216,29 @@ class TestValidation:
         ([(0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)], "self-loop on node 'b'"),
         ([(0, 1, 1.0), (1, 2, -1.0), (2, 0, 0.0)],
          "edge ('b', 'c') has non-positive or non-finite weight -1.0"),
-        ([(0, 1, 1.0), (1, 2, 0)], "edge ('b', 'c') has non-positive or non-finite weight 0"),
+        ([(0, 1, 1.0), (1, 2, 0)], "edge ('b', 'c') has non-positive or non-finite weight 0.0"),
         ([(2, 0, math.inf), (1, 2, math.nan)],
          "edge ('c', 'a') has non-positive or non-finite weight inf"),
         ([(0, 1, 1.0), (1, 2, math.nan)],
          "edge ('b', 'c') has non-positive or non-finite weight nan"),
         ([(0, 1, 1.0), (2, 1, 1.0), (2, 1, 2.0), (0, 1, 3.0)], "duplicate edge ('c', 'b')"),
-        # one record, two faults: the range and loop tests come before the weight test
-        ([(1, 1, -1.0)], "self-loop on node 'b'"),
+        # one record, two faults: the range test comes before the weight
+        # test, and the weight test before the loop test
+        ([(1, 1, -1.0)], "edge ('b', 'b') has non-positive or non-finite weight -1.0"),
         ([(0, 3, -1.0)], "edge (0, 3) out of range for 3 nodes"),
-        # the first offender wins over an earlier-tested fault further on
-        ([(1, 2, -1.0), (0, 9, 1.0)],
-         "edge ('b', 'c') has non-positive or non-finite weight -1.0"),
+        # an index out of range names no label: the range test covers the
+        # whole input before any record is checked for its weight
+        ([(1, 2, -1.0), (0, 9, 1.0)], "edge (0, 9) out of range for 3 nodes"),
         # codes far apart: any sort of the edges must still reach the range test
         ([(0, 1, 1.0), (-2**62, 2**62, 1.0)],
          f"edge ({-2**62}, {2**62}) out of range for 3 nodes"),
+        # a record is a triple of two integer node indices and a weight
+        ([(0, 1, 1.0), (0.5, 1, 1.0)], NOT_A_RECORD % "(0.5, 1, 1.0)"),
+        ([(1.9, 0, 2.0)], NOT_A_RECORD % "(1.9, 0, 2.0)"),
+        ([("1", 0, 1.0)], NOT_A_RECORD % "('1', 0, 1.0)"),
+        ([(0, 1, 1.0), (1, 2)], NOT_A_RECORD % "(1, 2)"),
+        ([(0, 1, 1.0, 9.0)], NOT_A_RECORD % "(0, 1, 1.0, 9.0)"),
+        ([(0, 9, 1.0), (0.5, 1, 1.0)], "edge (0, 9) out of range for 3 nodes"),
     ])
     def test_weighted_graph(self, edges, message):
         with raises_exactly(message):
@@ -235,16 +246,18 @@ class TestValidation:
 
     @pytest.mark.parametrize("text, options, message", [
         ("a b 1\nb b 1\nc c 1\n", {}, "self-loop on node 'b'"),
-        ("a b 1\nb c -1\nc a 0\n", {}, "edge ('b', 'c') has non-positive weight -1.0"),
-        ("a b 1\nb c 0\n", {}, "edge ('b', 'c') has non-positive weight 0.0"),
-        ("a b 1\nb c inf\nc a nan\n", {}, "edge ('b', 'c') has non-positive weight inf"),
-        ("a b 1\nb c nan\n", {}, "edge ('b', 'c') has non-positive weight nan"),
+        ("a b 1\nb c -1\nc a 0\n", {},
+         "edge ('b', 'c') has non-positive or non-finite weight -1.0"),
+        ("a b 1\nb c 0\n", {}, "edge ('b', 'c') has non-positive or non-finite weight 0.0"),
+        ("a b 1\nb c inf\nc a nan\n", {},
+         "edge ('b', 'c') has non-positive or non-finite weight inf"),
+        ("a b 1\nb c nan\n", {}, "edge ('b', 'c') has non-positive or non-finite weight nan"),
         ("a b 1\nc b 1\nc b 2\na b 3\n", {}, "duplicate edge ('c', 'b')"),
         # one record, two faults: the weight test comes before the loop test,
         # and a loop that would be dropped is still checked for its weight
-        ("a b 1\nb b -1\n", {}, "edge ('b', 'b') has non-positive weight -1.0"),
+        ("a b 1\nb b -1\n", {}, "edge ('b', 'b') has non-positive or non-finite weight -1.0"),
         ("a b 1\nb b -1\n", {"drop_loops": True},
-         "edge ('b', 'b') has non-positive weight -1.0"),
+         "edge ('b', 'b') has non-positive or non-finite weight -1.0"),
         ("a b 1\nb c 1\na b 2\nc c 1\n", {}, "duplicate edge ('a', 'b')"),
         # a sum that overflows is caught on the merged weight
         ("a b 1e308\nb a 1\na b 1e308\n", {"merge": "sum"},
@@ -253,6 +266,32 @@ class TestValidation:
     def test_parse_edge_list(self, text, options, message):
         with raises_exactly(message):
             parse_edge_list(text, **options)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (1, 2, -1.0), (2, 0, 2.0)],
+        [(0, 1, 1.0), (1, 2, math.inf), (2, 0, math.nan)],
+        [(0, 1, 1.0), (1, 2, math.nan)],
+        [(0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)],
+        [(0, 1, 1.0), (2, 1, 1.0), (2, 1, 2.0), (0, 1, 3.0)],
+        [(0, 1, 1.0), (1, 1, -1.0)],
+        [(1, 1, 1.0), (1, 2, -1.0)],
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (2, 2, 1.0)],
+    ])
+    def test_every_reader_reports_a_record_fault_alike(self, edges, tmp_path):
+        # MatrixMarket skips zero entries, so no case has a zero weight
+        labels = ["1", "2", "3"]
+        lines = [f"{s + 1} {d + 1} {w!r}" for s, d, w in edges]
+        path = tmp_path / "faulty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"3 3 {len(edges)}\n" + "\n".join(lines) + "\n")
+        messages = set()
+        for make in (lambda: WeightedGraph(labels, edges),
+                     lambda: parse_edge_list("\n".join(lines)),
+                     lambda: load_matrix_market(path)):
+            with pytest.raises(ValidationError) as info:
+                make()
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
     def test_duplicate_node_labels(self):
         with raises_exactly("duplicate node labels"):
@@ -490,5 +529,5 @@ class TestMatrixMarket:
         path.write_text(
             "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 2 1\n2 2 -1\n2 1 -2\n"
         )
-        with raises_exactly("edge ('2', '2') has non-positive weight -1.0"):
+        with raises_exactly("edge ('2', '2') has non-positive or non-finite weight -1.0"):
             load_matrix_market(path, drop_loops=True)

@@ -564,7 +564,7 @@ def test_radius_of_graded_block_stops_at_the_rounding_floor():
         [1.0, 1.0, 0.0, 0.0],
         [1.0, 0.0, 1000.0, 0.0],
     ]))
-    rho, _ = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
+    rho, _ = linalg._block_radius(block)
     want = 12.67857950822675720319919186
     assert abs(rho - want) <= 8 * np.spacing(want)
     assert block.products < 500
@@ -647,7 +647,7 @@ def test_radius_of_graded_block_with_a_chord(monkeypatch, dense, want):
 
     monkeypatch.setattr(linalg, "_balance_exponents", counted)
     block = _CountedCSR(np.array(dense))
-    rho, _ = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
+    rho, _ = linalg._block_radius(block)
     assert abs(rho - want) <= 1e-14 * want
     assert balanced == [(2, 2)]
     assert block.products < 100
@@ -705,7 +705,7 @@ def test_random_block_takes_fewer_products(weights, before, share):
     rows = np.r_[rng.integers(0, n, 4 * n), np.arange(n)]
     cols = np.r_[rng.integers(0, n, 4 * n), np.roll(np.arange(n), 1)]
     block = _CountedCSR(sp.csr_array((weights(rng, rows.size), (rows, cols)), shape=(n, n)))
-    rho, _ = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
+    rho, _ = linalg._block_radius(block)
     assert rho is not None
     assert block.products <= share * before
 
@@ -736,7 +736,7 @@ def test_radius_of_graded_cycle(weights, want):
     dense[np.arange(n), np.roll(np.arange(n), -1)] = weights
     assert abs(spectral_radius(as_csr(dense)) - want) <= 1e-13 * want
     block = _CountedCSR(dense)
-    rho, _ = linalg._block_radius(block, linalg.POWER_TOL, linalg.POWER_MAXITER)
+    rho, _ = linalg._block_radius(block)
     assert abs(rho - want) <= 1e-13 * want
     assert block.products == 0
 

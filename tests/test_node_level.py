@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nbtwalks.crosschecks import _safe_t
 from nbtwalks.errors import ValidationError
-from nbtwalks.graph import WeightedGraph, adjacency, line_graph, parse_edge_list
+from nbtwalks.graph import WeightedGraph, adjacency, line_graph, load_edge_list, parse_edge_list
 from nbtwalks.linalg import hadamard, solve_linear, identity, spectral_radius
 from nbtwalks.node_level import (
     build_node_system,
@@ -164,6 +167,19 @@ class TestGeneratingMatrix:
         a = adjacency(two_node_reciprocated(2.0))
         phi = generating_matrix(a, 0.1, rho_v=0.0)
         assert rel_dev(phi, np.eye(2) + 0.1 * a.toarray()) <= 1e-14
+
+    def test_is_the_dense_inverse_bit_for_bit(self):
+        # one dense solve against the identity gives numpy's inverse exactly,
+        # on the hand fixtures and the oracle-check input g300 (n = 296), at
+        # the t oracle-check takes
+        g300 = load_edge_list(Path(__file__).parent / "data" / "golden" / "g300.txt")
+        for g in (two_node_reciprocated(), undirected_path(), directed_cycle(), g300):
+            a = adjacency(g)
+            rho = spectral_radius(line_graph(g).V)
+            t = _safe_t(a, rho)
+            phi = generating_matrix(a, t, rho_v=rho)
+            want = np.linalg.inv(build_node_system(a, t).toarray())
+            assert np.array_equal(phi.view(np.int64), want.view(np.int64))
 
     def test_radius_is_required(self):
         a = adjacency(two_node_reciprocated(2.0))

@@ -489,10 +489,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="forbid-all", help="temporal backtracking regime")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--tol", type=tol, default=1e-10,
-                        help="tolerance; bounds the relative residual of each linear solve, "
-                             "or the componentwise backward error of a temporal snapshot "
-                             "solve, and sets the exponential series' Taylor order from the "
-                             "scalar tail at 1.1*t*rho, which is not a certified error bound")
+                        help="tolerance; bounds the relative residual of each static solve, "
+                             "or the componentwise backward error of each snapshot solve of "
+                             "both temporal measures, and sets the exponential series' Taylor "
+                             "order from the scalar tail at 1.1*t*rho (not a certified bound)")
 
     p = sub.add_parser("radius", parents=[common],
                        help="spectral radii and permitted attenuation ranges")

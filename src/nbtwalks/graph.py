@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
+from numbers import Real
 from operator import index
 
 import numpy as np
@@ -40,7 +41,7 @@ class WeightedGraph:
     ``dst`` and ``weight``, sorted lexicographically by ``(src, dst)``, which
     fixes the canonical edge labelling used everywhere downstream.  The
     constructor takes ``(src, dst, weight)`` triples of two node indices and
-    a weight, in any order, validates them with the readers' checks and
+    a real weight, in any order, validates them with the readers' checks and
     sorts them.
     """
 
@@ -50,15 +51,17 @@ class WeightedGraph:
             raise ValidationError("duplicate node labels")
         n = len(labels)
         edges = list(edges)
-        # only records from outside carry indices: check them before the
-        # shared record checks, as an out-of-range index names no label
+        # only records from outside may hold any object: check their indices
+        # and weights first, as an out-of-range index names no label
         for record in edges:
             try:
-                s, d, _ = record
+                s, d, w = record
                 s, d = index(s), index(d)
+                if isinstance(w, bool) or not isinstance(w, Real):
+                    raise TypeError(f"weight {w!r} is not a real number")
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"edge record {record!r} is not a (src, dst, weight) "
-                                      "triple with integer src and dst") from exc
+                                      "triple with integer src and dst and a real weight") from exc
             if not (0 <= s < n and 0 <= d < n):
                 raise ValidationError(f"edge ({s}, {d}) out of range for {n} nodes")
         columns = tuple(zip(*edges)) or ((), (), ())

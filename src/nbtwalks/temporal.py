@@ -301,8 +301,12 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
     n = gd.n
     s = np.zeros(n)
     if gd.regime.forbids_time:
-        pair_keys = np.unique(gd.src * n + gd.dst)
-        r = np.zeros(pair_keys.size)
+        # a slot of r per node pair that is an edge or an edge's reversal, by
+        # edge in own and rev; the slot of a reversal that is no edge stays 0
+        pairs, slots = np.unique(np.concatenate([gd.src * n + gd.dst, gd.dst * n + gd.src]),
+                                 return_inverse=True)
+        own, rev = np.split(slots, 2)
+        r = np.zeros(pairs.size)
     indptr, indices, data = gd.blocks.indptr, gd.blocks.indices, gd.blocks.data
     # an overflow is reported by _in_range, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -316,15 +320,13 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
                                   indptr[lo:hi + 1] - first), shape=(hi - lo, hi - lo))
             later = s[dst]
             if gd.regime.forbids_time:
-                reverse = dst * n + src
-                at = np.minimum(np.searchsorted(pair_keys, reverse), pair_keys.size - 1)
-                later = later - np.where(pair_keys[at] == reverse, r[at], 0.0)
+                later = later - r[rev[lo:hi]]
             b = _in_range(sqrt_w * (1.0 + t * later), tau)
             y = _certified_block_solve(block, t, b, tol, tau)
             z = sqrt_w * y
             s += np.bincount(src, weights=z, minlength=n)
             if gd.regime.forbids_time:
-                r[np.searchsorted(pair_keys, src * n + dst)] += z
+                r[own[lo:hi]] += z
         return _in_range(s, 0)
 
 
@@ -337,32 +339,31 @@ def _in_range(x: np.ndarray, tau: int) -> np.ndarray:
     return x
 
 
-def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int,
-                           rejected: NumericalError | None = None) -> np.ndarray:
-    """Solve ``(I - t D) y = b`` for one snapshot with a componentwise
+def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int) -> np.ndarray:
+    """Solve ``(I - t D) y = b`` for one snapshot, D a diagonal block of the
+    resolvent's M or a snapshot adjacency, with a componentwise
     (Oettli-Prager) backward error ``max_i |b + tDy - y|_i / (|b| + |y| +
     tD|y|)_i`` of at most tol.
 
-    D and b are nonnegative, so on block tau's rows this is the
-    componentwise backward error of the whole system ``(I - tM) y = w``.
-    A first solve that misses it gets up to ``CORRECTION_SOLVES`` correction
-    solves against its residual; then the block fails with
-    :class:`NumericalError` naming the snapshot and the value reached, with
-    the block's best solution as ``estimate``.  A solution, or a scale of
-    the backward error, past the float64 range fails as ``_in_range`` does.
-    ``rejected``, the error of a ``solve_linear`` call on this system and b
-    that the caller made already, stands in for the first solve.
+    D and b are nonnegative, so for the resolvent this is, on block tau's
+    rows, the componentwise backward error of the whole system
+    ``(I - tM) y = w``.  Each solve aims at the normwise target
+    tol / sqrt(k), k the block order, which implies ``max|r_i| <= tol
+    max b_j``: the bound itself when b is flat.  A first solve that misses
+    the bound gets up to ``CORRECTION_SOLVES`` correction solves against its
+    residual; then the block fails with :class:`NumericalError` naming the
+    snapshot and the value reached, with the block's best solution as
+    ``estimate``.  A solution, or a scale of the backward error, past the
+    float64 range fails as ``_in_range`` does.
     """
     system = identity(b.size) - t * block
-
-    def estimate(exc, size):   # the componentwise test below decides
-        return np.zeros(size) if exc.estimate is None else exc.estimate
+    target = tol / math.sqrt(b.size)
 
     def solve(rhs):
         try:
-            return solve_linear(system, rhs, tol)
-        except NumericalError as exc:
-            return estimate(exc, rhs.size)
+            return solve_linear(system, rhs, target)
+        except NumericalError as exc:   # the componentwise test below decides
+            return np.zeros(rhs.size) if exc.estimate is None else exc.estimate
 
     def backward_error(y):
         # every weight is positive, so b > 0 and no scale entry is zero
@@ -370,7 +371,7 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int,
         scale = _in_range(b + np.abs(y) + t * (block @ np.abs(y)), tau)
         return float(np.max(np.abs(residual) / scale)), residual
 
-    y = _in_range(solve(b) if rejected is None else estimate(rejected, b.size), tau)
+    y = solve(b)
     best, best_error = y, math.inf
     for attempt in range(CORRECTION_SOLVES + 1):
         error, residual = backward_error(y)
@@ -390,23 +391,18 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int,
 def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> np.ndarray:
     """Backtracking-permitted temporal Katz: the ordered product of snapshot
     resolvents applied to the all-ones vector, right to left, one sparse
-    solve per snapshot.  A solve that misses ``solve_linear``'s normwise
-    certificate may still meet the componentwise one of
-    ``_certified_block_solve``, which starts from the rejected solution.
+    solve per snapshot with an edge.  A and x are nonnegative, as the
+    resolvent's blocks and right-hand sides are, so each solve is accepted
+    on the same componentwise certificate, ``_certified_block_solve``'s.
     The first solution that is not finite raises :class:`NumericalError`
     (``_in_range``)."""
     check_t(t, range_end(tg.max_adjacency_radius), " for the classical temporal measure")
     x = np.ones(tg.n)
-    eye = identity(tg.n)
     # an overflow is reported by _in_range, not as a warning
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for tau in reversed(range(len(tg.snapshots))):
-            a = adjacency(tg.snapshots[tau])
-            try:
-                y = solve_linear(eye - t * a, x, tol)
-            except NumericalError as exc:   # A and x are nonnegative, as the resolvent's are
-                y = _certified_block_solve(a, t, x, tol, tau, rejected=exc)
-            x = _in_range(y, tau)
+            if tg.snapshots[tau].m:   # the resolvent of an edgeless snapshot is I
+                x = _certified_block_solve(adjacency(tg.snapshots[tau]), t, x, tol, tau)
     return x
 
 

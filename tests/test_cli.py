@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import nbtwalks.cli
 import nbtwalks.temporal
 from nbtwalks.cli import _kendall_tau_b, _ranking, main, printed, read_back
+from nbtwalks.crosschecks import CheckResult
 from nbtwalks.graph import adjacency, line_graph
 from nbtwalks.linalg import spectral_radius
 from nbtwalks.temporal import (
@@ -599,6 +600,42 @@ class TestValidationPaths:
             main([*command, "--input", path, option, value])
         assert info.value.code == 2
         assert f"argument {option}: expected " in capsys.readouterr().err
+
+
+class TestErrorExits:
+    """The error exits of the commands themselves, after argparse: a
+    ValidationError exits 2 and a NumericalError or failed check exits 3,
+    each with its message on stderr."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("centrality --t 0.5r --compare katz", "--compare expects 'measure1:measure2'"),
+        ("centrality --t 0.5r --compare katz:bogus", "unknown measure 'bogus'"),
+        ("sweep --measure f-centrality --series exponential",
+         "the permitted range is unbounded; give an explicit --grid"),
+    ])
+    def test_validation_error_exits_2(self, triangle, capsys, argv, message):
+        code, out, err = run_cli([*argv.split(), "--input", triangle], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("measure", ["katz", "nbt-katz"])
+    def test_scores_past_the_float64_range_exit_3(self, tmp_path, capsys, measure):
+        # 200 snapshots of the complete unit-weight digraph on 6 nodes
+        path = tmp_path / "complete.txt"
+        path.write_text("".join(f"{tau} {i} {j} 1\n" for tau in range(200)
+                                for i in range(6) for j in range(6) if i != j))
+        code, out, err = run_cli(["centrality", "--input", str(path), "--temporal",
+                                  "--measure", measure, "--t", "0.99r"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: temporal scores exceed the float64 range")
+
+    def test_failed_oracle_check_exits_3(self, triangle, monkeypatch, capsys):
+        results = [CheckResult("fine", 0.0, 1e-10), CheckResult("broken", 1.0, 1e-10)]
+        monkeypatch.setattr(nbtwalks.cli, "static_battery", lambda graph, **kwargs: results)
+        code, out, err = run_cli(["oracle-check", "--input", triangle], capsys)
+        assert code == 3
+        assert "FAIL broken: max deviation 1" in out and "1/2 checks passed" in out
+        assert err == "FAILED: broken\n"
 
 
 class TestImports:

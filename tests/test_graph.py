@@ -201,7 +201,8 @@ def raises_exactly(message):
     return pytest.raises(ValidationError, match=f"^{re.escape(message)}$")
 
 
-NOT_A_RECORD = "edge record %s is not a (src, dst, weight) triple with integer src and dst"
+NOT_A_RECORD = ("edge record %s is not a (src, dst, weight) triple with integer src and dst "
+                "and a real weight")
 
 
 class TestValidation:
@@ -239,6 +240,10 @@ class TestValidation:
         ([(0, 1, 1.0), (1, 2)], NOT_A_RECORD % "(1, 2)"),
         ([(0, 1, 1.0, 9.0)], NOT_A_RECORD % "(0, 1, 1.0, 9.0)"),
         ([(0, 9, 1.0), (0.5, 1, 1.0)], "edge (0, 9) out of range for 3 nodes"),
+        # ... whose weight is a real number, numpy's included, but no bool
+        ([(0, 1, 1.0), (1, 2, "x")], NOT_A_RECORD % "(1, 2, 'x')"),
+        ([(0, 1, "2.0")], NOT_A_RECORD % "(0, 1, '2.0')"),
+        ([(0, 1, True)], NOT_A_RECORD % "(0, 1, True)"),
     ])
     def test_weighted_graph(self, edges, message):
         with raises_exactly(message):

@@ -598,6 +598,44 @@ class TestBlockCertificate:
         np.testing.assert_allclose(scores, dense_resolvent_scores(gd, t), rtol=1e-9)
 
 
+class TestSnapshotSolveTarget:
+    """Both temporal measures aim each snapshot solve at the normwise target
+    tol / sqrt(k), k the block order, and accept it on the componentwise
+    bound.  On U1 (500 nodes, 20 snapshots of 500 edges, the shape of the
+    benchmark's temporal instance) every block is solved by GMRES, whose
+    first solve then meets the bound."""
+
+    @pytest.fixture(scope="class")
+    def u1(self, tmp_path_factory):
+        path = write_uniform_temporal(tmp_path_factory.mktemp("u1") / "u1.txt", 1, 500, 500, 20)
+        return load_temporal_edge_list(path)
+
+    def test_classical_katz_matches_dense_product(self, u1):
+        t = 0.5 * range_end(u1.max_adjacency_radius)
+        want = np.ones(u1.n)
+        for g in reversed(u1.snapshots):
+            want = np.linalg.solve(np.eye(u1.n) - t * adjacency(g).toarray(), want)
+        got = classical_temporal_katz(u1, t)
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9])
+    @pytest.mark.parametrize("regime", [BacktrackRegime.FORBID_ALL, BacktrackRegime.ALLOW_ALL],
+                             ids=lambda r: r.value)
+    def test_resolvent_solves_each_block_once(self, u1, monkeypatch, regime, fraction):
+        gd = build_global_transition(u1, regime)
+        orders = []
+        real = nbtwalks.temporal.solve_linear
+
+        def counted(matrix, rhs, tol=1e-10):
+            orders.append(matrix.shape[0])
+            return real(matrix, rhs, tol)
+
+        monkeypatch.setattr(nbtwalks.temporal, "solve_linear", counted)
+        temporal_f_centrality(gd, RESOLVENT, fraction * range_end(gd.transition_radius))
+        assert len(orders) == np.count_nonzero(np.diff(gd.offsets)) == 20
+        assert min(orders) > nbtwalks.linalg.DENSE_CROSSOVER
+
+
 class TestResolventIdentity:
     """The oracle battery's check of the snapshot back-substitution against
     a dense solve of the assembled I - tM, once per regime."""
@@ -681,6 +719,11 @@ class TestClassicalKatz:
         g = WeightedGraph(["a", "b"], [])
         tg = TemporalGraph([g, g, g], [0.0, 1.0, 2.0])
         assert np.allclose(classical_temporal_katz(tg, 0.7), 1.0)
+
+    def test_no_nodes(self):
+        g = WeightedGraph([], [])
+        x = classical_temporal_katz(TemporalGraph([g, g], [0.0, 1.0]), 0.5)
+        assert x.shape == (0,)
 
     def test_two_snapshot_hand_solve(self):
         tg = two_snapshot_example()

@@ -174,7 +174,7 @@ def _resolvent_check(gd, tol: float) -> CheckResult:
     scores = temporal_f_centrality(gd, CoefficientSeries.resolvent(), t, tol=min(tol, 1e-12))
     system = np.eye(gd.m_total) - t * gd.M.toarray()
     y = np.linalg.solve(system, gd.sqrt_weights)
-    dense = 1.0 + t * project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n)
+    dense = 1.0 + t * project_to_nodes(gd.temporal.src, gd.sqrt_weights, y, gd.n)
     return CheckResult(name, deviation(scores, dense), tol)
 
 
@@ -186,7 +186,7 @@ def _assembled_radius_check(gd, tol: float) -> CheckResult:
             f"blocks [{gd.regime.value}]")
     if gd.m_total > DENSE_SOLVE_MAX:
         return CheckResult(f"{name} (skipped: {gd.m_total} edges > {DENSE_SOLVE_MAX})", 0.0, tol)
-    m = gd.M.toarray()
+    m, offsets = gd.M.toarray(), gd.temporal.offsets
     dense = max((float(np.abs(np.linalg.eigvals(m[lo:hi, lo:hi])).max())
-                 for lo, hi in zip(gd.offsets[:-1], gd.offsets[1:]) if hi > lo), default=0.0)
+                 for lo, hi in zip(offsets[:-1], offsets[1:]) if hi > lo), default=0.0)
     return CheckResult(name, deviation(np.array([spectral_radius(gd.M)]), np.array([dense])), tol)

@@ -46,15 +46,14 @@ class CoefficientSeries:
 
     Built-ins: the resolvent (c_k = 1, radius 1, giving Katz-type measures)
     and the exponential (c_k = 1/k!, infinite radius, giving total
-    communicability).  Custom series carry an explicit coefficient array,
-    which fixes the truncation order, plus a declared bound on the neglected
-    tail.
+    communicability).  Custom series carry an explicit coefficient array
+    and are truncated after it: a polynomial, finite for every t >= 0, so of
+    infinite radius.
     """
 
     kind: str
     radius: float
     coefficients: np.ndarray | None = None
-    tail_bound: float = 0.0
 
     @classmethod
     def resolvent(cls) -> "CoefficientSeries":
@@ -65,17 +64,14 @@ class CoefficientSeries:
         return cls(kind="exponential", radius=math.inf)
 
     @classmethod
-    def custom(cls, coefficients, radius: float = math.inf, tail_bound: float = 0.0) -> "CoefficientSeries":
-        """A series truncated after ``coefficients``.  ``tail_bound`` is trusted
-        input: nothing checks it, except against the tolerance of each call."""
+    def custom(cls, coefficients) -> "CoefficientSeries":
+        """The polynomial with ``coefficients``."""
         coeffs = np.asarray(coefficients, dtype=np.float64)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValidationError("custom series needs a non-empty 1-D coefficient array")
         if np.any(coeffs < 0) or not np.all(np.isfinite(coeffs)):
             raise ValidationError("series coefficients must be finite and nonnegative")
-        if tail_bound < 0:
-            raise ValidationError("tail bound must be nonnegative")
-        return cls(kind="custom", radius=float(radius), coefficients=coeffs, tail_bound=float(tail_bound))
+        return cls(kind="custom", radius=math.inf, coefficients=coeffs)
 
     @property
     def c0(self) -> float:
@@ -140,9 +136,9 @@ def apply_shifted_series(
     solves (I - tM) y = w.  For the exponential, ((e^x - 1) / x) is evaluated
     by a truncated Taylor sum whose order is fixed a priori from the scalar
     tail bound at t times a 10%-inflated radius estimate.  Custom series are
-    truncated at their declared order; an undeliverable declared tail bound
-    is an error, and so is a sum that passes the float64 range.  ``rho`` is
-    the spectral radius of ``matrix``, which gates ``t``.
+    summed up to their last coefficient.  A sum that passes the float64
+    range is an error.  ``rho`` is the spectral radius of ``matrix``, which
+    gates ``t``.
     """
     m = sp.csr_array(matrix)
     w = np.asarray(vector, dtype=np.float64)
@@ -168,11 +164,6 @@ def apply_shifted_series(
         return _finite_sum(out, series, t)
 
     if series.kind == "custom":
-        if series.tail_bound > tol:
-            raise NumericalError(
-                f"declared series tail bound {series.tail_bound} exceeds the "
-                f"requested tolerance {tol}"
-            )
         coeffs = series.coefficients
         out = np.zeros(n)
         v = np.array(w)

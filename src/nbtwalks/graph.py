@@ -242,14 +242,17 @@ def _code_labels(src: list, dst: list):
     return labels, coded[0::2], coded[1::2]
 
 
-def _merged_edges(labels, src, dst, weight, *, merge, drop_loops):
+def _merged_edges(labels, src, dst, weight, *, merge, drop_loops, snapshot=None):
     """Validate edge records and merge them: the edge arrays ``(src, dst,
     weight)`` sorted by (src, dst).
 
     ``src`` and ``dst`` index ``labels``, which are distinct.  Each record
     is checked for its weight, a self-loop and a repeated pair, in that
     order, and the first failing record in input order is reported by its
-    labels.  Repeated pairs are summed in record order.
+    labels.  Repeated pairs are summed in record order.  A temporal input
+    gives each record's ``snapshot`` index: a pair then repeats only within
+    its snapshot, and ``(snapshot, src, dst, weight)`` come back sorted by
+    (snapshot, src, dst), so that one pass checks every snapshot.
     """
     if merge not in ("reject", "sum"):
         raise ValidationError(f"unknown merge policy {merge!r}")
@@ -260,12 +263,13 @@ def _merged_edges(labels, src, dst, weight, *, merge, drop_loops):
 
     loop = src == dst
     kept = np.flatnonzero(~loop)
-    # the kept records in stable (src, dst) order, and for each whether it
-    # repeats the pair of the one before it
-    order = np.lexsort((dst[kept], src[kept]))
-    s, d = src[kept[order]], dst[kept[order]]
+    # the kept records in stable key order, and for each whether it repeats
+    # the key of the one before it
+    keys = [dst, src] if snapshot is None else [dst, src, snapshot]
+    order = np.lexsort([key[kept] for key in keys])
+    ranked = [key[kept[order]] for key in keys]
     repeat = np.zeros(order.size, dtype=bool)
-    repeat[1:] = (s[1:] == s[:-1]) & (d[1:] == d[:-1])
+    repeat[1:] = np.logical_and.reduce([k[1:] == k[:-1] for k in ranked])
     checks = [
         (~((weight > 0) & np.isfinite(weight)), lambda i: bad_weight(i, weight[i])),
         (loop & (not drop_loops), lambda i: f"self-loop on node {labels[src[i]]!r}"),
@@ -287,13 +291,8 @@ def _merged_edges(labels, src, dst, weight, *, merge, drop_loops):
     if overflow.size:
         e = overflow[np.argmin(first[overflow])]
         raise ValidationError(bad_weight(first[e], total[e]))
-    return src[first], dst[first], total
-
-
-def _graph_from_codes(labels, src, dst, weight, *, merge, drop_loops) -> WeightedGraph:
-    """The graph of the edge records ``_merged_edges`` validates and merges."""
-    return WeightedGraph._canonical(
-        labels, *_merged_edges(labels, src, dst, weight, merge=merge, drop_loops=drop_loops))
+    merged = src[first], dst[first], total
+    return merged if snapshot is None else (snapshot[first], *merged)
 
 
 def parse_edge_list(
@@ -305,8 +304,8 @@ def parse_edge_list(
     """Parse an edge-list text (string, iterable of lines, or open file)."""
     src, dst, weight, _ = _read_columns(source)
     labels, src_codes, dst_codes = _code_labels(src, dst)
-    return _graph_from_codes(labels, src_codes, dst_codes, weight,
-                             merge=merge, drop_loops=drop_loops)
+    return WeightedGraph._canonical(labels, *_merged_edges(
+        labels, src_codes, dst_codes, weight, merge=merge, drop_loops=drop_loops))
 
 
 def load_edge_list(path, **options) -> WeightedGraph:
@@ -466,5 +465,6 @@ def load_matrix_market(
     stored = matrix.data != 0.0
     src = matrix.row[stored].astype(np.int64)
     dst = matrix.col[stored].astype(np.int64)
-    return _graph_from_codes(labels, src, dst, matrix.data[stored].astype(np.float64),
-                             merge=merge, drop_loops=drop_loops)
+    return WeightedGraph._canonical(labels, *_merged_edges(
+        labels, src, dst, matrix.data[stored].astype(np.float64), merge=merge,
+        drop_loops=drop_loops))

@@ -26,7 +26,7 @@ from .graph import (
     WeightedGraph,
     _code_labels,
     _continuations,
-    _graph_from_codes,
+    _merged_edges,
     _read_columns,
     adjacency,
 )
@@ -66,7 +66,10 @@ class BacktrackRegime(enum.Enum):
 
 @dataclass
 class TemporalGraph:
-    """Ordered snapshot sequence over one shared node set."""
+    """Ordered snapshot sequence over one shared node set, with its edges
+    stacked once, at construction: the read-only arrays ``src``, ``dst`` and
+    ``weight``, in which snapshot tau holds ``offsets[tau]:offsets[tau + 1]``,
+    are the global edges of every temporal layer."""
 
     snapshots: list[WeightedGraph]
     timestamps: list[float]
@@ -83,6 +86,12 @@ class TemporalGraph:
         ts = list(self.timestamps)
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise ValidationError("timestamps must be non-decreasing")
+        self.offsets = np.cumsum([0] + [g.m for g in self.snapshots], dtype=np.int64)
+        self.src = np.concatenate([g.src for g in self.snapshots])
+        self.dst = np.concatenate([g.dst for g in self.snapshots])
+        self.weight = np.concatenate([g.weight for g in self.snapshots])
+        for a in (self.offsets, self.src, self.dst, self.weight):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -94,19 +103,29 @@ class TemporalGraph:
 
     @cached_property
     def max_adjacency_radius(self) -> float:
-        """Largest snapshot adjacency radius, the classical measure's bound."""
-        return _max_radius(sp.block_diag([adjacency(g) for g in self.snapshots], format="csr"),
-                           self.n * np.arange(len(self.snapshots) + 1))
+        """Largest snapshot adjacency radius, the classical measure's bound:
+        that of one CSR of the stacked arrays, snapshot tau's nodes at tau * n."""
+        n, count = self.n, len(self.snapshots)
+        shift = n * np.repeat(np.arange(count), np.diff(self.offsets))
+        stacked = sp.csr_array((self.weight, (self.src + shift, self.dst + shift)),
+                               shape=(n * count, n * count))
+        return _max_radius(stacked, n * np.arange(count + 1))
+
+    def _chain_matrix(self, x: np.ndarray, regime: BacktrackRegime, *,
+                      diagonal: bool = False) -> sp.csr_array:
+        """``graph._continuations`` of the stacked edges under ``regime``."""
+        return _continuations(self.src, self.dst, self.offsets, self.n, x, diagonal=diagonal,
+                              within=regime.forbids_space, across=regime.forbids_time)
 
 
 @dataclass
 class GlobalDecomposition:
     """Stacked edge-level matrices of a temporal graph for one regime.
 
-    Global edge indices concatenate the per-snapshot canonical edge orders;
-    ``offsets[tau]`` is where snapshot tau's block starts, and ``src``,
-    ``dst`` and ``sqrt_weights`` hold each global edge's source node, target
-    node and square-rooted weight.  ``M`` is the block upper-triangular
+    Global edge indices are those of the temporal graph's stacked arrays,
+    ``temporal.src``, ``temporal.dst`` and ``temporal.offsets``;
+    ``sqrt_weights`` holds each global edge's square-rooted weight, and the
+    regime's matrices are built from them.  ``M`` is the block upper-triangular
     transition matrix in half-power form: entry (e, f) equals
     ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e under the
     regime, so ``diag(sqrt_weights) @ M**k @ diag(sqrt_weights)`` counts
@@ -121,30 +140,27 @@ class GlobalDecomposition:
 
     temporal: TemporalGraph
     regime: BacktrackRegime
-    offsets: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
     sqrt_weights: np.ndarray
     blocks: sp.csr_array
 
     @cached_property
     def M(self) -> sp.csr_array:
-        return _continuations(self.src, self.dst, self.offsets, self.n, self.sqrt_weights,
-                              within=self.regime.forbids_space, across=self.regime.forbids_time)
+        return self.temporal._chain_matrix(self.sqrt_weights, self.regime)
 
     @property
     def m_total(self) -> int:
-        return int(self.offsets[-1])
+        return int(self.temporal.offsets[-1])
 
     @property
     def n(self) -> int:
         return self.temporal.n
 
     def edge_labels(self) -> list[str]:
-        labels = self.temporal.node_labels
-        snapshot = np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
+        tg = self.temporal
+        labels = tg.node_labels
+        snapshot = np.repeat(np.arange(tg.offsets.size - 1), np.diff(tg.offsets))
         return [f"{tau}:{labels[s]}->{labels[d]}" for tau, s, d in
-                zip(snapshot.tolist(), self.src.tolist(), self.dst.tolist())]
+                zip(snapshot.tolist(), tg.src.tolist(), tg.dst.tolist())]
 
     @cached_property
     def transition_radius(self) -> float:
@@ -157,16 +173,14 @@ class GlobalDecomposition:
         radius is ``temporal.max_adjacency_radius``."""
         if not self.regime.forbids_space:
             return self.temporal.max_adjacency_radius
-        return _max_radius(self.blocks, self.offsets)
+        return _max_radius(self.blocks, self.temporal.offsets)
 
     @cached_property
     def block_radius_bound(self) -> float:
         """Largest radius over the full-weight snapshot blocks, B or W:
         ``blocks``' pattern scaled by the weights, not their square roots."""
-        weights = np.concatenate([g.weight for g in self.temporal.snapshots])
-        full = _continuations(self.src, self.dst, self.offsets, self.n, weights, diagonal=True,
-                              within=self.regime.forbids_space, across=self.regime.forbids_time)
-        return _max_radius(full, self.offsets)
+        tg = self.temporal
+        return _max_radius(tg._chain_matrix(tg.weight, self.regime, diagonal=True), tg.offsets)
 
 
 def _max_radius(matrix: sp.csr_array, starts: np.ndarray) -> float:
@@ -185,19 +199,14 @@ def _max_radius(matrix: sp.csr_array, starts: np.ndarray) -> float:
 
 
 def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> GlobalDecomposition:
-    """Stack the snapshots' edge arrays for one regime and build ``blocks``,
-    the block diagonal of the global transition matrix ``M``; ``M`` itself
-    is assembled on first access."""
+    """Build ``blocks``, the block diagonal of the global transition matrix
+    ``M``, for one regime from the temporal graph's stacked edge arrays;
+    ``M`` itself is assembled on first access."""
     regime = BacktrackRegime(regime)
-    offsets = np.cumsum([0] + [g.m for g in tg.snapshots], dtype=np.int64)
-    src = np.concatenate([g.src for g in tg.snapshots])
-    dst = np.concatenate([g.dst for g in tg.snapshots])
-    sqrt_weights = np.sqrt(np.concatenate([g.weight for g in tg.snapshots]))
+    sqrt_weights = np.sqrt(tg.weight)
     return GlobalDecomposition(
-        temporal=tg, regime=regime, offsets=offsets, src=src, dst=dst, sqrt_weights=sqrt_weights,
-        blocks=_continuations(src, dst, offsets, tg.n, sqrt_weights, within=regime.forbids_space,
-                              across=regime.forbids_time, diagonal=True),
-    )
+        temporal=tg, regime=regime, sqrt_weights=sqrt_weights,
+        blocks=tg._chain_matrix(sqrt_weights, regime, diagonal=True))
 
 
 def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
@@ -208,24 +217,21 @@ def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
     diagonal scaling; entries below the block diagonal are then dropped.
     Identical, entry for entry, to ``build_global_transition(tg, FORBID_ALL).M``.
     """
-    snapshots = tg.snapshots
-    src = np.concatenate([g.src for g in snapshots])
-    dst = np.concatenate([g.dst for g in snapshots])
-    m_total = src.size
+    m_total = tg.src.size
     if m_total == 0:
         return sp.csr_array((0, 0), dtype=np.float64)
     edges, ones = np.arange(m_total), np.ones(m_total)
-    L = sp.csr_array((ones, (edges, src)), shape=(m_total, tg.n))
-    R = sp.csr_array((ones, (edges, dst)), shape=(m_total, tg.n))
+    L = sp.csr_array((ones, (edges, tg.src)), shape=(m_total, tg.n))
+    R = sp.csr_array((ones, (edges, tg.dst)), shape=(m_total, tg.n))
 
     chain = matmul(R, L.T)
     # subtracting the masked copy removes exactly the reversal entries
     pruned = sp.csr_array(chain - chain.multiply(matmul(L, R.T) != 0))
     pruned.eliminate_zeros()
-    sqrt_z = diag_matrix(np.sqrt(np.concatenate([g.weight for g in snapshots])))
+    sqrt_z = diag_matrix(np.sqrt(tg.weight))
     hat = matmul(matmul(sqrt_z, pruned), sqrt_z)
 
-    block_of = np.repeat(np.arange(len(snapshots)), [g.m for g in snapshots])
+    block_of = np.repeat(np.arange(len(tg.snapshots)), np.diff(tg.offsets))
     coo = hat.tocoo()
     keep = block_of[coo.row] <= block_of[coo.col]
     out = sp.csr_array(
@@ -273,7 +279,8 @@ def temporal_f_centrality(
     # matching the walk-length expansion); applying the shift to the
     # projection instead would not reproduce the length-(k+1) walk counts.
     y = apply_shifted_series(series, gd.M, t, gd.sqrt_weights, tol, rho=rho_m)
-    return series.c0 * np.ones(gd.n) + t * project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n)
+    return series.c0 * np.ones(gd.n) + t * project_to_nodes(gd.temporal.src, gd.sqrt_weights,
+                                                            y, gd.n)
 
 
 # Correction solves against the residual after a block's first solve, before
@@ -298,23 +305,23 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
     with every snapshot; the first right-hand side, solution or sum that is
     not finite raises :class:`NumericalError` (``_in_range``).
     """
-    n = gd.n
+    tg, n = gd.temporal, gd.n
     s = np.zeros(n)
     if gd.regime.forbids_time:
         # a slot of r per node pair that is an edge or an edge's reversal, by
         # edge in own and rev; the slot of a reversal that is no edge stays 0
-        pairs, slots = np.unique(np.concatenate([gd.src * n + gd.dst, gd.dst * n + gd.src]),
+        pairs, slots = np.unique(np.concatenate([tg.src * n + tg.dst, tg.dst * n + tg.src]),
                                  return_inverse=True)
         own, rev = np.split(slots, 2)
         r = np.zeros(pairs.size)
     indptr, indices, data = gd.blocks.indptr, gd.blocks.indices, gd.blocks.data
     # an overflow is reported by _in_range, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau in reversed(range(gd.offsets.size - 1)):
-            lo, hi = int(gd.offsets[tau]), int(gd.offsets[tau + 1])
+        for tau in reversed(range(tg.offsets.size - 1)):
+            lo, hi = int(tg.offsets[tau]), int(tg.offsets[tau + 1])
             if lo == hi:
                 continue
-            src, dst, sqrt_w = gd.src[lo:hi], gd.dst[lo:hi], gd.sqrt_weights[lo:hi]
+            src, dst, sqrt_w = tg.src[lo:hi], tg.dst[lo:hi], gd.sqrt_weights[lo:hi]
             first, last = indptr[lo], indptr[hi]
             block = sp.csr_array((data[first:last], indices[first:last] - lo,
                                   indptr[lo:hi + 1] - first), shape=(hi - lo, hi - lo))
@@ -382,8 +389,8 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
         if attempt < CORRECTION_SOLVES:
             y = y + solve(residual)
     raise NumericalError(
-        f"snapshot {tau}: componentwise backward error {best_error:.3e} of the resolvent "
-        f"solve exceeds tol {tol:.1e} after {CORRECTION_SOLVES} correction solves",
+        f"snapshot {tau}: componentwise backward error {best_error:.3e} exceeds tol "
+        f"{tol:.1e} after {CORRECTION_SOLVES} correction solves",
         estimate=best,
     )
 
@@ -417,11 +424,9 @@ def parse_temporal_edge_list(
     src, dst, weight, stamp = _read_columns(source, timed=True)
     if not src:
         raise ValidationError("no temporal records found")
-    _, group = np.unique(stamp, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    slices = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
     # each snapshot's stamp is its first record's, as read
-    return _temporal_graph(src, dst, weight, slices, stamp[[s[0] for s in slices]].tolist(),
+    _, first, snapshot = np.unique(stamp, return_index=True, return_inverse=True)
+    return _temporal_graph(src, dst, weight, snapshot, stamp[first].tolist(),
                            merge=merge, drop_loops=drop_loops)
 
 
@@ -449,25 +454,26 @@ def load_temporal_manifest(
         fname = entry if os.path.isabs(entry) else os.path.join(base, entry)
         with open(fname, "r", encoding="utf-8") as handle:
             per_file.append(_read_columns(handle, name=entry))
-    sizes = [len(columns[0]) for columns in per_file]
     return _temporal_graph(
         list(chain.from_iterable(c[0] for c in per_file)),
         list(chain.from_iterable(c[1] for c in per_file)),
         np.concatenate([c[2] for c in per_file]),
-        np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1]),
+        np.repeat(np.arange(len(per_file)), [len(c[0]) for c in per_file]),
         [float(i) for i in range(len(per_file))],
         merge=merge, drop_loops=drop_loops,
     )
 
 
-def _temporal_graph(src, dst, weight, slices, timestamps, *, merge, drop_loops) -> TemporalGraph:
-    """One snapshot per index array of ``slices`` into the records given by
-    the label columns ``src`` and ``dst`` and by ``weight``, all over the
-    node set of every record, in input order."""
+def _temporal_graph(src, dst, weight, snapshot, timestamps, *, merge, drop_loops) -> TemporalGraph:
+    """The temporal graph of the records given by the label columns ``src``
+    and ``dst``, ``weight`` and ``snapshot``, an index into ``timestamps``,
+    over the node set of every record, in input order.  One ``_merged_edges``
+    pass checks every record, naming the first bad one in input order, and
+    its arrays, sorted by (snapshot, src, dst), are cut into the snapshots."""
     labels, src_codes, dst_codes = _code_labels(src, dst)
-    snapshots = [
-        _graph_from_codes(labels, src_codes[idx], dst_codes[idx], weight[idx],
-                          merge=merge, drop_loops=drop_loops)
-        for idx in slices
-    ]
+    tau, *edges = _merged_edges(labels, src_codes, dst_codes, weight, merge=merge,
+                                drop_loops=drop_loops, snapshot=snapshot)
+    cuts = np.searchsorted(tau, np.arange(len(timestamps) + 1))
+    snapshots = [WeightedGraph._canonical(labels, *(a[lo:hi] for a in edges))
+                 for lo, hi in zip(cuts[:-1], cuts[1:])]
     return TemporalGraph(snapshots=snapshots, timestamps=timestamps)

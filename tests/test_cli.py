@@ -145,7 +145,7 @@ class TestRadiusCalls:
     ])
     def test_no_radius_of_the_assembled_transition(self, temporal3, matrices, command, capsys):
         gd = build_global_transition(self.temporal_graph(temporal3), BacktrackRegime.FORBID_ALL)
-        snapshot = np.searchsorted(gd.offsets, np.arange(gd.m_total), side="right") - 1
+        snapshot = np.searchsorted(gd.temporal.offsets, np.arange(gd.m_total), side="right") - 1
         between = gd.M.tocoo()
         assert np.any(snapshot[between.row] != snapshot[between.col])
         code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)

@@ -172,12 +172,6 @@ class TestShiftedSeries:
         # 2*w + 3*(0.5*M)w = [2+1.5, 2]
         assert np.allclose(out, [3.5, 2.0], atol=1e-14)
 
-    def test_custom_tail_bound_unattainable(self):
-        series = CoefficientSeries.custom([1.0, 1.0], tail_bound=1e-3)
-        with pytest.raises(NumericalError, match="tail bound"):
-            apply_shifted_series(series, sp.csr_array((2, 2)), 0.1, np.ones(2), tol=1e-10,
-                                 rho=0.0)
-
     def test_radius_violation(self):
         m = sp.csr_array(np.array([[0.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(ValidationError, match="converge"):

@@ -132,7 +132,7 @@ class TestGlobalAssembly:
         tg = TemporalGraph([g1, empty, g3], [0.0, 1.0, 2.0])
         gd = build_global_transition(tg, BacktrackRegime.ALLOW_ALL)
         assert gd.m_total == 2
-        assert list(gd.offsets) == [0, 1, 1, 2]
+        assert list(gd.temporal.offsets) == [0, 1, 1, 2]
         assert gd.M[0, 1] == math.sqrt(2.0) * math.sqrt(3.0)
 
     def test_spectrum_is_max_over_diagonal_blocks(self, rng):
@@ -148,7 +148,7 @@ class TestGlobalAssembly:
                     continue
                 dense_blocks = []
                 for tau, d in enumerate(map(line_graph, tg.snapshots)):
-                    lo, hi = gd.offsets[tau], gd.offsets[tau + 1]
+                    lo, hi = gd.temporal.offsets[tau], gd.temporal.offsets[tau + 1]
                     assert hi - lo == d.m
                     dense_blocks.append(gd.M[lo:hi, lo:hi].toarray())
                 want = max(dense_radius(b) for b in dense_blocks)
@@ -451,7 +451,7 @@ class TestProjectionToNodes:
                                      BacktrackRegime.FORBID_ALL)
         L, R, sqrt_z = stacked_incidence(gd)
         y = rng.lognormal(0.0, 1.0, size=gd.m_total)
-        assert np.array_equal(project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n),
+        assert np.array_equal(project_to_nodes(gd.temporal.src, gd.sqrt_weights, y, gd.n),
                               L.T @ (sqrt_z @ y))
         assert np.array_equal(gd.sqrt_weights, sqrt_z @ (R @ np.ones(gd.n)))
 
@@ -474,7 +474,7 @@ def dense_resolvent_scores(gd, t) -> np.ndarray:
     """Scores from one dense solve of the assembled I - tM."""
     system = np.eye(gd.m_total) - t * gd.M.toarray()
     y = np.linalg.solve(system, gd.sqrt_weights)
-    return 1.0 + t * project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n)
+    return 1.0 + t * project_to_nodes(gd.temporal.src, gd.sqrt_weights, y, gd.n)
 
 
 class TestSnapshotBackSubstitution:
@@ -575,6 +575,15 @@ class TestBlockCertificate:
         assert f"{achieved:.3e}" in str(info.value)
         np.testing.assert_array_equal(info.value.estimate, first)
 
+    def test_classical_katz_failure_names_no_resolvent(self, monkeypatch):
+        # the example has four nodes, so every adjacency block is stubbed
+        tg = parse_temporal_edge_list(CERTIFICATE_EXAMPLE)
+        self.stub_solver(monkeypatch, lambda matrix, rhs, x, call: x + 1e-3)
+        with pytest.raises(NumericalError, match=r"^snapshot 1: componentwise backward error "
+                                                 r"\S+ exceeds tol") as info:
+            classical_temporal_katz(tg, 0.5 * range_end(tg.max_adjacency_radius))
+        assert "resolvent" not in str(info.value)
+
     def test_block_missing_the_normwise_check_is_certified(self, monkeypatch):
         # 1e-8 below the radius the dense LU of a snapshot block leaves a
         # residual of about 8e-9 * ||b||, which the normwise check of
@@ -632,7 +641,7 @@ class TestSnapshotSolveTarget:
 
         monkeypatch.setattr(nbtwalks.temporal, "solve_linear", counted)
         temporal_f_centrality(gd, RESOLVENT, fraction * range_end(gd.transition_radius))
-        assert len(orders) == np.count_nonzero(np.diff(gd.offsets)) == 20
+        assert len(orders) == np.count_nonzero(np.diff(gd.temporal.offsets)) == 20
         assert min(orders) > nbtwalks.linalg.DENSE_CROSSOVER
 
 
@@ -802,7 +811,7 @@ class TestScoresPastTheFloat64Range:
         augmented[:m, :m] = t * gd.M.toarray()
         augmented[:m, m] = gd.sqrt_weights
         y = scipy.linalg.expm(augmented)[:m, m]
-        want = 1.0 + t * project_to_nodes(gd.src, gd.sqrt_weights, y, gd.n)
+        want = 1.0 + t * project_to_nodes(gd.temporal.src, gd.sqrt_weights, y, gd.n)
         assert np.max(np.abs(got - want) / want) <= 1e-10
 
 
@@ -864,6 +873,15 @@ class TestIngestion:
         with pytest.raises(ValidationError, match=re.escape(message)):
             parse_temporal_edge_list(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 a b -1\n0 c d -2\n", "edge ('a', 'b') has non-positive or non-finite weight -1.0"),
+        ("1 a b 1\n1 a b 2\n0 c d -2\n", "duplicate edge ('a', 'b')"),
+    ], ids=["weights", "duplicate-before-weight"])
+    def test_first_bad_record_in_file_order_across_snapshots(self, text, message):
+        # the bad records' snapshots come in the other order than their lines
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_temporal_edge_list(text)
+
     def test_comma_delimited(self):
         tg = parse_temporal_edge_list("0,a,b,2\n1, b , a ,3  # note\n1,a,c\n")
         assert tg.node_labels == ["a", "b", "c"]
@@ -922,3 +940,53 @@ class TestIngestion:
         gd = build_global_transition(tg, BacktrackRegime.ALLOW_ALL)
         oracle = count_temporal_walks_bruteforce(tg, BacktrackRegime.ALLOW_ALL, 2)
         assert rel_dev(temporal_walk_counts(gd, 1)[1], oracle[2]) <= 1e-12
+
+
+class TestOnePassIngestion:
+    """A temporal file is validated and merged in one pass over all its
+    records and cut into snapshots.  On U1 (the benchmark's temporal shape),
+    L1 (100 nodes, 1,000 snapshots of 150 edges) and the golden file, the
+    snapshots are bit for bit those built one snapshot at a time, and the
+    stacked adjacency's radius is that of the snapshots' block diagonal."""
+
+    @pytest.fixture(scope="class", params=["u1", "l1", "golden"])
+    def path(self, request, tmp_path_factory):
+        if request.param == "golden":
+            return GOLDEN_TEMPORAL
+        shape = {"u1": (500, 500, 20), "l1": (100, 150, 1000)}[request.param]
+        return write_uniform_temporal(tmp_path_factory.mktemp(request.param) / "in.txt", 1, *shape)
+
+    @pytest.fixture(scope="class")
+    def per_snapshot(self, path) -> TemporalGraph:
+        """The snapshots built one at a time by the constructor, over the
+        labels in order of first appearance; records grouped by stamp."""
+        records = [line.split() for line in path.read_text(encoding="utf-8").splitlines()
+                   if line.strip() and not line.startswith("#")]
+        labels = list(dict.fromkeys(label for r in records for label in r[1:3]))
+        code = {label: i for i, label in enumerate(labels)}
+        groups = {}
+        for stamp, s, d, w in records:
+            groups.setdefault(float(stamp), []).append((code[s], code[d], float(w)))
+        stamps = sorted(groups)
+        return TemporalGraph([WeightedGraph(labels, groups[stamp]) for stamp in stamps], stamps)
+
+    @pytest.mark.parametrize("merge", ["reject", "sum"])
+    def test_snapshots_equal_per_snapshot_construction(self, path, per_snapshot, merge):
+        want = per_snapshot
+        got = load_temporal_edge_list(path, merge=merge)
+        assert got.node_labels == want.node_labels
+        assert np.array(got.timestamps).tobytes() == np.array(want.timestamps).tobytes()
+        assert len(got.snapshots) == len(want.snapshots)
+        for g, h in zip(got.snapshots, want.snapshots):
+            assert g.node_labels is got.node_labels
+            for name in ("src", "dst", "weight"):
+                assert getattr(g, name).tobytes() == getattr(h, name).tobytes()
+        for name in ("offsets", "src", "dst", "weight"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert not getattr(got, name).flags.writeable
+
+    def test_max_adjacency_radius_equals_block_diagonal_radius(self, path):
+        tg = load_temporal_edge_list(path)
+        blocks = sp.block_diag([adjacency(g) for g in tg.snapshots], format="csr")
+        want = nbtwalks.temporal._max_radius(blocks, tg.n * np.arange(len(tg.snapshots) + 1))
+        assert np.float64(tg.max_adjacency_radius).tobytes() == np.float64(want).tobytes()

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError, ValidationError
 from .graph import LineGraphDecomposition, adjacency
@@ -25,6 +25,9 @@ from .linalg import (
     range_end,
     solve_linear,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "CoefficientSeries",
@@ -115,6 +118,8 @@ def _half_incidences(d: LineGraphDecomposition) -> tuple[sp.csr_array, sp.csr_ar
     with ``sqrt(w_e)`` at (src e, e) and the m x n one with ``sqrt(w_e)`` at
     (e, dst e).  Their product is the adjacency up to the rounding of
     ``sqrt(w)**2``."""
+    import scipy.sparse as sp
+
     g = d.graph
     edges = np.arange(g.m)
     return (sp.csr_array((d.sqrt_weights, (g.src, edges)), shape=(g.n, g.m)),
@@ -140,6 +145,8 @@ def apply_shifted_series(
     range is an error.  ``rho`` is the spectral radius of ``matrix``, which
     gates ``t``.
     """
+    import scipy.sparse as sp
+
     m = sp.csr_array(matrix)
     w = np.asarray(vector, dtype=np.float64)
     n = m.shape[0]

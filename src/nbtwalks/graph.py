@@ -16,11 +16,15 @@ from functools import cached_property
 from itertools import count
 from numbers import Real
 from operator import index
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
+from .linalg import _CSR, as_csr
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "WeightedGraph",
@@ -71,7 +75,8 @@ class WeightedGraph:
 
     @classmethod
     def _canonical(cls, labels, src, dst, weight) -> WeightedGraph:
-        """A graph from edge arrays already validated and sorted by (src, dst)."""
+        """A graph from edge arrays already validated and sorted by (src, dst).
+        It takes the arrays without a copy and marks them read-only."""
         graph = cls.__new__(cls)
         graph._assign(labels, src, dst, weight)
         return graph
@@ -79,7 +84,7 @@ class WeightedGraph:
     def _assign(self, labels, src, dst, weight) -> None:
         self.node_labels = labels
         self.src, self.dst, self.weight = (
-            np.array(a, dtype=dtype) for a, dtype in
+            np.asarray(a, dtype=dtype) for a, dtype in
             ((src, np.int64), (dst, np.int64), (weight, np.float64)))
         for a in (self.src, self.dst, self.weight):
             a.flags.writeable = False
@@ -315,6 +320,8 @@ def load_edge_list(path, **options) -> WeightedGraph:
 
 def adjacency(graph: WeightedGraph) -> sp.csr_array:
     """n x n adjacency matrix; entry (i, j) is the weight of edge i -> j."""
+    import scipy.sparse as sp
+
     n = graph.n
     return sp.csr_array((graph.weight, (graph.src, graph.dst)), shape=(n, n))
 
@@ -366,15 +373,15 @@ class LineGraphDecomposition:
 
     @cached_property
     def half_walk_matrix(self) -> sp.csr_array:
-        return _static_chain(self.graph, self.sqrt_weights, prune=False)
+        return as_csr(_static_chain(self.graph, self.sqrt_weights, prune=False))
 
 
 def _continuations(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, n: int,
                    x: np.ndarray, *, within: bool, across: bool,
-                   diagonal: bool = False) -> sp.csr_array:
+                   diagonal: bool = False) -> _CSR:
     """``diag(x) @ chain @ diag(x)`` for the continuation pattern ``chain``
-    of edges stacked in snapshot blocks: the builder of every edge-level
-    matrix, static and temporal.
+    of edges stacked in snapshot blocks, as a ``linalg._CSR``: the builder of
+    every edge-level matrix, static and temporal.
 
     Snapshot tau holds the edges ``offsets[tau]:offsets[tau + 1]``, sorted
     by (src, dst) within the block; a static graph is the one snapshot
@@ -422,13 +429,15 @@ def _continuations(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, n: int
         if within != across:  # keep the reversals on the side whose flag is off
             keep |= (snapshot[indices] == snapshot[rows]) != within
         rows, indices = rows[keep], indices[keep]
+    values = x[rows] * x[indices]
+    stored = values != 0
+    if not stored.all():
+        rows, indices, values = rows[stored], indices[stored], values[stored]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
-    out = sp.csr_array((x[rows] * x[indices], indices, indptr), shape=(m, m))
-    out.eliminate_zeros()
-    return out
+    return _CSR((values, indices, indptr), shape=(m, m))
 
 
-def _static_chain(graph: WeightedGraph, x: np.ndarray, *, prune: bool) -> sp.csr_array:
+def _static_chain(graph: WeightedGraph, x: np.ndarray, *, prune: bool) -> _CSR:
     """One graph's chain matrix, the snapshot ``[0, m]``, pruned or not."""
     return _continuations(graph.src, graph.dst, np.array([0, graph.m]), graph.n, x,
                           within=prune, across=prune)
@@ -438,7 +447,7 @@ def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
     """Build the canonical line-graph decomposition of a graph."""
     sqrt_weights = np.sqrt(graph.weight)
     # no edge followed by its reversal
-    V = _static_chain(graph, sqrt_weights, prune=True)
+    V = as_csr(_static_chain(graph, sqrt_weights, prune=True))
     return LineGraphDecomposition(graph=graph, sqrt_weights=sqrt_weights, V=V)
 
 
@@ -456,6 +465,7 @@ def load_matrix_market(
     ``merge``, summed in file order.
     """
     import scipy.io  # only MatrixMarket input needs it
+    import scipy.sparse as sp
 
     matrix = sp.coo_array(scipy.io.mmread(path))
     nrows, ncols = matrix.shape

@@ -1,7 +1,15 @@
 """Sparse matrix kernels: products, elementwise maps, linear solves, spectral radius.
 
-Matrices are ``scipy.sparse.csr_array`` with float64 data; vectors are 1-D numpy
-arrays.  All operations treat their inputs as immutable and return fresh
+Matrices come in two containers, both CSR with float64 data; vectors are 1-D
+numpy arrays.  The public names take and return ``scipy.sparse.csr_array``,
+and so do the static routes.  The temporal paths build, slice and multiply
+``_CSR``, a private canonical CSR on numpy alone, so that the temporal
+commands never load scipy; every scipy import is inside the function that
+needs it.  ``spectral_radius`` and ``solve_linear`` take either container
+and keep it: they cut blocks in the input's own container and multiply with
+its ``@``, and only the strongly-connected-components pass differs
+(``scipy.sparse.csgraph`` for scipy input, ``_strong_components`` for
+``_CSR``).  All operations treat their inputs as immutable and return fresh
 objects, so results can be shared freely across threads.  Explicitly stored
 zeros never affect results.
 """
@@ -10,14 +18,15 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .errors import NumericalError, ValidationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Solve policy (see solve_linear).  Dense LU up to DENSE_CROSSOVER, GMRES
 # above, with the dense LU as certified fallback up to DENSE_SOLVE_MAX.
@@ -42,10 +51,54 @@ BALANCE_SPAN = 10     # balance radius blocks whose entries span 2^10 or more
 BALANCE_SWEEPS = 30   # at most this many balancing sweeps
 
 
+class _CSR:
+    """A canonical CSR matrix on numpy alone: float64 ``data``, column
+    ``indices`` sorted within each row, no repeated entry.  It is built as
+    ``scipy.sparse.csr_array((data, indices, indptr), shape=shape)`` is, from
+    arrays that already meet those terms, and it holds them as given.  Its
+    product with a vector sums each row in stored order, from 0, as scipy's
+    does, so the two agree bit for bit."""
+
+    def __init__(self, arrays: tuple, shape: tuple[int, int]):
+        self.data, self.indices, self.indptr = arrays
+        self.shape = shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self._rows, self.data * x[self.indices], minlength=self.shape[0])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self._rows, self.indices] = self.data
+        return out
+
+
+def _diagonal_block(m, lo: int, hi: int):
+    """Rows and columns ``lo:hi`` of a canonical CSR matrix, in its own
+    container, when rows ``lo:hi`` have no entry outside columns ``lo:hi``
+    (a diagonal block of a block-diagonal matrix).  The block shares the
+    matrix's data."""
+    first, last = m.indptr[lo], m.indptr[hi]
+    return type(m)((m.data[first:last], m.indices[first:last] - lo,
+                    m.indptr[lo:hi + 1] - first), shape=(hi - lo, hi - lo))
+
+
 def as_csr(matrix) -> sp.csr_array:
-    """Coerce to a canonical float64 CSR array with sorted indices.  The
-    result may share the input's arrays; a copy is made before summing
-    duplicates or sorting, so the input is never changed."""
+    """Coerce to a canonical float64 CSR array with sorted indices; a
+    ``_CSR`` becomes the scipy array of its arrays.  The result may share
+    the input's arrays; a copy is made before summing duplicates or
+    sorting, so the input is never changed."""
+    import scipy.sparse as sp
+
+    if isinstance(matrix, _CSR):
+        return sp.csr_array((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     if sp.issparse(matrix):
         out = sp.csr_array(matrix, dtype=np.float64)
     else:
@@ -54,6 +107,12 @@ def as_csr(matrix) -> sp.csr_array:
         out = out.copy()
         out.sum_duplicates()
     return out
+
+
+def _canonical(matrix):
+    """A ``_CSR`` as it is, which is canonical by construction; any other
+    matrix through ``as_csr``."""
+    return matrix if isinstance(matrix, _CSR) else as_csr(matrix)
 
 
 def range_end(rho: float, radius: float = 1.0) -> float:
@@ -72,11 +131,15 @@ def check_t(t: float, hi: float, reason: str = "", show=str) -> None:
 
 
 def identity(n: int) -> sp.csr_array:
+    import scipy.sparse as sp
+
     return sp.identity(n, dtype=np.float64, format="csr")
 
 
 def diag_matrix(values) -> sp.csr_array:
     """Diagonal matrix from a 1-D array (an empty array gives a 0 x 0 matrix)."""
+    import scipy.sparse as sp
+
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     return sp.csr_array((values, (np.arange(n), np.arange(n))), shape=(n, n))
@@ -84,6 +147,8 @@ def diag_matrix(values) -> sp.csr_array:
 
 def matmul(a, b) -> sp.csr_array:
     """Sparse product ``a @ b``; drops explicitly stored zeros from the result."""
+    import scipy.sparse as sp
+
     a = as_csr(a)
     b = as_csr(b)
     if a.shape[1] != b.shape[0]:
@@ -99,6 +164,8 @@ def matmul(a, b) -> sp.csr_array:
 
 def hadamard(a, b) -> sp.csr_array:
     """Elementwise product; both operands must have the same shape."""
+    import scipy.sparse as sp
+
     a = as_csr(a)
     b = as_csr(b)
     if a.shape != b.shape:
@@ -159,7 +226,7 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
     ``||Ax - b|| / ||b||`` it reached, with the matrix-vector products and
     restart cycles GMRES spent, and the best solution found as ``estimate``.
     """
-    m = as_csr(matrix)
+    m = _canonical(matrix)
     b = np.asarray(rhs, dtype=np.float64)
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
@@ -194,14 +261,12 @@ def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
         if tried[-1][1] <= tol:
             return np.ldexp(x, e)
     if n <= DENSE_SOLVE_MAX:
-        # the residual check certifies the result, so scipy's conditioning
-        # warning adds nothing
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            try:
-                x = scipy.linalg.solve(m.toarray(), b)
-            except (scipy.linalg.LinAlgError, ValueError):
-                x = None  # exactly singular or non-finite
+        try:
+            x = np.linalg.solve(m.toarray(), b)
+        except np.linalg.LinAlgError:
+            x = None  # exactly singular
+        if x is not None and not (np.isfinite(m.data).all() and np.isfinite(x).all()):
+            x = None  # a non-finite matrix or solution: the LU has no result
         r_norm = math.inf if x is None else float(np.linalg.norm(m @ x - b))
         tried.append(("dense LU", ratio(r_norm), x, ""))
         if tried[-1][1] <= tol:
@@ -232,7 +297,7 @@ def _dense_solve(system: np.ndarray, targets: np.ndarray, name: str) -> np.ndarr
     return y
 
 
-def _gmres(m: sp.csr_array, b: np.ndarray, target: float, maxiter: int) -> tuple:
+def _gmres(m, b: np.ndarray, target: float, maxiter: int) -> tuple:
     """Restarted GMRES(``GMRES_RESTART``) from x0 = 0 (Saad & Schultz, SISSC 7,
     1986), for at most ``maxiter`` cycles, until ``||b - Ax|| <= target``.
     Returns the iterate with the smallest residual, its residual norm, the
@@ -293,7 +358,10 @@ def _gmres(m: sp.csr_array, b: np.ndarray, target: float, maxiter: int) -> tuple
             if breakdown or abs(estimate) <= target:
                 break
         p = j + 1 if upper[j, j] else j
-        y = scipy.linalg.solve_triangular(upper[:p, :p], g[:p], check_finite=False)
+        # back-substitution on the triangle, row by row: LAPACK's bits here
+        y = np.empty(p)
+        for i in reversed(range(p)):
+            y[i] = (g[i] - upper[i, i + 1:p] @ y[i + 1:]) / upper[i, i]
         x_next = x + y @ basis[:p]
         r_next = b - m @ x_next
         products += 1
@@ -332,35 +400,51 @@ def spectral_radius(matrix) -> float:
     which names the block's order, its first node and the last estimate,
     kept as ``node`` and ``estimate``.
     """
-    m = as_csr(matrix)
+    m = _canonical(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"spectral_radius requires a square matrix, got {m.shape}")
     n = m.shape[0]
     if n == 0:
         return 0.0
-    m = m.copy()
-    m.eliminate_zeros()
+    row = np.repeat(np.arange(n), np.diff(m.indptr))
+    stored = m.data != 0
+    if not stored.all():
+        row = row[stored]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
+        m = type(m)((m.data[stored], m.indices[stored], indptr), shape=m.shape)
     if m.nnz == 0:
         return 0.0
     if np.any(m.data < 0):
         raise ValidationError("spectral_radius requires nonnegative entries")
 
-    ncomp, labels = csgraph.connected_components(m, directed=True, connection="strong")
+    if isinstance(m, _CSR):
+        ncomp, labels = _strong_components(m)
+    else:  # scipy input: its caller has loaded scipy
+        from scipy.sparse import csgraph
+
+        ncomp, labels = csgraph.connected_components(m, directed=True, connection="strong")
     single = np.bincount(labels, minlength=ncomp)[labels] == 1
-    best = float(m.diagonal()[single].max(initial=0.0))
+    loop = m.indices == row
+    diagonal = np.zeros(n)
+    diagonal[row[loop]] = m.data[loop]
+    best = float(diagonal[single].max(initial=0.0))
     if single.all():
         return best
     # the nodes of the other components, each component contiguous, and the
-    # entries inside them: a block-diagonal matrix of irreducible blocks
+    # entries inside them: a block-diagonal matrix of irreducible blocks.  A
+    # row keeps its entries in their order, which stays sorted by column,
+    # as the nodes of one component keep theirs.
     nodes = np.flatnonzero(~single)
     nodes = nodes[np.argsort(labels[nodes], kind="stable")]
     k = nodes.size
     pos = np.empty(n, dtype=np.intp)
     pos[nodes] = np.arange(k)
-    row = np.repeat(np.arange(n), np.diff(m.indptr))
     keep = (labels[row] == labels[m.indices]) & ~single[row]
     rows, cols, vals = pos[row[keep]], pos[m.indices[keep]], m.data[keep]
-    blocks = sp.csr_array((vals, (rows, cols)), shape=(k, k))
+    by_row = np.argsort(rows, kind="stable")
+    blocks = type(m)((vals[by_row], cols[by_row],
+                      np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k))))),
+                     shape=(k, k))
     comp = labels[nodes]
     starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
     ends = np.r_[starts[1:], k]
@@ -372,7 +456,7 @@ def spectral_radius(matrix) -> float:
         if bounds[b] <= best:
             break
         lo, hi = int(starts[b]), int(ends[b])
-        block = blocks if hi - lo == k else blocks[lo:hi, lo:hi]
+        block = blocks if hi - lo == k else _diagonal_block(blocks, lo, hi)
         rho, estimate = _block_radius(block, best)
         if rho is None:
             raise NumericalError(
@@ -386,7 +470,7 @@ def spectral_radius(matrix) -> float:
     return best
 
 
-def _block_radius(m: sp.csr_array, below: float = 0.0) -> tuple:
+def _block_radius(m, below: float = 0.0) -> tuple:
     """Radius of an irreducible nonnegative block, or None without a
     certificate after ``POWER_MAXITER`` steps, and the last estimate.  A block
     that cannot reach ``below`` returns an upper bound of its radius under
@@ -433,7 +517,7 @@ def _cycle_radius(data: np.ndarray) -> float:
     return math.ldexp(math.exp((math.fsum(np.log(fractions)) + r * math.log(2.0)) / data.size), q)
 
 
-def _balance_exponents(m: sp.csr_array) -> np.ndarray:
+def _balance_exponents(m) -> np.ndarray:
     """Exponent ``k[j] - k[i]`` of each stored entry (i, j) of an irreducible
     block B such that ``D^-1 B D``, ``D = diag(2^k)``, is nearly balanced
     (Osborne, JACM 1960; Parlett & Reinsch, Numer. Math. 13, 1969).
@@ -465,7 +549,7 @@ def _balance_exponents(m: sp.csr_array) -> np.ndarray:
     return k[m.indices] - k[row]
 
 
-def _power_radius(m: sp.csr_array, below: float) -> tuple:
+def _power_radius(m, below: float) -> tuple:
     """Shifted power iteration: the radius, or None without a certificate,
     and the last estimate.
 
@@ -532,3 +616,56 @@ def _power_radius(m: sp.csr_array, below: float) -> tuple:
                 return estimate, estimate
         x = y / float(np.linalg.norm(y))
     return certified, estimate
+
+
+def _strong_components(m: _CSR) -> tuple[int, np.ndarray]:
+    """The strongly connected components of a ``_CSR``'s pattern: their
+    count and each node's label, as ``scipy.sparse.csgraph`` gives them up
+    to the numbering.  Tarjan's depth-first search (SIAM J. Comput. 1,
+    1972), in linear time, with an explicit path of open nodes in place of
+    recursion, so that no depth of path exhausts the interpreter's stack.
+    A node's visit order becomes ``n + 1`` once its component is closed,
+    which keeps it out of every later low link; components are labelled as
+    they close, so the labels run in reverse topological order."""
+    n = m.shape[0]
+    indptr, indices = m.indptr.tolist(), m.indices.tolist()
+    next_edge = indptr[:-1]
+    order = [0] * n      # 1 + the visit order, 0 before the visit
+    low = [0] * n        # least order reached from the node's subtree
+    label = [0] * n
+    stack, ncomp, visited, closed = [], 0, 0, n + 1
+    for root in range(n):
+        if order[root]:
+            continue
+        visited += 1
+        order[root] = low[root] = visited
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            p, end, low_v = next_edge[v], indptr[v + 1], low[v]
+            while p < end:
+                w = indices[p]
+                p += 1
+                order_w = order[w]
+                if not order_w:   # descend to w
+                    next_edge[v], low[v] = p, low_v
+                    visited += 1
+                    order[w] = low[w] = visited
+                    stack.append(w)
+                    path.append(w)
+                    break
+                if order_w < low_v:
+                    low_v = order_w
+            else:   # every edge of v is done: close v
+                path.pop()
+                if low_v == order[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w], order[w] = ncomp, closed
+                        if w == v:
+                            break
+                    ncomp += 1
+                elif low_v < low[path[-1]]:
+                    low[path[-1]] = low_v
+    return ncomp, np.array(label, dtype=np.intp)

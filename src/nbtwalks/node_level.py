@@ -9,9 +9,9 @@ solve against the all-ones vector.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .linalg import (
@@ -26,6 +26,9 @@ from .linalg import (
     range_end,
     solve_linear,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["nbt_walk_counts", "build_node_system", "elementwise_pole", "generating_matrix",
            "nbt_katz"]
@@ -56,6 +59,8 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
     Hadamard product per new depth.  An entry that cancels to zero within the
     recurrence's rounding error is not stored.
     """
+    import scipy.sparse as sp
+
     a = _validate_adjacency(adjacency)
     if kmax < 0:
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
@@ -127,6 +132,8 @@ def build_node_system(adjacency, t: float) -> sp.csr_array:
     pole; beyond it the diagonal correction series diverges and the
     offending pair is reported.
     """
+    import scipy.sparse as sp
+
     a = _validate_adjacency(adjacency)
     n = a.shape[0]
     mutual = hadamard(a, a.T)

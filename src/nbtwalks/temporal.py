@@ -16,21 +16,27 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .edge_level import CoefficientSeries, apply_shifted_series, project_to_nodes
 from .errors import NumericalError, ValidationError
-from .graph import (
-    WeightedGraph,
-    _code_labels,
-    _continuations,
-    _merged_edges,
-    _read_columns,
-    adjacency,
+from .graph import WeightedGraph, _code_labels, _continuations, _merged_edges, _read_columns
+from .linalg import (
+    _CSR,
+    _diagonal_block,
+    as_csr,
+    check_t,
+    diag_matrix,
+    matmul,
+    range_end,
+    solve_linear,
+    spectral_radius,
 )
-from .linalg import check_t, diag_matrix, identity, matmul, range_end, solve_linear, spectral_radius
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "BacktrackRegime",
@@ -102,17 +108,24 @@ class TemporalGraph:
         return self.snapshots[0].node_labels
 
     @cached_property
+    def _stacked_adjacency(self) -> _CSR:
+        """The snapshot adjacencies as one block-diagonal ``_CSR``, snapshot
+        tau's nodes at tau * n.  The stacked arrays, sorted by (snapshot,
+        src, dst), are its entries in CSR order already."""
+        size = self.n * len(self.snapshots)
+        shift = self.n * np.repeat(np.arange(len(self.snapshots)), np.diff(self.offsets))
+        rows = self.src + shift
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+        return _CSR((self.weight, self.dst + shift, indptr), shape=(size, size))
+
+    @cached_property
     def max_adjacency_radius(self) -> float:
         """Largest snapshot adjacency radius, the classical measure's bound:
-        that of one CSR of the stacked arrays, snapshot tau's nodes at tau * n."""
-        n, count = self.n, len(self.snapshots)
-        shift = n * np.repeat(np.arange(count), np.diff(self.offsets))
-        stacked = sp.csr_array((self.weight, (self.src + shift, self.dst + shift)),
-                               shape=(n * count, n * count))
-        return _max_radius(stacked, n * np.arange(count + 1))
+        that of the stacked adjacency."""
+        return _max_radius(self._stacked_adjacency, self.n * np.arange(len(self.snapshots) + 1))
 
     def _chain_matrix(self, x: np.ndarray, regime: BacktrackRegime, *,
-                      diagonal: bool = False) -> sp.csr_array:
+                      diagonal: bool = False) -> _CSR:
         """``graph._continuations`` of the stacked edges under ``regime``."""
         return _continuations(self.src, self.dst, self.offsets, self.n, x, diagonal=diagonal,
                               within=regime.forbids_space, across=regime.forbids_time)
@@ -129,10 +142,11 @@ class GlobalDecomposition:
     transition matrix in half-power form: entry (e, f) equals
     ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e under the
     regime, so ``diag(sqrt_weights) @ M**k @ diag(sqrt_weights)`` counts
-    weighted walks; it is assembled on first access and kept.  ``blocks``,
-    its block diagonal, is built with the decomposition: the line graph of
-    the snapshots' disjoint union, V when the regime forbids backtracking in
-    space and the half-walk matrix otherwise.  Both come from
+    weighted walks; it is a ``scipy.sparse.csr_array``, assembled on first
+    access and kept.  ``blocks``, its block diagonal, is built with the
+    decomposition as a ``linalg._CSR``, which needs no scipy: the line graph
+    of the snapshots' disjoint union, V when the regime forbids backtracking
+    in space and the half-walk matrix otherwise.  Both come from
     ``graph._continuations``, the builder of the static line graph, with the
     regime's two reversal flags.  The radius and the resolvent work on
     ``blocks`` and never assemble ``M``.
@@ -141,11 +155,11 @@ class GlobalDecomposition:
     temporal: TemporalGraph
     regime: BacktrackRegime
     sqrt_weights: np.ndarray
-    blocks: sp.csr_array
+    blocks: _CSR
 
     @cached_property
     def M(self) -> sp.csr_array:
-        return self.temporal._chain_matrix(self.sqrt_weights, self.regime)
+        return as_csr(self.temporal._chain_matrix(self.sqrt_weights, self.regime))
 
     @property
     def m_total(self) -> int:
@@ -183,7 +197,7 @@ class GlobalDecomposition:
         return _max_radius(tg._chain_matrix(tg.weight, self.regime, diagonal=True), tg.offsets)
 
 
-def _max_radius(matrix: sp.csr_array, starts: np.ndarray) -> float:
+def _max_radius(matrix: _CSR, starts: np.ndarray) -> float:
     """Spectral radius of a block-diagonal matrix whose snapshot blocks start
     at rows ``starts``, by one ``spectral_radius`` call.  A
     :class:`NumericalError` names the snapshot whose block failed and the
@@ -217,6 +231,8 @@ def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
     diagonal scaling; entries below the block diagonal are then dropped.
     Identical, entry for entry, to ``build_global_transition(tg, FORBID_ALL).M``.
     """
+    import scipy.sparse as sp
+
     m_total = tg.src.size
     if m_total == 0:
         return sp.csr_array((0, 0), dtype=np.float64)
@@ -295,8 +311,8 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
 
     M is block upper-triangular, so the system is solved from the last
     snapshot to the first without assembling M.  Row block tau reads
-    ``(I - t D_tau) y_tau = b_tau`` with D_tau the diagonal block, a CSR
-    slice of ``gd.blocks``, and
+    ``(I - t D_tau) y_tau = b_tau`` with D_tau the diagonal block, a slice
+    of ``gd.blocks``, and
     ``b_tau = sqrt_w * (1 + t (s[dst] - r[(dst, src)]))``: ``s`` sums
     ``sqrt_w * y`` over the later edges leaving each node, and ``r`` the
     same sums per ordered node pair, subtracted only when the regime forbids
@@ -314,7 +330,6 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
                                  return_inverse=True)
         own, rev = np.split(slots, 2)
         r = np.zeros(pairs.size)
-    indptr, indices, data = gd.blocks.indptr, gd.blocks.indices, gd.blocks.data
     # an overflow is reported by _in_range, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for tau in reversed(range(tg.offsets.size - 1)):
@@ -322,9 +337,7 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
             if lo == hi:
                 continue
             src, dst, sqrt_w = tg.src[lo:hi], tg.dst[lo:hi], gd.sqrt_weights[lo:hi]
-            first, last = indptr[lo], indptr[hi]
-            block = sp.csr_array((data[first:last], indices[first:last] - lo,
-                                  indptr[lo:hi + 1] - first), shape=(hi - lo, hi - lo))
+            block = _diagonal_block(gd.blocks, lo, hi)
             later = s[dst]
             if gd.regime.forbids_time:
                 later = later - r[rev[lo:hi]]
@@ -363,7 +376,7 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
     ``estimate``.  A solution, or a scale of the backward error, past the
     float64 range fails as ``_in_range`` does.
     """
-    system = identity(b.size) - t * block
+    system = _identity_minus(t, block)
     target = tol / math.sqrt(b.size)
 
     def solve(rhs):
@@ -395,21 +408,39 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
     )
 
 
+def _identity_minus(t: float, block: _CSR) -> _CSR:
+    """``I - t D`` for a block D without diagonal entries (no edge follows
+    itself, and no graph has a loop), stored as scipy stores ``identity(k)
+    - t * D``: each row gains a 1 at its diagonal, in column order, and an
+    off-diagonal ``-t * d`` that is zero is dropped."""
+    k = block.shape[0]
+    rows = np.repeat(np.arange(k), np.diff(block.indptr))
+    values = -t * block.data
+    stored = values != 0
+    rows, indices, values = rows[stored], block.indices[stored], values[stored]
+    # each diagonal goes in front of its row's first entry right of it
+    at = np.searchsorted(rows * k + indices, np.arange(k) * (k + 1))
+    counts = np.bincount(rows, minlength=k) + 1
+    return _CSR((np.insert(values, at, 1.0), np.insert(indices, at, np.arange(k)),
+                 np.concatenate(([0], np.cumsum(counts)))), shape=(k, k))
+
+
 def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> np.ndarray:
     """Backtracking-permitted temporal Katz: the ordered product of snapshot
     resolvents applied to the all-ones vector, right to left, one sparse
-    solve per snapshot with an edge.  A and x are nonnegative, as the
-    resolvent's blocks and right-hand sides are, so each solve is accepted
-    on the same componentwise certificate, ``_certified_block_solve``'s.
-    The first solution that is not finite raises :class:`NumericalError`
-    (``_in_range``)."""
+    solve per snapshot with an edge, on its block of the stacked adjacency.
+    A and x are nonnegative, as the resolvent's blocks and right-hand sides
+    are, so each solve is accepted on the same componentwise certificate,
+    ``_certified_block_solve``'s.  The first solution that is not finite
+    raises :class:`NumericalError` (``_in_range``)."""
     check_t(t, range_end(tg.max_adjacency_radius), " for the classical temporal measure")
-    x = np.ones(tg.n)
+    n, x = tg.n, np.ones(tg.n)
     # an overflow is reported by _in_range, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for tau in reversed(range(len(tg.snapshots))):
             if tg.snapshots[tau].m:   # the resolvent of an edgeless snapshot is I
-                x = _certified_block_solve(adjacency(tg.snapshots[tau]), t, x, tol, tau)
+                block = _diagonal_block(tg._stacked_adjacency, tau * n, (tau + 1) * n)
+                x = _certified_block_solve(block, t, x, tol, tau)
     return x
 
 

@@ -13,7 +13,7 @@ import nbtwalks.temporal
 from nbtwalks.cli import _kendall_tau_b, _ranking, main, printed, read_back
 from nbtwalks.crosschecks import CheckResult
 from nbtwalks.graph import adjacency, line_graph
-from nbtwalks.linalg import spectral_radius
+from nbtwalks.linalg import as_csr, spectral_radius
 from nbtwalks.temporal import (
     BacktrackRegime,
     build_global_transition,
@@ -114,11 +114,11 @@ class TestRadiusCalls:
 
     @pytest.fixture
     def matrices(self, monkeypatch):
-        """Matrices passed to spectral_radius, in call order."""
+        """Matrices passed to spectral_radius, in call order, as scipy arrays."""
         seen = []
 
         def counted(matrix, *args, **kwargs):
-            seen.append(matrix)
+            seen.append(as_csr(matrix))
             return spectral_radius(matrix, *args, **kwargs)
 
         for module in (nbtwalks.cli, nbtwalks.temporal):

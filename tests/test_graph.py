@@ -20,7 +20,7 @@ from nbtwalks.graph import (
     load_matrix_market,
     parse_edge_list,
 )
-from nbtwalks.linalg import matmul, spectral_radius
+from nbtwalks.linalg import as_csr, matmul, spectral_radius
 from nbtwalks.temporal import load_temporal_edge_list, parse_temporal_edge_list
 
 from conftest import (
@@ -353,7 +353,7 @@ def full_weight(g, *, prune):
     """The line graph scaled by the weights, not their square roots: W, or
     the Hashimoto matrix B when pruned.  ``block_radius_bound`` takes the
     radius of these."""
-    return nbtwalks.graph._static_chain(g, g.weight, prune=prune)
+    return as_csr(nbtwalks.graph._static_chain(g, g.weight, prune=prune))
 
 
 class TestLineGraph:

@@ -10,6 +10,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg as spla
 
 import nbtwalks.linalg as linalg
+import nbtwalks.temporal as temporal
 from nbtwalks.edge_level import (
     CentralityPlan,
     CoefficientSeries,
@@ -208,7 +209,7 @@ def test_solve_commutes_with_power_of_two_scaling(n, monkeypatch):
         def no_dense(*args, **kwargs):
             raise AssertionError("dense factorization used")
 
-        monkeypatch.setattr(scipy.linalg, "solve", no_dense)
+        monkeypatch.setattr(np.linalg, "solve", no_dense)
     rng = np.random.default_rng(11)
     m = as_csr(identity(n) - 0.05 * adjacency(random_digraph(rng, n, p=4 / n)))
     b = rng.uniform(0.5, 2.0, n)
@@ -242,7 +243,7 @@ def test_policy_medium_katz_without_dense_factorization(monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("dense factorization used")
 
-    monkeypatch.setattr(scipy.linalg, "solve", no_dense)
+    monkeypatch.setattr(np.linalg, "solve", no_dense)
     n = 1000
     g = random_digraph(np.random.default_rng(3), n, p=4 / n)
     a = adjacency(g)
@@ -254,7 +255,7 @@ def test_policy_medium_katz_without_dense_factorization(monkeypatch):
 
 def test_policy_stalled_gmres_falls_back_to_dense(monkeypatch):
     gmres_calls = _counting(monkeypatch, linalg, "_gmres")
-    dense_calls = _counting(monkeypatch, scipy.linalg, "solve")
+    dense_calls = _counting(monkeypatch, np.linalg, "solve")
     m = _directed_path_system(600)
     b = np.ones(600)
     x = solve_linear(m, b, 1e-10)
@@ -264,7 +265,7 @@ def test_policy_stalled_gmres_falls_back_to_dense(monkeypatch):
 
 def test_policy_stall_above_dense_limit_raises(monkeypatch):
     monkeypatch.setattr(linalg, "ITERATIVE_MAXITER_FACTOR", 1)
-    dense_calls = _counting(monkeypatch, scipy.linalg, "solve")
+    dense_calls = _counting(monkeypatch, np.linalg, "solve")
     n = linalg.DENSE_SOLVE_MAX + 100
     with pytest.raises(NumericalError, match="residual") as info:
         solve_linear(_directed_path_system(n), np.ones(n), 1e-10)
@@ -282,6 +283,15 @@ def test_policy_error_names_every_path_tried(monkeypatch):
         solve_linear(m, np.array([1.0, 0.0]))
     assert "GMRES(30) reached" in str(info.value)
     assert "then dense LU failed" in str(info.value)
+
+
+def test_policy_non_finite_dense_solution_fails():
+    # numpy's LU does not reject a non-finite matrix, and returns a finite
+    # x for this one; the dense path still reports that it failed
+    m = as_csr([[np.inf, 1.0], [1.0, 1.0]])
+    with pytest.raises(NumericalError, match="dense LU failed") as info:
+        solve_linear(m, np.array([1.0, 0.0]))
+    assert info.value.estimate is None
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +356,7 @@ def test_solve_certifies_after_several_restart_cycles(monkeypatch):
         return out
 
     monkeypatch.setattr(linalg, "_gmres", recorded)
-    dense_calls = _counting(monkeypatch, scipy.linalg, "solve")
+    dense_calls = _counting(monkeypatch, np.linalg, "solve")
     m = _directed_path_system(linalg.DENSE_SOLVE_MAX + 100, 0.9)
     b = np.ones(m.shape[0])
     x = solve_linear(m, b, 1e-10)
@@ -768,3 +778,117 @@ def test_radius_failure_names_the_block(rng, monkeypatch):
     assert estimate is not None and f"last estimate {estimate}" in str(info.value)
     # on the block's own scale, not on that of the block the iteration saw
     assert estimate == pytest.approx(float(np.abs(np.linalg.eigvals(dense)).max()), rel=0.1)
+
+
+# The temporal paths' container, linalg._CSR, and its components pass
+
+
+def _container(matrix) -> linalg._CSR:
+    """The same matrix as a ``_CSR``."""
+    a = as_csr(matrix)
+    return linalg._CSR((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def _assert_components_match_csgraph(m: linalg._CSR):
+    ncomp, labels = linalg._strong_components(m)
+    want_ncomp, want = scipy.sparse.csgraph.connected_components(
+        as_csr(m), directed=True, connection="strong")
+    # one partition: each label of one pass meets exactly one of the other
+    assert ncomp == want_ncomp == len(set(zip(labels.tolist(), want.tolist())))
+
+
+@pytest.fixture(scope="module")
+def u1(tmp_path_factory):
+    """500 nodes, 20 snapshots of about 500 edges: the bench's temporal shape."""
+    path = tmp_path_factory.mktemp("u1") / "u1.txt"
+    return load_temporal_edge_list(write_uniform_temporal(path, 1, 500, 500, 20))
+
+
+@pytest.fixture(scope="module")
+def long_and_golden(tmp_path_factory):
+    """1,000 snapshots of about 150 edges on 100 nodes, and the golden file."""
+    path = tmp_path_factory.mktemp("l1") / "l1.txt"
+    golden = Path(__file__).parent / "data" / "golden" / "temporal.txt"
+    return [load_temporal_edge_list(write_uniform_temporal(path, 1, 100, 150, 1000)),
+            load_temporal_edge_list(golden)]
+
+
+def _temporal_containers(tg, regime):
+    """The ``_CSR``s whose radii the temporal paths take under ``regime``:
+    the snapshot blocks, the full-weight blocks and the stacked adjacency."""
+    return [build_global_transition(tg, regime).blocks,
+            tg._chain_matrix(tg.weight, regime, diagonal=True), tg._stacked_adjacency]
+
+
+@pytest.mark.parametrize("regime", list(BacktrackRegime))
+def test_components_of_temporal_containers_match_csgraph(u1, regime):
+    for m in _temporal_containers(u1, regime):
+        _assert_components_match_csgraph(m)
+
+
+def test_components_of_long_and_golden_temporal_inputs_match_csgraph(long_and_golden):
+    for tg in long_and_golden:
+        for m in _temporal_containers(tg, BacktrackRegime.FORBID_ALL):
+            _assert_components_match_csgraph(m)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_components_of_random_digraphs_match_csgraph(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    density = float(rng.choice([0.5 / n, 1.0 / n, 2.0 / n, 0.05]))
+    pattern = sp.random_array((n, n), density=min(density, 1.0), random_state=rng, format="csr")
+    pattern.data[:] = rng.uniform(0.5, 2.0, pattern.nnz)
+    _assert_components_match_csgraph(_container(pattern))
+
+
+@pytest.mark.parametrize("n, loops", [(0, False), (40, False), (40, True)],
+                         ids=["0x0", "isolated", "self-loops"])
+def test_components_of_degenerate_patterns_match_csgraph(n, loops):
+    pattern = sp.diags_array(np.ones(n), format="csr") if loops else sp.csr_array((n, n))
+    _assert_components_match_csgraph(_container(pattern))
+
+
+@pytest.mark.parametrize("shape", ["path", "ring", "chain of 2-cycles"])
+def test_components_of_deep_patterns_need_no_recursion(shape):
+    # a depth-first search 100,000 nodes deep: a recursive pass would pass
+    # the interpreter's recursion limit
+    n = 100_000
+    src, dst = np.arange(n - 1), np.arange(1, n)
+    if shape == "ring":
+        src, dst = np.append(src, n - 1), np.append(dst, 0)
+    if shape == "chain of 2-cycles":
+        src, dst = np.concatenate([src, dst[::2]]), np.concatenate([dst, src[::2]])
+    _assert_components_match_csgraph(_container(
+        sp.csr_array((np.ones(src.size), (src, dst)), shape=(n, n))))
+
+
+@pytest.mark.parametrize("regime", list(BacktrackRegime))
+def test_temporal_radii_do_not_depend_on_the_container(u1, regime):
+    gd = build_global_transition(u1, regime)
+    blocks, full, stacked = _temporal_containers(u1, regime)
+    for m in (blocks, full, stacked):
+        x = np.random.default_rng(0).random(m.shape[0])
+        assert np.array_equal(m @ x, as_csr(m) @ x)
+        assert np.array_equal(m.toarray(), as_csr(m).toarray())
+        assert spectral_radius(m).hex() == spectral_radius(as_csr(m)).hex()
+    on_blocks = blocks if regime.forbids_space else stacked
+    assert gd.transition_radius.hex() == spectral_radius(as_csr(on_blocks)).hex()
+    assert gd.block_radius_bound.hex() == spectral_radius(as_csr(full)).hex()
+    assert u1.max_adjacency_radius.hex() == spectral_radius(as_csr(stacked)).hex()
+
+
+def test_solve_does_not_depend_on_the_container(u1, long_and_golden):
+    # a snapshot block of U1 (order about 500) goes to GMRES, one of the
+    # long input (order about 150) to the dense LU
+    for tg in (u1, long_and_golden[0]):
+        gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
+        t = 0.5 / gd.transition_radius
+        block = linalg._diagonal_block(gd.blocks, int(tg.offsets[0]), int(tg.offsets[1]))
+        system = temporal._identity_minus(t, block)
+        want = identity(block.shape[0]) - t * as_csr(block)
+        assert np.array_equal(as_csr(system).indptr, want.indptr)
+        assert np.array_equal(as_csr(system).indices, want.indices)
+        assert np.array_equal(system.data, want.data)
+        b = np.ones(block.shape[0])
+        assert np.array_equal(solve_linear(system, b), solve_linear(want, b))

@@ -1,18 +1,24 @@
 """The package's public names: every name a module lists in ``__all__``
 exists, and every name ``nbtwalks/__init__.py`` imports exists and is in its
 module's ``__all__``, when the module has one.  Every definition has a
-caller, and the README's library sketch runs."""
+caller, and the README's library sketch runs.  Importing the package loads
+no scipy, and neither do the temporal commands."""
 
 import ast
 import importlib
+import json
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import nbtwalks
+
+from conftest import cli_env, write_uniform_temporal
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(nbtwalks.__path__))
 PACKAGE = Path(nbtwalks.__file__).parent
@@ -116,3 +122,79 @@ def test_readme_sketch_runs():
     # blank lines in front keep the README's line numbers in a traceback
     lines = text[:text.index(block)].count("\n")
     exec(compile("\n" * lines + block, str(README), "exec"), {})
+
+
+def _imports_run_at_import(tree) -> list:
+    """The import statements of a module that run when it is imported: all
+    but those in a function body or under ``if TYPE_CHECKING:``."""
+    found, todo = [], [tree]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                todo.extend(node.orelse)
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.append(node)
+            todo.append(node)
+    return found
+
+
+def _module_names(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module or ""]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_scipy_is_imported_only_inside_functions(name):
+    tree = ast.parse(PACKAGE.joinpath(f"{name}.py").read_text(encoding="utf-8"))
+    at_import = [m for node in _imports_run_at_import(tree) for m in _module_names(node)]
+    assert not [m for m in at_import if m.split(".")[0] == "scipy"]
+    # the dense LU and GMRES's triangle are numpy's
+    anywhere = [m for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for m in _module_names(node)]
+    assert not [m for m in anywhere if m.startswith("scipy.linalg")]
+
+
+# Run in a fresh interpreter: argv[1] is a static input, the rest temporal.
+# Prints the scipy modules loaded after the import, after the temporal
+# commands and after one static command, as one JSON list.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import nbtwalks, nbtwalks.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert nbtwalks.cli.main(args) == 0, args
+
+loaded = [scipy_modules()]
+regimes = ["allow-all", "forbid-space", "forbid-time", "forbid-all"]
+commands = [["radius"], ["centrality", "--t", "0.5r", "--measure", "katz"]]
+commands += [["centrality", "--t", "0.5r", "--measure", "nbt-katz", "--regime", r]
+             for r in regimes]
+for path in sys.argv[2:]:
+    for command in commands:
+        run([*command, "--input", path, "--temporal"])
+loaded.append(scipy_modules())
+run(["centrality", "--input", sys.argv[1], "--t", "0.5r"])
+loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_temporal_commands_never_load_scipy(tmp_path):
+    golden = Path(__file__).parent / "data" / "golden"
+    u1 = write_uniform_temporal(tmp_path / "u1.txt", 1, 500, 500, 20)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(golden / "g300.txt"),
+         str(golden / "temporal.txt"), str(u1)],
+        env=cli_env(), capture_output=True, text=True, check=True)
+    imported, temporal, static = json.loads(proc.stdout)
+    assert imported == [] and temporal == []
+    # a static command loads scipy when it needs it
+    assert "scipy.sparse" in static

@@ -16,14 +16,22 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
 from .crosschecks import static_battery, temporal_battery
 from .edge_level import CentralityPlan, CoefficientSeries, f_centrality
 from .errors import NumericalError, ValidationError
-from .graph import adjacency, binarize, line_graph, load_edge_list, load_matrix_market
-from .linalg import check_t, identity, range_end, solve_linear, spectral_radius
+from .graph import (
+    _adjacency,
+    _line_graph,
+    adjacency,
+    binarize,
+    load_edge_list,
+    load_matrix_market,
+)
+from .linalg import check_t, identity_minus, range_end, solve_linear, spectral_radius
 from .node_level import elementwise_pole, nbt_katz, nbt_walk_counts
 from .temporal import (
     BacktrackRegime,
@@ -154,14 +162,14 @@ class _Measure:
             raise ValidationError(f"unknown measure {name!r} (choose from {MEASURES})")
         self.series = CoefficientSeries.resolvent() if name != "f-centrality" else series
         if mode == "static":
+            # numpy containers: a static measure needs no scipy
             self.graph = data
-            self.a = adjacency(data)
+            self.a = _adjacency(data)
             if name == "katz":
                 rho = spectral_radius(self.a)
             else:
-                self.decomposition = line_graph(data)
+                self.decomposition = _line_graph(data)
                 rho = spectral_radius(self.decomposition.V)
-                self.pole = elementwise_pole(self.a)
         else:
             self.tg = data
             if name == "katz":
@@ -172,11 +180,17 @@ class _Measure:
         self.rho = rho
         self.radius = range_end(rho, self.series.radius)
 
+    @cached_property
+    def pole(self) -> float:
+        """The static node-level formula's elementwise pole, which only
+        ``scores`` needs."""
+        return elementwise_pole(self.a)
+
     def scores(self, t: float) -> np.ndarray:
         if self.mode == "static":
             if self.name == "katz":
-                return solve_linear(identity(self.a.shape[0]) - t * self.a,
-                                    np.ones(self.a.shape[0]), self.tol)
+                return solve_linear(identity_minus(t, self.a), np.ones(self.a.shape[0]),
+                                    self.tol)
             if self.name == "nbt-katz" and t < self.pole:
                 return nbt_katz(self.a, t, tol=self.tol, rho_v=self.rho)
             # nbt-katz beyond the node-level formula's elementwise pole (still

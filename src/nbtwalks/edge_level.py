@@ -18,9 +18,10 @@ from .errors import NumericalError, ValidationError
 from .graph import LineGraphDecomposition, adjacency
 from .linalg import (
     DENSE_SOLVE_MAX,
+    _canonical,
     _dense_solve,
     check_t,
-    identity,
+    identity_minus,
     matmul,
     range_end,
     solve_linear,
@@ -145,9 +146,7 @@ def apply_shifted_series(
     range is an error.  ``rho`` is the spectral radius of ``matrix``, which
     gates ``t``.
     """
-    import scipy.sparse as sp
-
-    m = sp.csr_array(matrix)
+    m = _canonical(matrix)
     w = np.asarray(vector, dtype=np.float64)
     n = m.shape[0]
     if m.shape[0] != m.shape[1] or w.shape != (n,):
@@ -156,7 +155,7 @@ def apply_shifted_series(
 
     if series.kind == "resolvent":
         # The resolvent is a fixed point of the shift, so this is one solve.
-        return solve_linear(identity(n) - t * m, w, tol)
+        return solve_linear(identity_minus(t, m), w, tol)
 
     if series.kind == "exponential":
         a = t * rho * 1.1
@@ -276,6 +275,6 @@ def generating_matrix_via_line_graph(
         return np.eye(n)
 
     out_half, in_half = _half_incidences(d)
-    y = _dense_solve((identity(d.m) - t * d.V).toarray(), in_half.toarray(),
+    y = _dense_solve(identity_minus(t, _canonical(d.V)).toarray(), in_half.toarray(),
                      "edge-level resolvent")
     return np.eye(n) + t * (out_half @ y)

@@ -319,11 +319,17 @@ def load_edge_list(path, **options) -> WeightedGraph:
 
 
 def adjacency(graph: WeightedGraph) -> sp.csr_array:
-    """n x n adjacency matrix; entry (i, j) is the weight of edge i -> j."""
-    import scipy.sparse as sp
+    """n x n adjacency matrix; entry (i, j) is the weight of edge i -> j.
+    It owns its arrays: the graph's are read-only."""
+    return as_csr(_adjacency(graph)).copy()
 
+
+def _adjacency(graph: WeightedGraph) -> _CSR:
+    """The adjacency matrix as a ``linalg._CSR``: the canonical edge arrays
+    are its entries in CSR order already."""
     n = graph.n
-    return sp.csr_array((graph.weight, (graph.src, graph.dst)), shape=(n, n))
+    return _CSR((graph.weight, graph.dst, np.searchsorted(graph.src, np.arange(n + 1))),
+                shape=(n, n))
 
 
 def binarize(graph: WeightedGraph) -> WeightedGraph:
@@ -350,6 +356,10 @@ class LineGraphDecomposition:
       walks.
     - ``half_walk_matrix``: the same on the full continuation pattern,
       reversals included; built on first access and kept.
+
+    ``line_graph`` gives V as a ``scipy.sparse.csr_array``; ``_line_graph``,
+    which the CLI uses, gives the same arrays as a ``linalg._CSR``, which
+    needs no scipy.
 
     Both scale one chain pattern: the graph is the single snapshot of
     ``_continuations``, which builds the temporal matrices too.  f reverses
@@ -445,9 +455,16 @@ def _static_chain(graph: WeightedGraph, x: np.ndarray, *, prune: bool) -> _CSR:
 
 def line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
     """Build the canonical line-graph decomposition of a graph."""
+    decomposition = _line_graph(graph)
+    decomposition.V = as_csr(decomposition.V)
+    return decomposition
+
+
+def _line_graph(graph: WeightedGraph) -> LineGraphDecomposition:
+    """The line-graph decomposition with ``V`` a ``linalg._CSR``."""
     sqrt_weights = np.sqrt(graph.weight)
     # no edge followed by its reversal
-    V = as_csr(_static_chain(graph, sqrt_weights, prune=True))
+    V = _static_chain(graph, sqrt_weights, prune=True)
     return LineGraphDecomposition(graph=graph, sqrt_weights=sqrt_weights, V=V)
 
 

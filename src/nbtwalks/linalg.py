@@ -1,17 +1,29 @@
 """Sparse matrix kernels: products, elementwise maps, linear solves, spectral radius.
 
 Matrices come in two containers, both CSR with float64 data; vectors are 1-D
-numpy arrays.  The public names take and return ``scipy.sparse.csr_array``,
-and so do the static routes.  The temporal paths build, slice and multiply
-``_CSR``, a private canonical CSR on numpy alone, so that the temporal
-commands never load scipy; every scipy import is inside the function that
-needs it.  ``spectral_radius`` and ``solve_linear`` take either container
-and keep it: they cut blocks in the input's own container and multiply with
-its ``@``, and only the strongly-connected-components pass differs
-(``scipy.sparse.csgraph`` for scipy input, ``_strong_components`` for
-``_CSR``).  All operations treat their inputs as immutable and return fresh
-objects, so results can be shared freely across threads.  Explicitly stored
-zeros never affect results.
+numpy arrays.  ``_CSR`` is a private canonical CSR on numpy alone, and it
+serves every CLI command but ``walk-count`` and ``oracle-check``: the
+static measures' adjacency A and line graph V (``graph._adjacency``,
+``graph._line_graph``) and every temporal matrix are ``_CSR``, so those
+commands never load scipy.  ``scipy.sparse.csr_array`` serves the public
+names that hand matrices out (``graph.adjacency``, ``line_graph(g).V``,
+``identity``, ``matmul``, ``hadamard``, ``as_csr`` and so on) and the sparse
+products of the walk-count recurrences; every scipy import is inside the
+function that needs it.
+
+A builder or kernel that takes either container has one body and keeps the
+input's container: ``identity_minus`` (I - tM), ``elementwise_map``,
+``node_level.build_node_system``, ``spectral_radius`` and ``solve_linear``
+assemble their numpy arrays as ``type(m)((data, indices, indptr),
+shape=...)``, bit for bit what the scipy assembly stores, and multiply with
+the input's ``@`` (scipy's compiled product, or ``_CSR``'s bincount, which
+agree bit for bit).  Only the strongly-connected-components pass differs:
+``scipy.sparse.csgraph`` for scipy input, ``_strong_components`` for
+``_CSR``, in three stages: a trim of the nodes without an in- or out-edge,
+a forward-backward search from one pivot, a breadth-first level per numpy
+step, and Tarjan's pass on what the two leave.  All operations treat their
+inputs as immutable and return fresh objects, so results can be shared
+freely across threads.  Explicitly stored zeros never affect results.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ SHIFT_STEPS = 200     # a block without a certificate after this many steps
                       # goes on with half its radius estimate as the shift
 BALANCE_SPAN = 10     # balance radius blocks whose entries span 2^10 or more
 BALANCE_SWEEPS = 30   # at most this many balancing sweeps
+SCC_LEVELS = 64       # rounds of the components pass's trim and of each search
 
 
 class _CSR:
@@ -69,7 +82,7 @@ class _CSR:
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return _row_of(self.indptr)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self._rows, self.data * x[self.indices], minlength=self.shape[0])
@@ -78,6 +91,17 @@ class _CSR:
         out = np.zeros(self.shape)
         out[self._rows, self.indices] = self.data
         return out
+
+
+def _row_of(indptr: np.ndarray) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix with row pointers
+    ``indptr`` (or the segment of each slot of a list cut at ``indptr``)."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """The row pointers of ``n`` rows for entries in the ascending ``rows``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
 def _diagonal_block(m, lo: int, hi: int):
@@ -101,6 +125,9 @@ def as_csr(matrix) -> sp.csr_array:
         return sp.csr_array((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     if sp.issparse(matrix):
         out = sp.csr_array(matrix, dtype=np.float64)
+        # a CSR input keeps its check, so each matrix is checked once
+        if matrix.format == "csr" and matrix.has_canonical_format:
+            return out
     else:
         out = sp.csr_array(np.asarray(matrix, dtype=np.float64))
     if not out.has_canonical_format:
@@ -145,6 +172,49 @@ def diag_matrix(values) -> sp.csr_array:
     return sp.csr_array((values, (np.arange(n), np.arange(n))), shape=(n, n))
 
 
+def identity_minus(t: float, m):
+    """``I - t M`` for a canonical CSR matrix M, in M's container, stored as
+    scipy stores ``identity(n) - t * M``: ``-t * m`` off the diagonal, ``1 -
+    t * m`` on it, in column order, and an entry that is zero is dropped."""
+    return _plus_diagonal(m, np.ones(m.shape[0]), -t * m.data)
+
+
+def _plus_diagonal(m, diagonal: np.ndarray, values: np.ndarray):
+    """``diag(diagonal) + E`` in the container of the canonical CSR matrix
+    ``m``, E the matrix of m's pattern with the entries ``values``.  It is
+    stored as scipy stores the sum of two canonical matrices: a diagonal
+    entry of E is added to ``diagonal``, each diagonal entry goes in front
+    of its row's first entry right of it, an entry that is zero is dropped,
+    and the index arrays are int32 when their values fit."""
+    n = diagonal.size
+    indptr, indices, rows = m.indptr, m.indices, _row_of(m.indptr)
+    keep = values != 0
+    on = rows == indices
+    if on.any():
+        diagonal = diagonal.copy()
+        diagonal[rows[on]] += values[on]
+        keep &= ~on
+    if not keep.all():
+        rows, indices, values = rows[keep], indices[keep], values[keep]
+        indptr = _indptr(rows, n)
+    stored = diagonal != 0
+    right = indices > rows
+    if not stored.all():
+        right &= stored[rows]
+    # the diagonal entries in the rows above each row; each row's diagonal
+    # entry goes in front of the entries right of it
+    above = np.concatenate(([0], np.cumsum(stored)))
+    size = values.size + int(above[-1])
+    index = np.int32 if max(size, n) <= np.iinfo(np.int32).max else np.int64
+    out_indptr = (indptr + above).astype(index)
+    data, columns = np.empty(size), np.empty(size, dtype=index)
+    at = np.arange(values.size) + above[rows] + right
+    data[at], columns[at] = values, indices
+    at = (out_indptr[1:] - 1 - np.bincount(rows[right], minlength=n))[stored]
+    data[at], columns[at] = diagonal[stored], np.flatnonzero(stored)
+    return type(m)((data, columns, out_indptr), shape=(n, n))
+
+
 def matmul(a, b) -> sp.csr_array:
     """Sparse product ``a @ b``; drops explicitly stored zeros from the result."""
     import scipy.sparse as sp
@@ -178,31 +248,33 @@ def hadamard(a, b) -> sp.csr_array:
     return out
 
 
-def elementwise_map(a, fn) -> sp.csr_array:
+def elementwise_map(a, fn):
     """Apply a scalar function to the stored entries, which requires
-    ``fn(0) == 0``.  A non-finite result signals an elementwise pole and
-    raises :class:`NumericalError` naming the entry.
+    ``fn(0) == 0``, in the container of ``a``: a ``_CSR`` gives one, any
+    other input a ``scipy.sparse.csr_array``.  A result that is zero is not
+    stored.  A non-finite result signals an elementwise pole and raises
+    :class:`NumericalError` naming the entry.
     """
-    a = as_csr(a)
+    a = _canonical(a)
     f0 = fn(0.0)
     if f0 != 0.0:
         raise ValidationError(
             f"elementwise_map requires fn(0) == 0, got {f0!r}"
         )
-    out = a.copy()
-    if out.nnz:
+    data = a.data
+    if a.nnz:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out.data = np.asarray(fn(out.data), dtype=np.float64)
-    if out.nnz and not np.all(np.isfinite(out.data)):
-        coo = out.tocoo()
-        bad = int(np.flatnonzero(~np.isfinite(coo.data))[0])
+            data = np.asarray(fn(data), dtype=np.float64)
+    rows = _row_of(a.indptr)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
         raise NumericalError(
             "elementwise pole: non-finite value at entry "
-            f"({coo.row[bad]}, {coo.col[bad]})"
+            f"({rows[bad[0]]}, {a.indices[bad[0]]})"
         )
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
+    stored = data != 0
+    return type(a)((data[stored], a.indices[stored], _indptr(rows[stored], a.shape[0])),
+                   shape=a.shape)
 
 
 def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
@@ -406,12 +478,11 @@ def spectral_radius(matrix) -> float:
     n = m.shape[0]
     if n == 0:
         return 0.0
-    row = np.repeat(np.arange(n), np.diff(m.indptr))
+    row = _row_of(m.indptr)
     stored = m.data != 0
     if not stored.all():
         row = row[stored]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
-        m = type(m)((m.data[stored], m.indices[stored], indptr), shape=m.shape)
+        m = type(m)((m.data[stored], m.indices[stored], _indptr(row, n)), shape=m.shape)
     if m.nnz == 0:
         return 0.0
     if np.any(m.data < 0):
@@ -442,9 +513,7 @@ def spectral_radius(matrix) -> float:
     keep = (labels[row] == labels[m.indices]) & ~single[row]
     rows, cols, vals = pos[row[keep]], pos[m.indices[keep]], m.data[keep]
     by_row = np.argsort(rows, kind="stable")
-    blocks = type(m)((vals[by_row], cols[by_row],
-                      np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k))))),
-                     shape=(k, k))
+    blocks = type(m)((vals[by_row], cols[by_row], _indptr(rows, k)), shape=(k, k))
     comp = labels[nodes]
     starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
     ends = np.r_[starts[1:], k]
@@ -529,7 +598,7 @@ def _balance_exponents(m) -> np.ndarray:
     to integers, as LAPACK's ``gebal`` does, keeps the similarity exact.
     """
     n = m.shape[0]
-    row = np.repeat(np.arange(n), np.diff(m.indptr))
+    row = _row_of(m.indptr)
     off = m.indices != row
     i, j = row[off], m.indices[off]
     log_b = np.log(m.data[off])
@@ -621,14 +690,119 @@ def _power_radius(m, below: float) -> tuple:
 def _strong_components(m: _CSR) -> tuple[int, np.ndarray]:
     """The strongly connected components of a ``_CSR``'s pattern: their
     count and each node's label, as ``scipy.sparse.csgraph`` gives them up
-    to the numbering.  Tarjan's depth-first search (SIAM J. Comput. 1,
-    1972), in linear time, with an explicit path of open nodes in place of
-    recursion, so that no depth of path exhausts the interpreter's stack.
-    A node's visit order becomes ``n + 1`` once its component is closed,
-    which keeps it out of every later low link; components are labelled as
-    they close, so the labels run in reverse topological order."""
+    to the numbering.  Three stages, each on the nodes the last one left:
+
+    1. Trim: a node with no in-edge or no out-edge from another node left is
+       a component of its own, and leaving takes its edges away.  One round
+       removes all such nodes at once.
+    2. Forward-backward (Fleischer, Hendrickson & Pinar, 2000): the nodes
+       both reachable from one pivot and reaching it are the pivot's
+       component.  Each level of the two breadth-first searches is one
+       numpy step over the frontier's edges.
+    3. Tarjan's pass, ``_tarjan``, on the nodes still left.
+
+    The trim and each search stop after ``SCC_LEVELS`` rounds, which a long
+    path or ring needs more of, and an unfinished search leaves its nodes
+    to Tarjan's pass: at most ``3 * SCC_LEVELS`` numpy rounds, then a
+    linear pass.  On the line graph of a random digraph, where one
+    component holds nearly every node, the first two stages leave no node
+    to the third (Orzan, 2004; Slota, Rajamanickam & Madduri, IPDPS
+    2014)."""
     n = m.shape[0]
-    indptr, indices = m.indptr.tolist(), m.indices.tolist()
+    label = np.empty(n, dtype=np.intp)
+    if n == 0:
+        return 0, label
+    indptr, indices = m.indptr, m.indices
+    row = _row_of(indptr)
+    # each node's in-neighbours, in any order
+    by_col = np.argsort(indices)
+    in_indptr = _indptr(indices[by_col], n)
+    in_indices = row[by_col]
+    loop = row == indices
+    out_deg = np.bincount(row[~loop], minlength=n)
+    in_deg = np.bincount(indices[~loop], minlength=n)
+    live = np.ones(n, dtype=bool)
+    ncomp = 0
+
+    trimmed = np.flatnonzero((out_deg == 0) | (in_deg == 0))
+    for _ in range(SCC_LEVELS):
+        if not trimmed.size:
+            break
+        live[trimmed] = False
+        label[trimmed] = ncomp + np.arange(trimmed.size)
+        ncomp += trimmed.size
+        succ = _neighbours(indptr, indices, trimmed)
+        pred = _neighbours(in_indptr, in_indices, trimmed)
+        in_deg -= np.bincount(succ, minlength=n)
+        out_deg -= np.bincount(pred, minlength=n)
+        touched = _distinct(np.concatenate((succ, pred)), n)
+        trimmed = touched[live[touched] & ((in_deg[touched] == 0) | (out_deg[touched] == 0))]
+
+    if live.any():
+        pivot = int(np.argmax(np.where(live, in_deg * out_deg, -1)))
+        forward = _reached(indptr, indices, pivot, live)
+        backward = None if forward is None else _reached(in_indptr, in_indices, pivot, live)
+        if backward is not None:
+            component = forward & backward
+            label[component] = ncomp
+            ncomp += 1
+            live &= ~component
+
+    rest = np.flatnonzero(live)
+    if rest.size:
+        pos = np.full(n, -1)
+        pos[rest] = np.arange(rest.size)
+        kept = live[row] & live[indices]
+        count, sub_label = _tarjan(_indptr(pos[row[kept]], rest.size), pos[indices[kept]],
+                                   rest.size)
+        label[rest] = ncomp + sub_label
+        ncomp += count
+    return ncomp, label
+
+
+def _neighbours(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The entries of rows ``nodes`` of a CSR pattern, concatenated."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return indices[np.arange(total) + np.repeat(starts - ends + counts, counts)]
+
+
+def _distinct(nodes: np.ndarray, n: int) -> np.ndarray:
+    """``nodes`` with repeats dropped, with no sort: each keeps the place of
+    its last occurrence."""
+    place = np.empty(n, dtype=np.intp)
+    place[nodes] = np.arange(nodes.size)
+    return nodes[place[nodes] == np.arange(nodes.size)]
+
+
+def _reached(indptr: np.ndarray, indices: np.ndarray, start: int, live: np.ndarray):
+    """The live nodes that a breadth-first search from ``start`` reaches
+    along the CSR pattern ``(indptr, indices)``, as a mask, or None when the
+    search is not done after ``SCC_LEVELS`` levels."""
+    seen = ~live
+    seen[start] = True
+    frontier = np.array([start])
+    for _ in range(SCC_LEVELS):
+        step = _neighbours(indptr, indices, frontier)
+        step = step[~seen[step]]
+        if not step.size:
+            return seen & live
+        seen[step] = True
+        frontier = _distinct(step, live.size)
+    return None
+
+
+def _tarjan(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """The strongly connected components of a CSR pattern by Tarjan's
+    depth-first search (SIAM J. Comput. 1, 1972), in linear time, with an
+    explicit path of open nodes in place of recursion, so that no depth of
+    path exhausts the interpreter's stack.  A node's visit order becomes
+    ``n + 1`` once its component is closed, which keeps it out of every
+    later low link; components are labelled as they close, so the labels
+    run in reverse topological order."""
+    indptr, indices = indptr.tolist(), indices.tolist()
     next_edge = indptr[:-1]
     order = [0] * n      # 1 + the visit order, 0 before the visit
     low = [0] * n        # least order reached from the node's subtree

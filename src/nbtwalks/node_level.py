@@ -16,7 +16,11 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     DENSE_SOLVE_MAX,
+    _canonical,
     _dense_solve,
+    _indptr,
+    _plus_diagonal,
+    _row_of,
     as_csr,
     check_t,
     diag_matrix,
@@ -38,13 +42,16 @@ __all__ = ["nbt_walk_counts", "build_node_system", "elementwise_pole", "generati
 _RESIDUE_ULPS = 8
 
 
-def _validate_adjacency(matrix) -> sp.csr_array:
-    a = as_csr(matrix)
+def _validate_adjacency(matrix):
+    """The adjacency as a canonical CSR matrix in its container (a ``_CSR``
+    stays one), checked for a square shape, nonnegative entries and a zero
+    diagonal."""
+    a = _canonical(matrix)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"adjacency must be square, got {a.shape}")
     if a.nnz and np.any(a.data < 0):
         raise ValidationError("adjacency entries must be nonnegative")
-    if a.diagonal().any():
+    if np.any(a.data[_row_of(a.indptr) == a.indices]):
         raise ValidationError("adjacency must have a zero diagonal (loop-free graph)")
     return a
 
@@ -61,7 +68,7 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
     """
     import scipy.sparse as sp
 
-    a = _validate_adjacency(adjacency)
+    a = as_csr(_validate_adjacency(adjacency))
     if kmax < 0:
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
     n = a.shape[0]
@@ -111,17 +118,38 @@ def elementwise_pole(adjacency) -> float:
     """Smallest attenuation factor at which the node-level system has an
     elementwise pole: ``1 / sqrt(max w_ij * w_ji)`` over the reciprocated
     pairs, infinite when no pair is reciprocated."""
-    a = as_csr(adjacency)
-    return _pole(hadamard(a, a.T))
+    a = _canonical(adjacency)
+    return _pole(_mutual(a, _row_of(a.indptr))[1])
 
 
-def _pole(mutual: sp.csr_array) -> float:
-    return 1.0 / math.sqrt(float(mutual.data.max())) if mutual.nnz else math.inf
+def _pole(mu: np.ndarray) -> float:
+    return 1.0 / math.sqrt(float(mu.max())) if mu.size else math.inf
 
 
-def build_node_system(adjacency, t: float) -> sp.csr_array:
+def _mutual(a, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu = A o A^T, the products w_ij * w_ji over the reciprocated pairs of
+    a canonical CSR matrix A whose entries lie in ``rows``: the positions of
+    mu's entries among A's, in CSR order, and their values.  A product that
+    is zero is not stored, as scipy's elementwise product stores none."""
+    n = a.shape[0]
+    keys = rows * n + a.indices   # ascending: the CSR order
+    # the key of each entry's reversal, searched for with the needles
+    # sorted; the keys are distinct, so an unstable sort will do.  The
+    # columns may be int32, whose product with n can overflow.
+    needles = a.indices.astype(np.int64) * n + rows
+    order = np.argsort(needles)
+    at = np.empty(keys.size, dtype=np.intp)
+    at[order] = np.minimum(np.searchsorted(keys, needles[order]), keys.size - 1)
+    entries = np.flatnonzero(keys[at] == needles)
+    mu = a.data[entries] * a.data[at[entries]]
+    stored = mu != 0
+    return entries[stored], mu[stored]
+
+
+def build_node_system(adjacency, t: float):
     """The sparse node-level system matrix N(t) = I + D(t) - A(t), whose
-    inverse generates the walk counts.
+    inverse generates the walk counts, in the container of ``adjacency``: a
+    ``linalg._CSR`` gives one, any other input a ``scipy.sparse.csr_array``.
 
     One elementwise map g = t^2 mu / (1 - t^2 mu) of the symmetric matrix
     mu = A o A^T of reciprocated weight products w_ij * w_ji gives both
@@ -131,27 +159,40 @@ def build_node_system(adjacency, t: float) -> sp.csr_array:
     entrywise by 1 - t^2 mu.  Requires ``0 <= t`` below the elementwise
     pole; beyond it the diagonal correction series diverges and the
     offending pair is reported.
-    """
-    import scipy.sparse as sp
 
+    The entries are those of the sparse assembly ``identity(n) +
+    diag(g.sum(axis=1)) - (t * A + t * hadamard(A, g))`` bit for bit: each
+    sum is taken in that order, the row sums as ``np.add.reduceat`` takes
+    them (as scipy's ``sum(axis=1)`` does), and an entry that is zero is not
+    stored.
+    """
     a = _validate_adjacency(adjacency)
     n = a.shape[0]
-    mutual = hadamard(a, a.T)
+    rows = _row_of(a.indptr)
+    entries, mu = _mutual(a, rows)
     where = ""
-    if mutual.nnz:
-        coo = mutual.tocoo()
-        peak = int(np.argmax(coo.data))
+    if mu.size:
+        peak = entries[np.argmax(mu)]
         where = (", which ends at the elementwise pole of the reciprocated pair "
-                 f"({coo.row[peak]}, {coo.col[peak]})")
-    check_t(t, _pole(mutual), where)
+                 f"({rows[peak]}, {a.indices[peak]})")
+    check_t(t, _pole(mu), where)
 
     # g vanishes at 0, so it stays on the reciprocated pattern
+    mutual = type(a)((mu, a.indices[entries], _indptr(rows[entries], n)), shape=a.shape)
     g = elementwise_map(mutual, lambda x: (t * t * x) / (1.0 - t * t * x))
-    off = sp.csr_array(t * a + t * hadamard(a, g))
-    matrix = sp.csr_array(identity(n) + diag_matrix(np.asarray(g.sum(axis=1)).ravel()) - off)
-    matrix.eliminate_zeros()
-    matrix.sort_indices()
-    return matrix
+    g_rows = _row_of(g.indptr)
+    # t A + t (A o g): the second term where A o g stores an entry; g's
+    # entries are among A's, found with sorted needles
+    entries = np.searchsorted(rows * n + a.indices, g_rows * n + g.indices)
+    off = t * a.data
+    a_g = a.data[entries] * g.data
+    hit = a_g != 0
+    off[entries[hit]] += t * a_g[hit]
+    diagonal = np.zeros(n)
+    if g.nnz:
+        starts = np.flatnonzero(np.diff(g.indptr))
+        diagonal[starts] = np.add.reduceat(g.data, g.indptr[starts])
+    return _plus_diagonal(a, 1.0 + diagonal, -off)
 
 
 def generating_matrix(adjacency, t: float, *, rho_v: float) -> np.ndarray:

@@ -29,6 +29,7 @@ from .linalg import (
     as_csr,
     check_t,
     diag_matrix,
+    identity_minus,
     matmul,
     range_end,
     solve_linear,
@@ -376,7 +377,7 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
     ``estimate``.  A solution, or a scale of the backward error, past the
     float64 range fails as ``_in_range`` does.
     """
-    system = _identity_minus(t, block)
+    system = identity_minus(t, block)
     target = tol / math.sqrt(b.size)
 
     def solve(rhs):
@@ -406,23 +407,6 @@ def _certified_block_solve(block, t: float, b: np.ndarray, tol: float, tau: int)
         f"{tol:.1e} after {CORRECTION_SOLVES} correction solves",
         estimate=best,
     )
-
-
-def _identity_minus(t: float, block: _CSR) -> _CSR:
-    """``I - t D`` for a block D without diagonal entries (no edge follows
-    itself, and no graph has a loop), stored as scipy stores ``identity(k)
-    - t * D``: each row gains a 1 at its diagonal, in column order, and an
-    off-diagonal ``-t * d`` that is zero is dropped."""
-    k = block.shape[0]
-    rows = np.repeat(np.arange(k), np.diff(block.indptr))
-    values = -t * block.data
-    stored = values != 0
-    rows, indices, values = rows[stored], block.indices[stored], values[stored]
-    # each diagonal goes in front of its row's first entry right of it
-    at = np.searchsorted(rows * k + indices, np.arange(k) * (k + 1))
-    counts = np.bincount(rows, minlength=k) + 1
-    return _CSR((np.insert(values, at, 1.0), np.insert(indices, at, np.arange(k)),
-                 np.concatenate(([0], np.cumsum(counts)))), shape=(k, k))
 
 
 def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> np.ndarray:

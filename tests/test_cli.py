@@ -106,6 +106,14 @@ class TestRadius:
         doc = json.loads(out)
         assert doc["columns"] == ["section", "quantity", "value"]
 
+    def test_static_radius_takes_no_pole(self, triangle, monkeypatch, capsys):
+        # the elementwise pole only chooses the route of nbt-katz scores,
+        # which radius does not print
+        poles = []
+        monkeypatch.setattr(nbtwalks.cli, "elementwise_pole", poles.append)
+        code, _, _ = run_cli(["radius", "--input", triangle, "--binarize"], capsys)
+        assert code == 0 and poles == []
+
 
 class TestRadiusCalls:
     """Each snapshot block enters the radius computation once, and no radius

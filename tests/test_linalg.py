@@ -9,8 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph
 import scipy.sparse.linalg as spla
 
+import nbtwalks.graph as graph
 import nbtwalks.linalg as linalg
-import nbtwalks.temporal as temporal
 from nbtwalks.edge_level import (
     CentralityPlan,
     CoefficientSeries,
@@ -45,7 +45,7 @@ from nbtwalks.temporal import (
     temporal_f_centrality,
 )
 
-from conftest import random_digraph, rel_dev, write_uniform_temporal
+from conftest import random_digraph, rel_dev, uniform_edges, write_uniform_temporal
 
 
 def test_matmul_identity():
@@ -828,8 +828,67 @@ def test_components_of_temporal_containers_match_csgraph(u1, regime):
 
 def test_components_of_long_and_golden_temporal_inputs_match_csgraph(long_and_golden):
     for tg in long_and_golden:
-        for m in _temporal_containers(tg, BacktrackRegime.FORBID_ALL):
-            _assert_components_match_csgraph(m)
+        for regime in BacktrackRegime:
+            for m in _temporal_containers(tg, regime):
+                _assert_components_match_csgraph(m)
+
+
+def test_components_of_static_containers_match_csgraph():
+    # A and V of a graph of the benchmark's static-medium size: one
+    # component holds nearly every node of V
+    src, dst, weight = uniform_edges(np.random.default_rng(2), 2000, 8000)
+    g = WeightedGraph([str(i) for i in range(2000)],
+                      zip(src.tolist(), dst.tolist(), weight.tolist()))
+    for m in (graph._adjacency(g), graph._line_graph(g).V):
+        _assert_components_match_csgraph(m)
+
+
+def _pattern(n: int, src, dst) -> linalg._CSR:
+    return _container(sp.csr_array((np.ones(len(src)), (src, dst)), shape=(n, n)))
+
+
+def test_components_of_a_dag_around_one_large_component():
+    # a random DAG on 3,000 nodes, and inside it a ring with chords through
+    # nodes 1,000 to 2,999 in a random order
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, 3000, 12_000), rng.integers(0, 3000, 12_000)
+    keep = a < b
+    ring = 1000 + rng.permutation(2000)
+    chords = rng.integers(0, 2000, (2, 2000))
+    src = np.concatenate([a[keep], ring, ring[chords[0]]])
+    dst = np.concatenate([b[keep], np.roll(ring, 1), ring[chords[1]]])
+    _assert_components_match_csgraph(_pattern(3000, src, dst))
+
+
+def test_components_of_many_equal_cycles():
+    # 3,000 directed triangles and 2,000 two-cycles: nothing to trim, and
+    # the search from the pivot finds one of them
+    triangles = np.arange(9000).reshape(-1, 3)
+    pairs = 9000 + np.arange(4000).reshape(-1, 2)
+    src = np.concatenate([triangles.ravel(), pairs.ravel()])
+    dst = np.concatenate([np.roll(triangles, 1, axis=1).ravel(),
+                          np.roll(pairs, 1, axis=1).ravel()])
+    _assert_components_match_csgraph(_pattern(13_000, src, dst))
+
+
+@pytest.mark.parametrize("shape", ["ring", "path"])
+def test_components_past_the_level_cap(shape, monkeypatch):
+    # a ring or path longer than SCC_LEVELS rounds of trim and search
+    # reach: Tarjan's pass takes the nodes they leave
+    n = 4 * linalg.SCC_LEVELS
+    src, dst = np.arange(n - 1), np.arange(1, n)
+    if shape == "ring":
+        src, dst = np.append(src, n - 1), np.append(dst, 0)
+    orders = []
+    tarjan = linalg._tarjan
+
+    def spy(indptr, indices, size):
+        orders.append(size)
+        return tarjan(indptr, indices, size)
+
+    monkeypatch.setattr(linalg, "_tarjan", spy)
+    _assert_components_match_csgraph(_pattern(n, src, dst))
+    assert orders == [n if shape == "ring" else n - 2 * linalg.SCC_LEVELS]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -885,7 +944,7 @@ def test_solve_does_not_depend_on_the_container(u1, long_and_golden):
         gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
         t = 0.5 / gd.transition_radius
         block = linalg._diagonal_block(gd.blocks, int(tg.offsets[0]), int(tg.offsets[1]))
-        system = temporal._identity_minus(t, block)
+        system = linalg.identity_minus(t, block)
         want = identity(block.shape[0]) - t * as_csr(block)
         assert np.array_equal(as_csr(system).indptr, want.indptr)
         assert np.array_equal(as_csr(system).indices, want.indices)

@@ -2,11 +2,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nbtwalks.crosschecks import _safe_t
 from nbtwalks.errors import ValidationError
-from nbtwalks.graph import WeightedGraph, adjacency, line_graph, load_edge_list, parse_edge_list
-from nbtwalks.linalg import hadamard, solve_linear, identity, spectral_radius
+from nbtwalks.graph import (
+    WeightedGraph,
+    _adjacency,
+    _line_graph,
+    adjacency,
+    line_graph,
+    load_edge_list,
+    parse_edge_list,
+)
+from nbtwalks.linalg import (
+    _CSR,
+    as_csr,
+    hadamard,
+    identity,
+    identity_minus,
+    solve_linear,
+    spectral_radius,
+)
 from nbtwalks.node_level import (
     build_node_system,
     elementwise_pole,
@@ -17,12 +34,14 @@ from nbtwalks.node_level import (
 from nbtwalks.oracle import count_nbt_walks_bruteforce
 
 from conftest import (
+    assert_bitwise_equal,
     directed_cycle,
     random_digraph,
     random_undirected,
     rel_dev,
     two_node_reciprocated,
     undirected_path,
+    uniform_edges,
 )
 
 
@@ -160,6 +179,108 @@ class TestNodeSystem:
                     - t * dense / (1.0 - t * t * mu))
             got = build_node_system(a, t).toarray()
             assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want) / (1.0 - fraction**2))
+
+
+def _scipy_node_system(a, t: float) -> sp.csr_array:
+    """N(t) by scipy's sparse assembly, the reference of the numpy builder:
+    ``identity(n) + diag(g.sum(axis=1)) - (t * A + t * (A o g))``, g the
+    elementwise map of mu = A o A^T."""
+    a = as_csr(a)
+    n = a.shape[0]
+    mutual = sp.csr_array(a.multiply(a.T))
+    mutual.eliminate_zeros()
+    g = mutual.copy()
+    g.data = (t * t * g.data) / (1.0 - t * t * g.data)
+    g.eliminate_zeros()
+    off = sp.csr_array(t * a + t * sp.csr_array(a.multiply(g)))
+    rows = np.arange(n)
+    diagonal = sp.csr_array((np.asarray(g.sum(axis=1)).ravel(), (rows, rows)), shape=(n, n))
+    out = sp.csr_array(sp.identity(n, format="csr") + diagonal - off)
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def _graded_graph(seed: int) -> WeightedGraph:
+    """A seeded digraph of 300 nodes and about 1,200 edges with graded
+    weights (log-normal, sigma 3), three reciprocated pairs whose weight
+    product underflows to zero, and a hub reciprocated with 20 nodes, so
+    that a row of A o A^T sums 20 terms."""
+    rng = np.random.default_rng(seed)
+    src, dst, _ = uniform_edges(rng, 300, 1200)
+    edges = dict(zip(zip(src.tolist(), dst.tolist()), rng.lognormal(0.0, 3.0, src.size).tolist()))
+    for i in range(3):
+        edges[(250 + i, 260 + i)] = edges[(260 + i, 250 + i)] = 1e-200
+    for j in range(1, 21):
+        edges[(0, j)], edges[(j, 0)] = rng.lognormal(0.0, 3.0, 2).tolist()
+    return WeightedGraph([str(i) for i in range(300)], [(s, d, w) for (s, d), w in edges.items()])
+
+
+class TestBuildersMatchScipy:
+    """The numpy builders store what scipy's assembly stores, bit for bit,
+    and keep the container of their input."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_node_system(self, seed):
+        g = _graded_graph(seed)
+        a, c = adjacency(g), _adjacency(g)
+        pole = elementwise_pole(a)
+        mutual = as_csr(a.multiply(a.T))
+        mutual.eliminate_zeros()
+        pattern = (a > 0).astype(float)
+        assert mutual.nnz < pattern.multiply(pattern.T).nnz   # some products underflow
+        assert pole == elementwise_pole(c) == 1.0 / np.sqrt(mutual.data.max())
+        for fraction in (0.0, 0.3, 0.9, 0.999, 1.0 - 1e-12):
+            t = fraction * pole
+            want = _scipy_node_system(a, t)
+            got_scipy, got_numpy = build_node_system(a, t), build_node_system(c, t)
+            assert isinstance(got_scipy, sp.csr_array) and isinstance(got_numpy, _CSR)
+            assert_bitwise_equal(got_scipy, want)
+            assert_bitwise_equal(as_csr(got_numpy), want)
+
+    def test_node_system_of_bench_shapes(self, rng):
+        src, dst, weight = uniform_edges(rng, 2000, 8000)
+        g = WeightedGraph([str(i) for i in range(2000)],
+                          zip(src.tolist(), dst.tolist(), weight.tolist()))
+        a = adjacency(g)
+        t = 0.5 / spectral_radius(line_graph(g).V)
+        assert_bitwise_equal(as_csr(build_node_system(_adjacency(g), t)), _scipy_node_system(a, t))
+
+    def test_int32_columns_of_a_large_order(self):
+        # n * n passes the int32 range: an int32 column times n must not
+        # wrap, or the heavy pair's reversal is missed
+        n = 50_000
+        g = WeightedGraph([str(i) for i in range(n)],
+                          [(n - 1, n - 2, 4.0), (n - 2, n - 1, 4.0), (0, 1, 1.0), (1, 0, 1.0)])
+        a = adjacency(g)
+        narrow = sp.csr_array((a.data, a.indices.astype(np.int32), a.indptr.astype(np.int32)),
+                              shape=a.shape)
+        assert elementwise_pole(narrow) == 0.25
+        assert_bitwise_equal(build_node_system(narrow, 0.2), _scipy_node_system(a, 0.2))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_identity_minus(self, seed):
+        g = _graded_graph(seed)
+        for m in (adjacency(g), line_graph(g).V):
+            # at t = 1e-320 some products t * m underflow to zero
+            for t in (0.0, 0.5 / spectral_radius(m), 1e-320):
+                want = sp.identity(m.shape[0], format="csr") - t * m
+                container = _CSR((m.data, m.indices, m.indptr), shape=m.shape)
+                assert isinstance(identity_minus(t, m), sp.csr_array)
+                assert_bitwise_equal(identity_minus(t, m), want)
+                assert_bitwise_equal(as_csr(identity_minus(t, container)), want)
+        assert_bitwise_equal(as_csr(identity_minus(0.25, _line_graph(g).V)),
+                             sp.identity(g.m, format="csr") - 0.25 * line_graph(g).V)
+
+    def test_identity_minus_with_a_diagonal(self, rng):
+        # entries on the diagonal merge with the identity, and 1 - t * m
+        # that is exactly zero is not stored
+        dense = (rng.random((30, 30)) < 0.2) * rng.choice([0.5, 1.0, 2.0], size=(30, 30))
+        np.fill_diagonal(dense, rng.choice([0.0, 2.0, 4.0], size=30))
+        m = as_csr(dense)
+        want = sp.identity(30, format="csr") - 0.5 * m
+        assert_bitwise_equal(identity_minus(0.5, m), want)
+        assert (want.diagonal() == 0).any()
 
 
 class TestGeneratingMatrix:

@@ -2,7 +2,8 @@
 exists, and every name ``nbtwalks/__init__.py`` imports exists and is in its
 module's ``__all__``, when the module has one.  Every definition has a
 caller, and the README's library sketch runs.  Importing the package loads
-no scipy, and neither do the temporal commands."""
+no scipy, and neither do the temporal commands nor the static radius,
+centrality and sweep commands."""
 
 import ast
 import importlib
@@ -158,9 +159,11 @@ def test_scipy_is_imported_only_inside_functions(name):
     assert not [m for m in anywhere if m.startswith("scipy.linalg")]
 
 
-# Run in a fresh interpreter: argv[1] is a static input, the rest temporal.
-# Prints the scipy modules loaded after the import, after the temporal
-# commands and after one static command, as one JSON list.
+# Run in a fresh interpreter: argv[1] is a static input, argv[2] a static
+# input whose elementwise pole lies inside its series range, the rest
+# temporal.  Prints the scipy modules loaded after the import, after the
+# temporal commands, after the static radius, centrality and sweep commands,
+# and after a static walk-count, as one JSON list.
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import nbtwalks, nbtwalks.cli
@@ -172,29 +175,47 @@ def run(args):
     with contextlib.redirect_stdout(io.StringIO()):
         assert nbtwalks.cli.main(args) == 0, args
 
+static, pole, *temporal = sys.argv[1:]
 loaded = [scipy_modules()]
 regimes = ["allow-all", "forbid-space", "forbid-time", "forbid-all"]
 commands = [["radius"], ["centrality", "--t", "0.5r", "--measure", "katz"]]
 commands += [["centrality", "--t", "0.5r", "--measure", "nbt-katz", "--regime", r]
              for r in regimes]
-for path in sys.argv[2:]:
+for path in temporal:
     for command in commands:
         run([*command, "--input", path, "--temporal"])
 loaded.append(scipy_modules())
-run(["centrality", "--input", sys.argv[1], "--t", "0.5r"])
+for command in (["radius"], ["radius", "--binarize"],
+                ["centrality", "--t", "0.5r", "--measure", "katz"],
+                ["centrality", "--t", "0.5r", "--measure", "nbt-katz"],
+                ["centrality", "--t", "0.2", "--measure", "f-centrality",
+                 "--series", "exponential"],
+                ["centrality", "--t", "0.5r", "--compare", "katz:nbt-katz"],
+                ["centrality", "--t", "0.5r", "--compare", "katz:nbt-katz", "--binarize"],
+                ["sweep", "--measure", "katz", "--grid-points", "4"],
+                ["sweep", "--measure", "nbt-katz", "--grid", "0,0.3r,0.6r"]):
+    run([*command, "--input", static])
+# t = 5 lies past the pole at 0.1: the line-graph route serves nbt-katz
+run(["centrality", "--t", "0.5r", "--measure", "nbt-katz", "--input", pole])
+loaded.append(scipy_modules())
+run(["walk-count", "--input", static, "--kmax", "2"])
 loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
 
 
-def test_temporal_commands_never_load_scipy(tmp_path):
+def test_static_and_temporal_commands_never_load_scipy(tmp_path):
     golden = Path(__file__).parent / "data" / "golden"
+    pole = tmp_path / "pole.txt"
+    # the pair a <-> d puts the elementwise pole at 0.1, below the series
+    # range [0, 10) of the light triangle
+    pole.write_text("a b 0.1\nb c 0.1\nc a 0.1\na d 10\nd a 10\n")
     u1 = write_uniform_temporal(tmp_path / "u1.txt", 1, 500, 500, 20)
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(golden / "g300.txt"),
+        [sys.executable, "-c", _SCIPY_PROBE, str(golden / "g300.txt"), str(pole),
          str(golden / "temporal.txt"), str(u1)],
         env=cli_env(), capture_output=True, text=True, check=True)
-    imported, temporal, static = json.loads(proc.stdout)
-    assert imported == [] and temporal == []
-    # a static command loads scipy when it needs it
-    assert "scipy.sparse" in static
+    imported, temporal, static, walk_count = json.loads(proc.stdout)
+    assert imported == [] and temporal == [] and static == []
+    # walk-count's sparse products load scipy when it needs them
+    assert "scipy.sparse" in walk_count

@@ -26,12 +26,11 @@ from .errors import NumericalError, ValidationError
 from .graph import (
     _adjacency,
     _line_graph,
-    adjacency,
     binarize,
     load_edge_list,
     load_matrix_market,
 )
-from .linalg import check_t, identity_minus, range_end, solve_linear, spectral_radius
+from .linalg import _row_of, check_t, identity_minus, range_end, solve_linear, spectral_radius
 from .node_level import elementwise_pole, nbt_katz, nbt_walk_counts
 from .temporal import (
     BacktrackRegime,
@@ -425,7 +424,7 @@ def cmd_sweep(args) -> int:
 def cmd_walk_count(args) -> int:
     mode, data = _load_input(args)
     if mode == "static":
-        tables = enumerate(nbt_walk_counts(adjacency(data), args.kmax))
+        tables = enumerate(nbt_walk_counts(_adjacency(data), args.kmax))
         labels = data.node_labels
         header = ["length", "source", "target", "count"]
     else:
@@ -435,13 +434,12 @@ def cmd_walk_count(args) -> int:
         header = ["length", "from_edge", "to_edge", "count"]
     labels = np.asarray(labels)
     lengths, sources, targets, counts = [], [], [], []
+    # each table is a canonical linalg._CSR: its entries in (row, column) order
     for length, matrix in tables:
-        coo = matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lengths += [str(length)] * order.size
-        sources += labels[coo.row[order]].tolist()
-        targets += labels[coo.col[order]].tolist()
-        counts += printed(coo.data[order])
+        lengths += [str(length)] * matrix.nnz
+        sources += labels[_row_of(matrix.indptr)].tolist()
+        targets += labels[matrix.indices].tolist()
+        counts += printed(matrix.data)
     _emit(args, header, Rows(("int", lengths), ("text", sources), ("text", targets),
                              ("number", counts)))
     return 0

@@ -18,7 +18,7 @@ from .edge_level import (
     project_to_nodes,
     walk_counts_via_line_graph,
 )
-from .graph import WeightedGraph, adjacency, line_graph
+from .graph import WeightedGraph, _adjacency, _line_graph
 from .linalg import DENSE_SOLVE_MAX, range_end, spectral_radius
 from .node_level import elementwise_pole, generating_matrix, nbt_katz, nbt_walk_counts
 from .oracle import count_nbt_walks_bruteforce, count_temporal_walks_bruteforce
@@ -71,9 +71,9 @@ def static_battery(
     kmax: int = 5,
     tol: float = 1e-10,
 ) -> list[CheckResult]:
-    """All static cross-checks on one graph."""
-    a = adjacency(graph)
-    d = line_graph(graph)
+    """All static cross-checks on one graph, on ``linalg._CSR`` matrices."""
+    a = _adjacency(graph)
+    d = _line_graph(graph)
     results: list[CheckResult] = []
 
     oracle = count_nbt_walks_bruteforce(graph, kmax)
@@ -123,7 +123,8 @@ def static_battery(
 def temporal_battery(
     tg: TemporalGraph, kmax: int = 3, tol: float = 1e-10
 ) -> list[CheckResult]:
-    """All temporal cross-checks on one temporal graph."""
+    """All temporal cross-checks on one temporal graph, on the assembled
+    ``M`` as a ``linalg._CSR`` (``GlobalDecomposition._M``)."""
     results: list[CheckResult] = []
 
     decompositions = {regime: build_global_transition(tg, regime) for regime in BacktrackRegime}
@@ -137,7 +138,7 @@ def temporal_battery(
         results.append(_resolvent_check(gd, tol))
         results.append(_assembled_radius_check(gd, tol))
 
-    direct = decompositions[BacktrackRegime.FORBID_ALL].M
+    direct = decompositions[BacktrackRegime.FORBID_ALL]._M
     fast = forbid_all_transition_fast(tg)
     same_pattern = (
         np.array_equal(direct.indptr, fast.indptr)
@@ -153,7 +154,7 @@ def temporal_battery(
     katz = classical_temporal_katz(tg, t, tol=min(tol, 1e-12))
     x = np.ones(tg.n)
     for g in reversed(tg.snapshots):
-        x = np.linalg.solve(np.eye(tg.n) - t * adjacency(g).toarray(), x)
+        x = np.linalg.solve(np.eye(tg.n) - t * _adjacency(g).toarray(), x)
     results.append(
         CheckResult("classical temporal katz vs dense resolvent product",
                     deviation(katz, x), tol)
@@ -172,7 +173,7 @@ def _resolvent_check(gd, tol: float) -> CheckResult:
     rho = gd.transition_radius
     t = 0.5 if rho == 0 else 0.5 / rho
     scores = temporal_f_centrality(gd, CoefficientSeries.resolvent(), t, tol=min(tol, 1e-12))
-    system = np.eye(gd.m_total) - t * gd.M.toarray()
+    system = np.eye(gd.m_total) - t * gd._M.toarray()
     y = np.linalg.solve(system, gd.sqrt_weights)
     dense = 1.0 + t * project_to_nodes(gd.temporal.src, gd.sqrt_weights, y, gd.n)
     return CheckResult(name, deviation(scores, dense), tol)
@@ -186,7 +187,7 @@ def _assembled_radius_check(gd, tol: float) -> CheckResult:
             f"blocks [{gd.regime.value}]")
     if gd.m_total > DENSE_SOLVE_MAX:
         return CheckResult(f"{name} (skipped: {gd.m_total} edges > {DENSE_SOLVE_MAX})", 0.0, tol)
-    m, offsets = gd.M.toarray(), gd.temporal.offsets
+    m, offsets = gd._M.toarray(), gd.temporal.offsets
     dense = max((float(np.abs(np.linalg.eigvals(m[lo:hi, lo:hi])).max())
                  for lo, hi in zip(offsets[:-1], offsets[1:]) if hi > lo), default=0.0)
-    return CheckResult(name, deviation(np.array([spectral_radius(gd.M)]), np.array([dense])), tol)
+    return CheckResult(name, deviation(np.array([spectral_radius(gd._M)]), np.array([dense])), tol)

@@ -15,11 +15,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .graph import LineGraphDecomposition, adjacency
+from .graph import LineGraphDecomposition, _adjacency
 from .linalg import (
     DENSE_SOLVE_MAX,
     _canonical,
     _dense_solve,
+    _indptr,
     check_t,
     identity_minus,
     matmul,
@@ -87,7 +88,8 @@ class CoefficientSeries:
 def walk_counts_via_line_graph(decomposition: LineGraphDecomposition,
                                kmax: int) -> list[sp.csr_array]:
     """Project k line-graph steps back to node level for k = 0..kmax; entry
-    k equals the (k+1)-th power of the adjacency matrix."""
+    k equals the (k+1)-th power of the adjacency matrix.  The matrices are
+    in the container of ``decomposition.V``, as ``_project`` builds them."""
     return _project(decomposition, decomposition.half_walk_matrix, kmax)
 
 
@@ -98,15 +100,17 @@ def nbt_counts_via_line_graph(decomposition: LineGraphDecomposition,
     return _project(decomposition, decomposition.V, kmax)
 
 
-def _project(d: LineGraphDecomposition, transition: sp.csr_array,
+def _project(d: LineGraphDecomposition, transition,
              kmax: int) -> list[sp.csr_array]:
     """``L^T Z^1/2 (T^k (Z^1/2 R))`` for k = 0..kmax, with T the transition:
-    one pass, one product with T per length."""
+    one pass, one product with T per length, in the container of ``d.V``
+    (``linalg.matmul``)."""
     if kmax < 0:
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
     # zero steps collapse the two half-weight brackets into one full weight:
     # the factorization L^T Z R is the adjacency itself
-    out = [adjacency(d.graph)]
+    a = _adjacency(d.graph)
+    out = [type(d.V)((a.data.copy(), a.indices.copy(), a.indptr.copy()), shape=a.shape)]
     out_half, acc = _half_incidences(d)
     for _ in range(kmax):
         acc = matmul(transition, acc)
@@ -114,17 +118,16 @@ def _project(d: LineGraphDecomposition, transition: sp.csr_array,
     return out
 
 
-def _half_incidences(d: LineGraphDecomposition) -> tuple[sp.csr_array, sp.csr_array]:
-    """The half-weight incidences ``(L^T Z^1/2, Z^1/2 R)``: the n x m matrix
-    with ``sqrt(w_e)`` at (src e, e) and the m x n one with ``sqrt(w_e)`` at
-    (e, dst e).  Their product is the adjacency up to the rounding of
-    ``sqrt(w)**2``."""
-    import scipy.sparse as sp
-
-    g = d.graph
-    edges = np.arange(g.m)
-    return (sp.csr_array((d.sqrt_weights, (g.src, edges)), shape=(g.n, g.m)),
-            sp.csr_array((d.sqrt_weights, (edges, g.dst)), shape=(g.m, g.n)))
+def _half_incidences(d: LineGraphDecomposition) -> tuple:
+    """The half-weight incidences ``(L^T Z^1/2, Z^1/2 R)`` in the container
+    of ``d.V``: the n x m matrix with ``sqrt(w_e)`` at (src e, e) and the
+    m x n one with ``sqrt(w_e)`` at (e, dst e).  The canonical edges, sorted
+    by source, are the first one's CSR order.  Their product is the
+    adjacency up to the rounding of ``sqrt(w)**2``."""
+    g, csr = d.graph, type(d.V)
+    edges = np.arange(g.m + 1)
+    return (csr((d.sqrt_weights, edges[:-1], _indptr(g.src, g.n)), shape=(g.n, g.m)),
+            csr((d.sqrt_weights, g.dst, edges), shape=(g.m, g.n)))
 
 
 def apply_shifted_series(

@@ -355,7 +355,7 @@ class LineGraphDecomposition:
       Z^1/2`` carries true multiplicative walk weights of nonbacktracking
       walks.
     - ``half_walk_matrix``: the same on the full continuation pattern,
-      reversals included; built on first access and kept.
+      reversals included, in V's container; built on first access and kept.
 
     ``line_graph`` gives V as a ``scipy.sparse.csr_array``; ``_line_graph``,
     which the CLI uses, gives the same arrays as a ``linalg._CSR``, which
@@ -383,7 +383,8 @@ class LineGraphDecomposition:
 
     @cached_property
     def half_walk_matrix(self) -> sp.csr_array:
-        return as_csr(_static_chain(self.graph, self.sqrt_weights, prune=False))
+        chain = _static_chain(self.graph, self.sqrt_weights, prune=False)
+        return chain if isinstance(self.V, _CSR) else as_csr(chain)
 
 
 def _continuations(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, n: int,

@@ -2,28 +2,30 @@
 
 Matrices come in two containers, both CSR with float64 data; vectors are 1-D
 numpy arrays.  ``_CSR`` is a private canonical CSR on numpy alone, and it
-serves every CLI command but ``walk-count`` and ``oracle-check``: the
-static measures' adjacency A and line graph V (``graph._adjacency``,
-``graph._line_graph``) and every temporal matrix are ``_CSR``, so those
-commands never load scipy.  ``scipy.sparse.csr_array`` serves the public
-names that hand matrices out (``graph.adjacency``, ``line_graph(g).V``,
-``identity``, ``matmul``, ``hadamard``, ``as_csr`` and so on) and the sparse
-products of the walk-count recurrences; every scipy import is inside the
-function that needs it.
+serves every CLI command: the static adjacency A and line graph V
+(``graph._adjacency``, ``graph._line_graph``), the walk-count tables and
+every temporal matrix are ``_CSR``, so no command loads scipy but for
+MatrixMarket input.  ``scipy.sparse.csr_array`` serves the public names that
+hand matrices out (``graph.adjacency``, ``line_graph(g).V``,
+``GlobalDecomposition.M``, ``identity``, ``as_csr`` and so on); every scipy
+import is inside the function that needs it.
 
 A builder or kernel that takes either container has one body and keeps the
-input's container: ``identity_minus`` (I - tM), ``elementwise_map``,
-``node_level.build_node_system``, ``spectral_radius`` and ``solve_linear``
-assemble their numpy arrays as ``type(m)((data, indices, indptr),
-shape=...)``, bit for bit what the scipy assembly stores, and multiply with
-the input's ``@`` (scipy's compiled product, or ``_CSR``'s bincount, which
-agree bit for bit).  Only the strongly-connected-components pass differs:
-``scipy.sparse.csgraph`` for scipy input, ``_strong_components`` for
-``_CSR``, in three stages: a trim of the nodes without an in- or out-edge,
-a forward-backward search from one pivot, a breadth-first level per numpy
-step, and Tarjan's pass on what the two leave.  All operations treat their
-inputs as immutable and return fresh objects, so results can be shared
-freely across threads.  Explicitly stored zeros never affect results.
+input's container: ``_CSR`` in, ``_CSR`` out; scipy in, scipy out.  The
+sparse arithmetic (``matmul``, ``hadamard``, ``_sum``, ``_scaled``,
+``_transpose``), ``identity_minus`` (I - tM),
+``elementwise_map``, ``node_level.build_node_system``, ``spectral_radius``
+and ``solve_linear`` assemble their numpy arrays as ``type(m)((data,
+indices, indptr), shape=...)``, bit for bit what scipy's sparse arithmetic
+stores, and multiply with the input's ``@`` (scipy's compiled product, or
+``_CSR``'s bincount, which agree bit for bit).  Only the
+strongly-connected-components pass differs: ``scipy.sparse.csgraph`` for
+scipy input, ``_strong_components`` for ``_CSR``, in three stages: a trim
+of the nodes without an in- or out-edge, a forward-backward search from one
+pivot, a breadth-first level per numpy step, and Tarjan's pass on what the
+two leave.  All operations treat their inputs as immutable and return fresh
+objects, so results can be shared freely across threads.  Explicitly stored
+zeros never affect results.
 """
 
 from __future__ import annotations
@@ -84,8 +86,21 @@ class _CSR:
     def _rows(self) -> np.ndarray:
         return _row_of(self.indptr)
 
+    @cached_property
+    def _components(self) -> tuple[int, np.ndarray]:
+        """The strongly connected components of the stored pattern, as
+        ``_strong_components`` gives them; a matrix of the same pattern may
+        be handed them."""
+        return _strong_components(self)
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self._rows, self.data * x[self.indices], minlength=self.shape[0])
+        if x.ndim == 1:
+            return np.bincount(self._rows, self.data * x[self.indices], minlength=self.shape[0])
+        # each row adds its entries' multiples of x's rows in stored order,
+        # from 0, as scipy's product with a dense matrix does
+        out = np.zeros((self.shape[0], x.shape[1]))
+        np.add.at(out, self._rows, self.data[:, None] * x[self.indices])
+        return out
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -163,15 +178,6 @@ def identity(n: int) -> sp.csr_array:
     return sp.identity(n, dtype=np.float64, format="csr")
 
 
-def diag_matrix(values) -> sp.csr_array:
-    """Diagonal matrix from a 1-D array (an empty array gives a 0 x 0 matrix)."""
-    import scipy.sparse as sp
-
-    values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    return sp.csr_array((values, (np.arange(n), np.arange(n))), shape=(n, n))
-
-
 def identity_minus(t: float, m):
     """``I - t M`` for a canonical CSR matrix M, in M's container, stored as
     scipy stores ``identity(n) - t * M``: ``-t * m`` off the diagonal, ``1 -
@@ -185,67 +191,238 @@ def _plus_diagonal(m, diagonal: np.ndarray, values: np.ndarray):
     stored as scipy stores the sum of two canonical matrices: a diagonal
     entry of E is added to ``diagonal``, each diagonal entry goes in front
     of its row's first entry right of it, an entry that is zero is dropped,
-    and the index arrays are int32 when their values fit."""
+    and the index arrays are int32 when their values fit.
+
+    One count of each row's entries left of the diagonal gives the slot of
+    every row's diagonal entry, and shows where E stores one; the entries of
+    E then fill the slots the diagonal leaves free, in one pass."""
     n = diagonal.size
-    indptr, indices, rows = m.indptr, m.indices, _row_of(m.indptr)
+    indptr, indices = m.indptr, m.indices
+    rows = _row_of(indptr)
+    slot = indptr[:-1] + np.bincount(rows[indices < rows], minlength=n)
     keep = values != 0
-    on = rows == indices
-    if on.any():
+    on = np.flatnonzero(slot < indptr[1:])
+    on = on[indices[slot[on]] == on]
+    if on.size:
         diagonal = diagonal.copy()
-        diagonal[rows[on]] += values[on]
-        keep &= ~on
+        diagonal[on] += values[slot[on]]
+        keep[slot[on]] = False
     if not keep.all():
-        rows, indices, values = rows[keep], indices[keep], values[keep]
-        indptr = _indptr(rows, n)
-    stored = diagonal != 0
-    right = indices > rows
-    if not stored.all():
-        right &= stored[rows]
-    # the diagonal entries in the rows above each row; each row's diagonal
-    # entry goes in front of the entries right of it
-    above = np.concatenate(([0], np.cumsum(stored)))
-    size = values.size + int(above[-1])
-    index = np.int32 if max(size, n) <= np.iinfo(np.int32).max else np.int64
-    out_indptr = (indptr + above).astype(index)
+        slot -= np.concatenate(([0], np.cumsum(~keep)))[slot]
+        indices, values = indices[keep], values[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    stored = np.flatnonzero(diagonal)
+    size = values.size + stored.size
+    index = _index_dtype(max(size, n))
+    # the diagonal entries in the rows above each row
+    above = np.arange(n + 1, dtype=index)
+    if stored.size < n:
+        diagonal, slot = diagonal[stored], slot[stored]
+        above[1:] = np.cumsum(np.bincount(stored, minlength=n))
+    slot = slot + np.arange(stored.size)
+    free = np.ones(size, dtype=bool)
+    free[slot] = False
+    free = np.flatnonzero(free)
     data, columns = np.empty(size), np.empty(size, dtype=index)
-    at = np.arange(values.size) + above[rows] + right
-    data[at], columns[at] = values, indices
-    at = (out_indptr[1:] - 1 - np.bincount(rows[right], minlength=n))[stored]
-    data[at], columns[at] = diagonal[stored], np.flatnonzero(stored)
-    return type(m)((data, columns, out_indptr), shape=(n, n))
+    data[slot], columns[slot] = diagonal, stored
+    data[free], columns[free] = values, indices
+    return type(m)((data, columns, (indptr + above).astype(index, copy=False)), shape=(n, n))
 
 
-def matmul(a, b) -> sp.csr_array:
-    """Sparse product ``a @ b``; drops explicitly stored zeros from the result."""
-    import scipy.sparse as sp
+def _index_dtype(largest: int):
+    """int32 when ``largest`` fits in it, as scipy's index arrays are."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
 
-    a = as_csr(a)
-    b = as_csr(b)
+
+def _operands(a, b) -> tuple:
+    """Two matrices as canonical CSR matrices in one container: ``_CSR``
+    when both are, scipy arrays (``as_csr``) otherwise."""
+    if isinstance(a, _CSR) and isinstance(b, _CSR):
+        return a, b
+    return as_csr(a), as_csr(b)
+
+
+def _keys(m) -> np.ndarray:
+    """The int64 key ``row * columns + column`` of each stored entry of a
+    canonical CSR matrix: ascending, as the entries are stored."""
+    return _row_of(m.indptr) * m.shape[1] + m.indices
+
+
+def _from_keys(like, keys: np.ndarray, data: np.ndarray, shape: tuple):
+    """The matrix with entries ``data`` at the ascending ``keys``, in the
+    container of ``like``."""
+    index = _index_dtype(max(keys.size, *shape))
+    indices = np.remainder(keys, shape[1], out=np.empty(keys.size, dtype=index), casting="unsafe")
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1]).astype(index)
+    return type(like)((data, indices, indptr), shape=shape)
+
+
+def _compact(like, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple):
+    """The CSR matrix of these arrays in the container of ``like``, with
+    every entry that is zero dropped."""
+    stored = data != 0
+    if not stored.all():
+        data, indices = data[stored], indices[stored]
+        indptr = np.concatenate(([0], np.cumsum(stored)))[indptr]
+    return type(like)((data, indices, indptr), shape=shape)
+
+
+# The row chunks of a sparse product expand about this many terms at once.
+PRODUCT_CHUNK = 1 << 20
+# A chunk with at least one term per DENSE_FILL cells of its rows sums them
+# in a dense accumulator instead of sorting them.
+DENSE_FILL = 4
+
+
+def matmul(a, b):
+    """Sparse product ``a @ b`` in the container of its operands (``_CSR``
+    when both are ``_CSR``, else a ``scipy.sparse.csr_array``), stored as
+    scipy's ``csr_matmat`` stores it: entry (i, k) sums ``a[i, j] * b[j,
+    k]`` from 0 in a's stored order of j, only a nonzero sum is stored, and
+    the columns are sorted.
+
+    Row chunks of about ``PRODUCT_CHUNK`` terms are expanded at a time, each
+    term keyed by its row in the chunk and its column (expand, sort and
+    compress: Bell, Dalton & Olson, SISC 2012).  The keys are sorted
+    stably, with each term's place as the low bits of its key, and
+    ``np.bincount`` adds each key's terms in their order.  A chunk with a
+    term for every ``DENSE_FILL`` cells of its rows adds them in a dense
+    accumulator instead, ``np.bincount`` over the keys themselves."""
+    a, b = _operands(a, b)
     if a.shape[1] != b.shape[0]:
         raise ValidationError(
             f"matmul dimension mismatch: {a.shape} @ {b.shape}"
         )
-    out = a @ b
-    out = sp.csr_array(out)
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
+    n_rows, n_cols = a.shape[0], b.shape[1]
+    per_entry = np.diff(b.indptr)[a.indices]
+    before = np.concatenate(([0], np.cumsum(per_entry)))   # terms before each entry
+    row_before = before[a.indptr]                             # and before each row
+    keys, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    lo = 0
+    while lo < n_rows:
+        hi = int(np.searchsorted(row_before, row_before[lo] + PRODUCT_CHUNK, side="right")) - 1
+        hi = min(max(hi, lo + 1), n_rows)
+        first, last = a.indptr[lo], a.indptr[hi]
+        size = int(before[last] - before[first])
+        if size:
+            counts = per_entry[first:last]
+            at = np.arange(size) + np.repeat(
+                b.indptr[a.indices[first:last]] - (before[first:last] - before[first]), counts)
+            terms = np.repeat(a.data[first:last], counts) * b.data[at]
+            key = np.repeat(np.arange(hi - lo) * n_cols, np.diff(row_before[lo:hi + 1])) \
+                + b.indices[at]
+            chunk_key, chunk_sum = _sum_terms(key, terms, (hi - lo) * n_cols)
+            keys.append(chunk_key + lo * n_cols)
+            sums.append(chunk_sum)
+        lo = hi
+    return _from_keys(a, np.concatenate(keys), np.concatenate(sums), (n_rows, n_cols))
 
 
-def hadamard(a, b) -> sp.csr_array:
-    """Elementwise product; both operands must have the same shape."""
-    import scipy.sparse as sp
+def _sum_terms(key: np.ndarray, terms: np.ndarray, cells: int) -> tuple:
+    """The distinct keys in [0, ``cells``) of the ``terms`` and, for each,
+    the sum of its terms in their order from 0; a zero sum is dropped."""
+    if cells <= DENSE_FILL * key.size:
+        sums = np.bincount(key, weights=terms, minlength=cells)
+        key = np.flatnonzero(sums)
+        return key, sums[key]
+    bits = key.size.bit_length()
+    if cells < 1 << (62 - bits):
+        # one sort of the keys with each term's place below them: stable
+        packed = np.sort((key << bits) | np.arange(key.size))
+        order, key = packed & ((1 << bits) - 1), packed >> bits
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    sums = np.bincount(np.cumsum(new) - 1, weights=terms[order])
+    key = key[new]
+    stored = sums != 0
+    return key[stored], sums[stored]
 
-    a = as_csr(a)
-    b = as_csr(b)
+
+def hadamard(a, b):
+    """Elementwise product in the container of its operands, as ``matmul``
+    chooses it, stored as scipy's ``multiply`` stores it: the products on
+    the common pattern, a zero product dropped.  Both operands must have the
+    same shape."""
+    a, b = _operands(a, b)
     if a.shape != b.shape:
         raise ValidationError(
             f"hadamard shape mismatch: {a.shape} vs {b.shape}"
         )
-    out = sp.csr_array(a.multiply(b))
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
+    keys = _keys(a)
+    at, found = _lookup(_keys(b), keys)
+    data = a.data[found] * b.data[at[found]]
+    stored = data != 0
+    return _from_keys(a, keys[found][stored], data[stored], a.shape)
+
+
+def _lookup(keys: np.ndarray, needles: np.ndarray) -> tuple:
+    """Where each of the ascending ``needles`` sits among the ascending
+    distinct ``keys``: its insertion point, and whether the key there is
+    the needle."""
+    at = np.searchsorted(keys, needles)
+    found = at < keys.size
+    found[found] = keys[at[found]] == needles[found]
+    return at, found
+
+
+def _sum(a, b, sign: float = 1.0):
+    """``a + b``, or ``a - b`` with ``sign`` -1, for two canonical CSR
+    matrices of one shape and container, as scipy's ``csr_binop_csr``
+    stores the sum or difference: ``a[i, j] + sign * b[i, j]`` on the
+    common pattern (``a - b`` is ``a + (-b)`` bit for bit), ``a[i, j]`` or
+    ``sign * b[i, j]`` where only one operand stores an entry, a zero
+    dropped, in column order.  b's keys are searched for among a's, and the
+    entries of b alone fill the slots between a's."""
+    n_rows, n_cols = a.shape
+    rows_b = _row_of(b.indptr)
+    at, found = _lookup(_keys(a), rows_b * n_cols + b.indices)
+    data = a.data.copy()
+    data[at[found]] += sign * b.data[found]
+    indices, indptr = a.indices, a.indptr
+    alone = np.flatnonzero(~found)
+    if alone.size:
+        slot = np.zeros(a.nnz + alone.size, dtype=bool)
+        slot[at[alone] + np.arange(alone.size)] = True
+        values = np.empty(slot.size)
+        values[slot], values[~slot] = sign * b.data[alone], data
+        columns = np.empty(slot.size, dtype=np.result_type(indices, b.indices))
+        columns[slot], columns[~slot] = b.indices[alone], indices
+        data, indices = values, columns
+        indptr = indptr + _indptr(rows_b[alone], n_rows)
+    return _compact(a, data, indices, indptr, a.shape)
+
+
+def _scaled(m, rows: np.ndarray | None = None, columns: np.ndarray | None = None):
+    """``diag(rows) @ m`` or ``m @ diag(columns)`` for a canonical CSR
+    matrix m, in its container, as the sparse product with the diagonal
+    matrix stores it: each entry times the row's or the column's factor, a
+    zero product dropped."""
+    factor = rows[_row_of(m.indptr)] if columns is None else columns[m.indices]
+    return _compact(m, m.data * factor, m.indices, m.indptr, m.shape)
+
+
+def _transpose(m):
+    """The transpose of a canonical CSR matrix as a canonical CSR matrix in
+    its container, the entries of each new row in ascending column order."""
+    order = np.argsort(m.indices, kind="stable")
+    columns = m.indices[order]
+    index = _index_dtype(max(m.nnz, *m.shape))
+    return type(m)((m.data[order], _row_of(m.indptr)[order].astype(index),
+                    _indptr(columns, m.shape[1]).astype(index)), shape=m.shape[::-1])
+
+
+def _row_sums(m) -> np.ndarray:
+    """Each row's sum of a CSR matrix, as scipy's ``sum(axis=1)`` takes it:
+    ``np.add.reduceat`` over the rows with entries, 0 for the others."""
+    sums = np.zeros(m.shape[0])
+    if m.nnz:
+        rows = np.flatnonzero(np.diff(m.indptr))
+        sums[rows] = np.add.reduceat(m.data, m.indptr[rows])
+    return sums
 
 
 def elementwise_map(a, fn):
@@ -489,7 +666,7 @@ def spectral_radius(matrix) -> float:
         raise ValidationError("spectral_radius requires nonnegative entries")
 
     if isinstance(m, _CSR):
-        ncomp, labels = _strong_components(m)
+        ncomp, labels = m._components
     else:  # scipy input: its caller has loaded scipy
         from scipy.sparse import csgraph
 

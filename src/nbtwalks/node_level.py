@@ -17,16 +17,20 @@ from .errors import ValidationError
 from .linalg import (
     DENSE_SOLVE_MAX,
     _canonical,
+    _compact,
     _dense_solve,
     _indptr,
+    _keys,
+    _lookup,
     _plus_diagonal,
     _row_of,
-    as_csr,
+    _row_sums,
+    _scaled,
+    _sum,
     check_t,
-    diag_matrix,
     elementwise_map,
     hadamard,
-    identity,
+    matmul,
     range_end,
     solve_linear,
 )
@@ -57,7 +61,9 @@ def _validate_adjacency(matrix):
 
 
 def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
-    """Weighted nonbacktracking walk-count matrices for lengths 0..kmax.
+    """Weighted nonbacktracking walk-count matrices for lengths 0..kmax, in
+    the container of ``adjacency``: a ``linalg._CSR`` gives ``_CSR``
+    matrices, any other input ``scipy.sparse.csr_array`` ones.
 
     Entry (i, j) of the k-th matrix is the sum over all nonbacktracking walks
     of length k from i to j of the product of their edge weights.  Length 0
@@ -65,52 +71,55 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
     recurrence whose step-back coefficients are built incrementally, one
     Hadamard product per new depth.  An entry that cancels to zero within the
     recurrence's rounding error is not stored.
-    """
-    import scipy.sparse as sp
 
-    a = as_csr(_validate_adjacency(adjacency))
+    The matrices are bit for bit those of the recurrence in scipy's sparse
+    arithmetic: ``linalg.matmul``, ``hadamard`` and ``_sum`` store what
+    scipy's ``@``, ``multiply``, ``+`` and ``-`` store, a
+    product with a diagonal matrix is a row scaling, ``_scaled``, and the
+    row sums are scipy's ``sum(axis=1)``, ``_row_sums``.
+    """
+    a = _validate_adjacency(adjacency)
     if kmax < 0:
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
     n = a.shape[0]
-    counts = [identity(n)]
+    counts = [type(a)((np.ones(n), np.arange(n), np.arange(n + 1)), shape=(n, n))]
     if kmax == 0:
         return counts
     counts.append(a)
 
-    mutual = hadamard(a, a.T)  # products w_ij * w_ji on reciprocated pairs
-    odd_coeffs = [a]           # step back over 2h+1 edges: A o mutual^oh
+    _, mutual = _mutual(a, _row_of(a.indptr))  # products w_ij * w_ji on reciprocated pairs
+    odd_coeffs = [a]            # step back over 2h+1 edges: A o mutual^oh
     even_diags: list[np.ndarray] = []  # step back over 2h edges: row sums of mutual^oh
     mutual_pow = None
 
     for k in range(2, kmax + 1):
         if k % 2 == 0:
             mutual_pow = mutual if mutual_pow is None else hadamard(mutual_pow, mutual)
-            even_diags.append(np.asarray(mutual_pow.sum(axis=1)).ravel())
+            even_diags.append(_row_sums(mutual_pow))
         else:
             odd_coeffs.append(hadamard(a, mutual_pow))
 
-        forward = sp.csr_array((n, n), dtype=np.float64)
-        for h, coeff in enumerate(odd_coeffs):
-            step = 2 * h + 1
-            if step > k:
+        forward = matmul(a, counts[k - 1])
+        for h, coeff in enumerate(odd_coeffs[1:], start=1):
+            if 2 * h + 1 > k:
                 break
-            forward = forward + coeff @ counts[k - step]
-        acc = forward
-        back = sp.csr_array((n, n), dtype=np.float64)
+            forward = _sum(forward, matmul(coeff, counts[k - 2 * h - 1]))
+        acc, back = forward, None
         for h, dvec in enumerate(even_diags, start=1):
-            step = 2 * h
-            if step > k:
+            if 2 * h > k:
                 break
-            term = diag_matrix(dvec) @ counts[k - step]
-            acc = acc - term
-            back = back + term
+            term = _scaled(counts[k - 2 * h], rows=dvec)
+            acc = _sum(acc, term, -1.0)
+            back = term if back is None else _sum(back, term)
         # Each entry is a difference of two nonnegative sums; one within
-        # rounding error of their total is an exact zero, not a walk.
-        bound = (forward + back) * (_RESIDUE_ULPS * k * np.finfo(np.float64).eps)
-        acc = sp.csr_array(acc.multiply(abs(acc) > bound))
-        acc.eliminate_zeros()
-        acc.sort_indices()
-        counts.append(acc)
+        # rounding error of their total is an exact zero, not a walk.  An
+        # entry of acc where the total stores none has the bound 0.
+        total = _sum(forward, back)
+        at, found = _lookup(_keys(total), _keys(acc))
+        bound = np.zeros(acc.nnz)
+        bound[found] = total.data[at[found]] * (_RESIDUE_ULPS * k * np.finfo(np.float64).eps)
+        counts.append(_compact(acc, acc.data * (np.abs(acc.data) > bound), acc.indices,
+                               acc.indptr, acc.shape))
     return counts
 
 
@@ -119,18 +128,19 @@ def elementwise_pole(adjacency) -> float:
     elementwise pole: ``1 / sqrt(max w_ij * w_ji)`` over the reciprocated
     pairs, infinite when no pair is reciprocated."""
     a = _canonical(adjacency)
-    return _pole(_mutual(a, _row_of(a.indptr))[1])
+    return _pole(_mutual(a, _row_of(a.indptr))[1].data)
 
 
 def _pole(mu: np.ndarray) -> float:
     return 1.0 / math.sqrt(float(mu.max())) if mu.size else math.inf
 
 
-def _mutual(a, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mutual(a, rows: np.ndarray) -> tuple:
     """mu = A o A^T, the products w_ij * w_ji over the reciprocated pairs of
     a canonical CSR matrix A whose entries lie in ``rows``: the positions of
-    mu's entries among A's, in CSR order, and their values.  A product that
-    is zero is not stored, as scipy's elementwise product stores none."""
+    mu's entries among A's, in CSR order, and mu as a canonical CSR matrix
+    in A's container.  A product that is zero is not stored, as scipy's
+    elementwise product stores none."""
     n = a.shape[0]
     keys = rows * n + a.indices   # ascending: the CSR order
     # the key of each entry's reversal, searched for with the needles
@@ -143,7 +153,9 @@ def _mutual(a, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries = np.flatnonzero(keys[at] == needles)
     mu = a.data[entries] * a.data[at[entries]]
     stored = mu != 0
-    return entries[stored], mu[stored]
+    entries = entries[stored]
+    return entries, type(a)((mu[stored], a.indices[entries], _indptr(rows[entries], n)),
+                            shape=a.shape)
 
 
 def build_node_system(adjacency, t: float):
@@ -162,14 +174,15 @@ def build_node_system(adjacency, t: float):
 
     The entries are those of the sparse assembly ``identity(n) +
     diag(g.sum(axis=1)) - (t * A + t * hadamard(A, g))`` bit for bit: each
-    sum is taken in that order, the row sums as ``np.add.reduceat`` takes
-    them (as scipy's ``sum(axis=1)`` does), and an entry that is zero is not
+    sum is taken in that order, the row sums as scipy's ``sum(axis=1)``
+    takes them (``linalg._row_sums``), and an entry that is zero is not
     stored.
     """
     a = _validate_adjacency(adjacency)
     n = a.shape[0]
     rows = _row_of(a.indptr)
-    entries, mu = _mutual(a, rows)
+    entries, mutual = _mutual(a, rows)
+    mu = mutual.data
     where = ""
     if mu.size:
         peak = entries[np.argmax(mu)]
@@ -178,7 +191,6 @@ def build_node_system(adjacency, t: float):
     check_t(t, _pole(mu), where)
 
     # g vanishes at 0, so it stays on the reciprocated pattern
-    mutual = type(a)((mu, a.indices[entries], _indptr(rows[entries], n)), shape=a.shape)
     g = elementwise_map(mutual, lambda x: (t * t * x) / (1.0 - t * t * x))
     g_rows = _row_of(g.indptr)
     # t A + t (A o g): the second term where A o g stores an entry; g's
@@ -188,11 +200,7 @@ def build_node_system(adjacency, t: float):
     a_g = a.data[entries] * g.data
     hit = a_g != 0
     off[entries[hit]] += t * a_g[hit]
-    diagonal = np.zeros(n)
-    if g.nnz:
-        starts = np.flatnonzero(np.diff(g.indptr))
-        diagonal[starts] = np.add.reduceat(g.data, g.indptr[starts])
-    return _plus_diagonal(a, 1.0 + diagonal, -off)
+    return _plus_diagonal(a, 1.0 + _row_sums(g), -off)
 
 
 def generating_matrix(adjacency, t: float, *, rho_v: float) -> np.ndarray:

@@ -26,9 +26,14 @@ from .graph import WeightedGraph, _code_labels, _continuations, _merged_edges, _
 from .linalg import (
     _CSR,
     _diagonal_block,
+    _indptr,
+    _row_of,
+    _scaled,
+    _sum,
+    _transpose,
     as_csr,
     check_t,
-    diag_matrix,
+    hadamard,
     identity_minus,
     matmul,
     range_end,
@@ -143,14 +148,16 @@ class GlobalDecomposition:
     transition matrix in half-power form: entry (e, f) equals
     ``sqrt(w_e) * sqrt(w_f)`` whenever edge f may follow edge e under the
     regime, so ``diag(sqrt_weights) @ M**k @ diag(sqrt_weights)`` counts
-    weighted walks; it is a ``scipy.sparse.csr_array``, assembled on first
-    access and kept.  ``blocks``, its block diagonal, is built with the
-    decomposition as a ``linalg._CSR``, which needs no scipy: the line graph
-    of the snapshots' disjoint union, V when the regime forbids backtracking
-    in space and the half-walk matrix otherwise.  Both come from
-    ``graph._continuations``, the builder of the static line graph, with the
-    regime's two reversal flags.  The radius and the resolvent work on
-    ``blocks`` and never assemble ``M``.
+    weighted walks.  It is assembled on first use as a ``linalg._CSR``,
+    ``_M``, which needs no scipy and serves the walk counts, the exponential
+    and custom series and the oracle battery; ``M`` is the same arrays as a
+    ``scipy.sparse.csr_array``, for callers that want scipy's.  ``blocks``,
+    M's block diagonal, is built with the decomposition as a ``_CSR``: the
+    line graph of the snapshots' disjoint union, V when the regime forbids
+    backtracking in space and the half-walk matrix otherwise.  Both come
+    from ``graph._continuations``, the builder of the static line graph,
+    with the regime's two reversal flags.  The radius and the resolvent work
+    on ``blocks`` and never assemble ``M``.
     """
 
     temporal: TemporalGraph
@@ -159,8 +166,12 @@ class GlobalDecomposition:
     blocks: _CSR
 
     @cached_property
+    def _M(self) -> _CSR:
+        return self.temporal._chain_matrix(self.sqrt_weights, self.regime)
+
+    @cached_property
     def M(self) -> sp.csr_array:
-        return as_csr(self.temporal._chain_matrix(self.sqrt_weights, self.regime))
+        return as_csr(self._M)
 
     @property
     def m_total(self) -> int:
@@ -193,9 +204,15 @@ class GlobalDecomposition:
     @cached_property
     def block_radius_bound(self) -> float:
         """Largest radius over the full-weight snapshot blocks, B or W:
-        ``blocks``' pattern scaled by the weights, not their square roots."""
+        ``blocks``' pattern scaled by the weights, not their square roots.
+        Unless a product of weights underflows, the pattern is ``blocks``'
+        itself, and so are its strongly connected components, found once."""
         tg = self.temporal
-        return _max_radius(tg._chain_matrix(tg.weight, self.regime, diagonal=True), tg.offsets)
+        full = tg._chain_matrix(tg.weight, self.regime, diagonal=True)
+        if (np.array_equal(full.indptr, self.blocks.indptr)
+                and np.array_equal(full.indices, self.blocks.indices)):
+            full._components = self.blocks._components
+        return _max_radius(full, tg.offsets)
 
 
 def _max_radius(matrix: _CSR, starts: np.ndarray) -> float:
@@ -224,51 +241,48 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
         blocks=tg._chain_matrix(sqrt_weights, regime, diagonal=True))
 
 
-def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
-    """Fully-forbidden transition matrix by the two-step global construction.
+def forbid_all_transition_fast(tg: TemporalGraph) -> _CSR:
+    """Fully-forbidden transition matrix by the two-step global construction,
+    as a ``linalg._CSR``.
 
     One incidence product finds all edge continuations, one Hadamard product
     flags every reversal pair, and the square-rooted weights are applied by
     diagonal scaling; entries below the block diagonal are then dropped.
     Identical, entry for entry, to ``build_global_transition(tg, FORBID_ALL).M``.
     """
-    import scipy.sparse as sp
-
     m_total = tg.src.size
-    if m_total == 0:
-        return sp.csr_array((0, 0), dtype=np.float64)
-    edges, ones = np.arange(m_total), np.ones(m_total)
-    L = sp.csr_array((ones, (edges, tg.src)), shape=(m_total, tg.n))
-    R = sp.csr_array((ones, (edges, tg.dst)), shape=(m_total, tg.n))
+    ones, one_each = np.ones(m_total), np.arange(m_total + 1)
+    L = _CSR((ones, tg.src, one_each), shape=(m_total, tg.n))
+    R = _CSR((ones, tg.dst, one_each), shape=(m_total, tg.n))
 
-    chain = matmul(R, L.T)
-    # subtracting the masked copy removes exactly the reversal entries
-    pruned = sp.csr_array(chain - chain.multiply(matmul(L, R.T) != 0))
-    pruned.eliminate_zeros()
-    sqrt_z = diag_matrix(np.sqrt(tg.weight))
-    hat = matmul(matmul(sqrt_z, pruned), sqrt_z)
+    chain = matmul(R, _transpose(L))
+    # both are 0/1 matrices: subtracting the masked copy removes exactly the
+    # reversal entries
+    pruned = _sum(chain, hadamard(chain, matmul(L, _transpose(R))), -1.0)
+    sqrt_w = np.sqrt(tg.weight)
+    hat = _scaled(_scaled(pruned, rows=sqrt_w), columns=sqrt_w)
 
     block_of = np.repeat(np.arange(len(tg.snapshots)), np.diff(tg.offsets))
-    coo = hat.tocoo()
-    keep = block_of[coo.row] <= block_of[coo.col]
-    out = sp.csr_array(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=(m_total, m_total)
-    )
-    out.sort_indices()
-    return out
+    rows = _row_of(hat.indptr)
+    keep = block_of[rows] <= block_of[hat.indices]
+    return _CSR((hat.data[keep], hat.indices[keep], _indptr(rows[keep], m_total)),
+                shape=(m_total, m_total))
 
 
-def temporal_walk_counts(gd: GlobalDecomposition, kmax: int) -> list[sp.csr_array]:
+def temporal_walk_counts(gd: GlobalDecomposition, kmax: int) -> list[_CSR]:
     """Weighted counts of permitted temporal walks between ordered pairs of
-    global edges: entry k, for k = 0..kmax, counts the walks of length k+1.
-    One pass, one product with ``M`` per length."""
+    global edges, as ``linalg._CSR`` matrices: entry k, for k = 0..kmax,
+    counts the walks of length k+1, ``Z^1/2 M^k Z^1/2``.  One pass, one
+    product with ``M`` per length; each product with the diagonal ``Z^1/2``
+    is a scaling (``linalg._scaled``), bit for bit the sparse product."""
     if kmax < 0:
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
-    acc = sqrt_z = diag_matrix(gd.sqrt_weights)
-    out = [matmul(acc, sqrt_z)]
+    s = gd.sqrt_weights
+    acc = _CSR((s, np.arange(s.size), np.arange(s.size + 1)), shape=(s.size, s.size))
+    out = [_scaled(acc, columns=s)]
     for _ in range(kmax):
-        acc = matmul(acc, gd.M)
-        out.append(matmul(acc, sqrt_z))
+        acc = matmul(acc, gd._M)
+        out.append(_scaled(acc, columns=s))
     return out
 
 
@@ -295,7 +309,7 @@ def temporal_f_centrality(
     # The shifted series acts on the transition matrix (sum_k c_{k+1} t^k M^k,
     # matching the walk-length expansion); applying the shift to the
     # projection instead would not reproduce the length-(k+1) walk counts.
-    y = apply_shifted_series(series, gd.M, t, gd.sqrt_weights, tol, rho=rho_m)
+    y = apply_shifted_series(series, gd._M, t, gd.sqrt_weights, tol, rho=rho_m)
     return series.c0 * np.ones(gd.n) + t * project_to_nodes(gd.temporal.src, gd.sqrt_weights,
                                                             y, gd.n)
 

@@ -20,7 +20,7 @@ if importlib.util.find_spec("nbtwalks") is None:
 
 import nbtwalks  # noqa: E402
 from nbtwalks.graph import WeightedGraph  # noqa: E402
-from nbtwalks.linalg import diag_matrix, matmul  # noqa: E402
+from nbtwalks.linalg import matmul  # noqa: E402
 
 
 def cli_env() -> dict:
@@ -45,6 +45,14 @@ def assert_bitwise_equal(a, b):
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+def diag_matrix(values) -> sp.csr_array:
+    """Diagonal matrix from a 1-D array, as a COO assembly stores it (an
+    entry that is zero stays stored)."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    return sp.csr_array((values, (np.arange(n), np.arange(n))), shape=(n, n))
 
 
 def random_digraph(rng, n, p=0.4, wlo=0.5, whi=2.0, integer=False) -> WeightedGraph:

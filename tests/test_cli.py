@@ -182,20 +182,21 @@ class TestTransitionAssembly:
         def refuse(*args, **kwargs):
             raise AssertionError("the global transition matrix was assembled")
 
-        monkeypatch.setattr(nbtwalks.temporal.GlobalDecomposition, "M", property(refuse))
+        # M is the scipy view of _M: refusing _M refuses both
+        monkeypatch.setattr(nbtwalks.temporal.GlobalDecomposition, "_M", property(refuse))
         code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
         assert code == 0
 
     @pytest.mark.parametrize("command", [["walk-count", "--kmax", "2"], ["oracle-check"]])
     def test_assembled_on_demand(self, temporal3, monkeypatch, command, capsys):
         assembled = []
-        real = nbtwalks.temporal.GlobalDecomposition.M
+        real = nbtwalks.temporal.GlobalDecomposition._M
 
         def counted(gd):
             assembled.append(gd)
             return real.__get__(gd)
 
-        monkeypatch.setattr(nbtwalks.temporal.GlobalDecomposition, "M", property(counted))
+        monkeypatch.setattr(nbtwalks.temporal.GlobalDecomposition, "_M", property(counted))
         code, _, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
         assert code == 0
         assert assembled
@@ -540,14 +541,14 @@ class TestOracleCheck:
     def test_tampered_decomposition_fails_projection(self, rng, monkeypatch):
         from conftest import random_digraph
         from nbtwalks import crosschecks
-        from nbtwalks.graph import line_graph
+        from nbtwalks.graph import _line_graph
 
         g = random_digraph(rng, 5, p=0.5)
-        d = line_graph(g)
+        d = _line_graph(g)
         if d.V.nnz == 0:
             pytest.skip("no pruned transitions to tamper with")
         d.V.data[0] *= 1.5
-        monkeypatch.setattr(crosschecks, "line_graph", lambda graph: d)
+        monkeypatch.setattr(crosschecks, "_line_graph", lambda graph: d)
         results = crosschecks.static_battery(g, kmax=4)
         failing = [r for r in results if not r.passed]
         assert failing

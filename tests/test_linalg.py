@@ -45,7 +45,14 @@ from nbtwalks.temporal import (
     temporal_f_centrality,
 )
 
-from conftest import random_digraph, rel_dev, uniform_edges, write_uniform_temporal
+from conftest import (
+    assert_bitwise_equal,
+    diag_matrix,
+    random_digraph,
+    rel_dev,
+    uniform_edges,
+    write_uniform_temporal,
+)
 
 
 def test_matmul_identity():
@@ -124,6 +131,134 @@ def test_hadamard_commutes_and_mask_idempotent(rng):
     assert rel_dev(once, twice) == 0.0
     with pytest.raises(ValidationError):
         hadamard(a, identity(3))
+
+
+# The numpy sparse arithmetic against scipy's, bit for bit: the same pattern,
+# index values and data bits, whichever container and index width.
+
+def _sparse(rng, shape, density, index, kind):
+    """A canonical random CSR array of ``shape`` with about ``density`` of
+    its cells stored and index arrays of dtype ``index``.  ``kind`` picks the
+    values: "normal", "integer" (small integers, whose sums cancel to exactly
+    0.0) or "tiny" (+-1e-200 and +-1, whose products underflow to +-0.0)."""
+    m, n = shape
+    cells = rng.random(shape) < density
+    cells[rng.random(m) < 0.2] = False      # empty rows
+    cells[:, rng.random(n) < 0.2] = False   # empty columns
+    rows, cols = np.nonzero(cells)
+    if kind == "normal":
+        values = rng.standard_normal(rows.size)
+    elif kind == "integer":
+        values = rng.integers(-2, 3, rows.size).astype(float)
+        values[values == 0] = 1.0
+    else:
+        values = rng.choice([-1e-200, 1e-200, -1.0, 1.0], rows.size)
+    out = sp.csr_array((values, (rows, cols)), shape=shape)
+    out.indices, out.indptr = out.indices.astype(index), out.indptr.astype(index)
+    return out
+
+
+def _scipy_result(m) -> sp.csr_array:
+    """A scipy sparse result as scipy stores it canonically."""
+    m = sp.csr_array(m)
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
+
+
+def _as_container(m, container):
+    return _container(m) if container == "_CSR" else m
+
+
+@pytest.mark.parametrize("container", ["_CSR", "scipy"])
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+@pytest.mark.parametrize("kind", ["normal", "integer", "tiny"])
+def test_sparse_arithmetic_matches_scipy_bit_for_bit(container, index, kind):
+    rng = np.random.default_rng([20240911, np.dtype(index).itemsize, len(kind)])
+    for _ in range(25):
+        m, k, n = (int(x) for x in rng.integers(0, 12, 3))
+        density = float(rng.choice([0.05, 0.3, 0.9]))
+        a, b = _sparse(rng, (m, k), density, index, kind), _sparse(rng, (k, n), density, index, kind)
+        c, d = _sparse(rng, (m, k), density, index, kind), _sparse(rng, (m, k), density, index, kind)
+        x, y = _as_container(a, container), _as_container(b, container)
+        u, v = _as_container(c, container), _as_container(d, container)
+        product = matmul(x, y)
+        assert type(product) is type(x)
+        assert_bitwise_equal(product, _scipy_result(a @ b))
+        assert_bitwise_equal(hadamard(u, v), _scipy_result(c.multiply(d)))
+        assert_bitwise_equal(linalg._sum(u, v), c + d)
+        assert_bitwise_equal(linalg._sum(u, v, -1.0), c - d)
+        assert_bitwise_equal(linalg._transpose(x), _scipy_result(a.T))
+        scale_rows, scale_columns = rng.standard_normal(m), rng.standard_normal(k)
+        scale_rows[rng.random(m) < 0.2] = 0.0
+        assert_bitwise_equal(linalg._scaled(u, rows=scale_rows),
+                             _scipy_result(diag_matrix(scale_rows) @ c))
+        assert_bitwise_equal(linalg._scaled(u, columns=scale_columns),
+                             _scipy_result(c @ diag_matrix(scale_columns)))
+        assert np.array_equal(linalg._row_sums(u).view(np.int64),
+                              np.asarray(c.sum(axis=1)).view(np.int64))
+
+
+def test_sums_that_cancel_are_not_stored():
+    # row 0 sums to exactly 0.0 in column 0 and to -0.0 (an underflowing
+    # product) in column 1; neither is stored, as scipy stores neither
+    a = as_csr([[1.0, -1.0, 1e-200], [-1e-200, 0.0, 0.0]])
+    b = as_csr([[2.0, 0.0], [2.0, 0.0], [0.0, -1e-200]])
+    want = _scipy_result(a @ b)
+    assert want.nnz == 1
+    for x, y in ((a, b), (_container(a), _container(b))):
+        assert_bitwise_equal(matmul(x, y), want)
+        assert linalg._sum(x, x, -1.0).nnz == 0
+        assert linalg._sum(x, linalg._scaled(x, rows=-np.ones(2))).nnz == 0
+        assert hadamard(x, linalg._scaled(x, rows=np.array([1e-200, 1.0]))).nnz == 2
+
+
+@pytest.mark.parametrize("container", ["_CSR", "scipy"])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_products_across_row_chunks_match_scipy(container, chunk, monkeypatch):
+    # chunks of a few terms each, through both the sorted and the dense sum
+    monkeypatch.setattr(linalg, "PRODUCT_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for density in (0.05, 0.3, 0.9):
+        a, b = (_sparse(rng, (30, 25), density, np.int32, "integer"),
+                _sparse(rng, (25, 40), density, np.int32, "normal"))
+        assert_bitwise_equal(matmul(_as_container(a, container), _as_container(b, container)),
+                             _scipy_result(a @ b))
+
+
+def test_product_of_more_terms_than_one_chunk_matches_scipy():
+    rng = np.random.default_rng(5)
+    a = _sparse(rng, (1500, 1500), 0.04, np.int32, "normal")
+    b = _sparse(rng, (1500, 1200), 0.04, np.int32, "normal")
+    terms = int(np.diff(b.indptr)[a.indices].sum())
+    assert terms > linalg.PRODUCT_CHUNK
+    assert_bitwise_equal(matmul(_container(a), _container(b)), _scipy_result(a @ b))
+
+
+def test_product_with_keys_past_the_packed_range():
+    # 2^58 columns leave no room below the keys for the terms' places: the
+    # terms are sorted stably by key alone, and the sums are the same as
+    # those of the same product with its columns packed 2^55 times closer
+    rng = np.random.default_rng(7)
+    a = _sparse(rng, (6, 5), 0.6, np.int64, "integer")
+    b = _sparse(rng, (5, 8), 0.6, np.int64, "normal")
+    spread = 1 << 55
+    wide = linalg._CSR((b.data, b.indices.astype(np.int64) * spread, b.indptr),
+                       shape=(5, 8 * spread))
+    want = matmul(_container(a), _container(b))
+    got = matmul(_container(a), wide)
+    assert got.shape == (6, 8 * spread)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices.astype(np.int64) * spread)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def test_product_with_a_dense_block_matches_scipy():
+    # _CSR @ a 2-D array adds each row's multiples in stored order, as scipy does
+    rng = np.random.default_rng(6)
+    a = _sparse(rng, (40, 30), 0.3, np.int64, "normal")
+    x = rng.standard_normal((30, 7))
+    assert np.array_equal((_container(a) @ x).view(np.int64), (a @ x).view(np.int64))
 
 
 def test_elementwise_sqrt():
@@ -386,7 +521,7 @@ def test_gmres_stops_once_a_cycle_makes_no_progress():
 def test_gmres_breakdown_returns_the_exact_solution():
     # b = 1 lies in a Krylov space of dimension 3: the third step breaks down
     d = np.repeat([1.0, 2.0, 5.0], 200)
-    m = _CountedCSR(linalg.diag_matrix(d))
+    m = _CountedCSR(diag_matrix(d))
     x, r_norm, cycles, products = linalg._gmres(m, np.ones(600), 1e-10, 10)
     assert (cycles, products) == (1, 4)
     assert np.max(np.abs(x * d - 1.0)) <= 2 * np.finfo(np.float64).eps

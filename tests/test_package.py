@@ -2,8 +2,8 @@
 exists, and every name ``nbtwalks/__init__.py`` imports exists and is in its
 module's ``__all__``, when the module has one.  Every definition has a
 caller, and the README's library sketch runs.  Importing the package loads
-no scipy, and neither do the temporal commands nor the static radius,
-centrality and sweep commands."""
+no scipy, and neither does any command, static or temporal: ``radius``,
+``centrality``, ``sweep``, ``walk-count`` and ``oracle-check``."""
 
 import ast
 import importlib
@@ -163,7 +163,8 @@ def test_scipy_is_imported_only_inside_functions(name):
 # input whose elementwise pole lies inside its series range, the rest
 # temporal.  Prints the scipy modules loaded after the import, after the
 # temporal commands, after the static radius, centrality and sweep commands,
-# and after a static walk-count, as one JSON list.
+# and after the walk-count and oracle-check commands, static and temporal,
+# as one JSON list.
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import nbtwalks, nbtwalks.cli
@@ -181,6 +182,8 @@ regimes = ["allow-all", "forbid-space", "forbid-time", "forbid-all"]
 commands = [["radius"], ["centrality", "--t", "0.5r", "--measure", "katz"]]
 commands += [["centrality", "--t", "0.5r", "--measure", "nbt-katz", "--regime", r]
              for r in regimes]
+commands += [["centrality", "--t", "0.1", "--measure", "f-centrality", "--series",
+              "exponential", "--regime", r] for r in regimes]
 for path in temporal:
     for command in commands:
         run([*command, "--input", path, "--temporal"])
@@ -199,6 +202,11 @@ for command in (["radius"], ["radius", "--binarize"],
 run(["centrality", "--t", "0.5r", "--measure", "nbt-katz", "--input", pole])
 loaded.append(scipy_modules())
 run(["walk-count", "--input", static, "--kmax", "2"])
+run(["oracle-check", "--input", static])
+temporal_input = ["--input", temporal[0], "--temporal"]
+for r in regimes:
+    run(["walk-count", *temporal_input, "--kmax", "2", "--regime", r])
+run(["oracle-check", *temporal_input])
 loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
@@ -217,5 +225,5 @@ def test_static_and_temporal_commands_never_load_scipy(tmp_path):
         env=cli_env(), capture_output=True, text=True, check=True)
     imported, temporal, static, walk_count = json.loads(proc.stdout)
     assert imported == [] and temporal == [] and static == []
-    # walk-count's sparse products load scipy when it needs them
-    assert "scipy.sparse" in walk_count
+    # the sparse products of walk-count and oracle-check are numpy's too
+    assert walk_count == []

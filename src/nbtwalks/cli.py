@@ -35,12 +35,12 @@ from .node_level import elementwise_pole, nbt_katz, nbt_walk_counts
 from .temporal import (
     BacktrackRegime,
     TemporalGraph,
+    _temporal_walk_counts,
     build_global_transition,
     classical_temporal_katz,
     load_temporal_edge_list,
     load_temporal_manifest,
     temporal_f_centrality,
-    temporal_walk_counts,
 )
 
 MEASURES = ("katz", "nbt-katz", "f-centrality")
@@ -429,7 +429,7 @@ def cmd_walk_count(args) -> int:
         header = ["length", "source", "target", "count"]
     else:
         gd = build_global_transition(data, BacktrackRegime(args.regime))
-        tables = enumerate(temporal_walk_counts(gd, args.kmax - 1) if args.kmax else [], start=1)
+        tables = enumerate(_temporal_walk_counts(gd, args.kmax - 1) if args.kmax else [], start=1)
         labels = gd.edge_labels()
         header = ["length", "from_edge", "to_edge", "count"]
     labels = np.asarray(labels)

@@ -25,11 +25,11 @@ from .oracle import count_nbt_walks_bruteforce, count_temporal_walks_bruteforce
 from .temporal import (
     BacktrackRegime,
     TemporalGraph,
+    _forbid_all_transition_fast,
+    _temporal_walk_counts,
     build_global_transition,
     classical_temporal_katz,
-    forbid_all_transition_fast,
     temporal_f_centrality,
-    temporal_walk_counts,
 )
 
 __all__ = ["CheckResult", "static_battery", "temporal_battery"]
@@ -131,7 +131,7 @@ def temporal_battery(
     for regime, gd in decompositions.items():
         oracle = count_temporal_walks_bruteforce(tg, regime, kmax + 1)
         dev = max(deviation(counts, oracle[k + 1])
-                  for k, counts in enumerate(temporal_walk_counts(gd, kmax)))
+                  for k, counts in enumerate(_temporal_walk_counts(gd, kmax)))
         results.append(
             CheckResult(f"temporal transition counts vs enumeration [{regime.value}]", dev, tol)
         )
@@ -139,7 +139,7 @@ def temporal_battery(
         results.append(_assembled_radius_check(gd, tol))
 
     direct = decompositions[BacktrackRegime.FORBID_ALL]._M
-    fast = forbid_all_transition_fast(tg)
+    fast = _forbid_all_transition_fast(tg)
     same_pattern = (
         np.array_equal(direct.indptr, fast.indptr)
         and np.array_equal(direct.indices, fast.indices)

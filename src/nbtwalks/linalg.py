@@ -269,9 +269,9 @@ def _compact(like, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, sh
 
 # The row chunks of a sparse product expand about this many terms at once.
 PRODUCT_CHUNK = 1 << 20
-# A chunk with at least one term per DENSE_FILL cells of its rows sums them
-# in a dense accumulator instead of sorting them.
-DENSE_FILL = 4
+# A chunk's sort keys, a term's key with its place in the chunk below it,
+# stay below 2^KEY_BITS: a chunk holds no more rows than leave room for them.
+KEY_BITS = 62
 
 
 def matmul(a, b):
@@ -283,11 +283,12 @@ def matmul(a, b):
 
     Row chunks of about ``PRODUCT_CHUNK`` terms are expanded at a time, each
     term keyed by its row in the chunk and its column (expand, sort and
-    compress: Bell, Dalton & Olson, SISC 2012).  The keys are sorted
-    stably, with each term's place as the low bits of its key, and
-    ``np.bincount`` adds each key's terms in their order.  A chunk with a
-    term for every ``DENSE_FILL`` cells of its rows adds them in a dense
-    accumulator instead, ``np.bincount`` over the keys themselves."""
+    compress: Bell, Dalton & Olson, SISC 2012).  One sort of the keys, with
+    each term's place in the chunk packed below its key, orders the terms
+    stably, and ``np.bincount`` adds each key's terms in their order.  A
+    product with so many columns that a single row's keys cannot be packed
+    is refused, as scipy's dense row accumulator of that width could not be
+    allocated."""
     a, b = _operands(a, b)
     if a.shape[1] != b.shape[0]:
         raise ValidationError(
@@ -297,11 +298,19 @@ def matmul(a, b):
     per_entry = np.diff(b.indptr)[a.indices]
     before = np.concatenate(([0], np.cumsum(per_entry)))   # terms before each entry
     row_before = before[a.indptr]                             # and before each row
+    # a chunk holds at most PRODUCT_CHUNK terms, or a single row's
+    widest = int(np.diff(row_before).max()) if n_rows else 0
+    place_bits = max(widest, PRODUCT_CHUNK).bit_length()
+    max_rows = (1 << (KEY_BITS - place_bits)) // max(n_cols, 1)
+    if not max_rows:
+        raise ValidationError(
+            f"matmul: {a.shape} @ {b.shape} has too many columns to sort its rows' terms"
+        )
     keys, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     lo = 0
     while lo < n_rows:
         hi = int(np.searchsorted(row_before, row_before[lo] + PRODUCT_CHUNK, side="right")) - 1
-        hi = min(max(hi, lo + 1), n_rows)
+        hi = min(max(hi, lo + 1), lo + max_rows, n_rows)
         first, last = a.indptr[lo], a.indptr[hi]
         size = int(before[last] - before[first])
         if size:
@@ -311,28 +320,20 @@ def matmul(a, b):
             terms = np.repeat(a.data[first:last], counts) * b.data[at]
             key = np.repeat(np.arange(hi - lo) * n_cols, np.diff(row_before[lo:hi + 1])) \
                 + b.indices[at]
-            chunk_key, chunk_sum = _sum_terms(key, terms, (hi - lo) * n_cols)
+            chunk_key, chunk_sum = _sum_terms(key, terms, place_bits)
             keys.append(chunk_key + lo * n_cols)
             sums.append(chunk_sum)
         lo = hi
     return _from_keys(a, np.concatenate(keys), np.concatenate(sums), (n_rows, n_cols))
 
 
-def _sum_terms(key: np.ndarray, terms: np.ndarray, cells: int) -> tuple:
-    """The distinct keys in [0, ``cells``) of the ``terms`` and, for each,
-    the sum of its terms in their order from 0; a zero sum is dropped."""
-    if cells <= DENSE_FILL * key.size:
-        sums = np.bincount(key, weights=terms, minlength=cells)
-        key = np.flatnonzero(sums)
-        return key, sums[key]
-    bits = key.size.bit_length()
-    if cells < 1 << (62 - bits):
-        # one sort of the keys with each term's place below them: stable
-        packed = np.sort((key << bits) | np.arange(key.size))
-        order, key = packed & ((1 << bits) - 1), packed >> bits
-    else:
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+def _sum_terms(key: np.ndarray, terms: np.ndarray, place_bits: int) -> tuple:
+    """The distinct keys of the ``terms``, ascending, and for each the sum
+    of its terms in their order from 0; a zero sum is dropped.  Each key,
+    shifted left by ``place_bits`` with its term's place below it, must fit
+    in an int64."""
+    packed = np.sort((key << place_bits) | np.arange(key.size))
+    order, key = packed & ((1 << place_bits) - 1), packed >> place_bits
     new = np.empty(key.size, dtype=bool)
     new[:1] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])

@@ -142,15 +142,14 @@ def _mutual(a, rows: np.ndarray) -> tuple:
     in A's container.  A product that is zero is not stored, as scipy's
     elementwise product stores none."""
     n = a.shape[0]
-    keys = rows * n + a.indices   # ascending: the CSR order
-    # the key of each entry's reversal, searched for with the needles
-    # sorted; the keys are distinct, so an unstable sort will do.  The
-    # columns may be int32, whose product with n can overflow.
+    # the key of each entry's reversal, searched for among the entries' keys
+    # with the needles sorted; the keys are distinct, so an unstable sort
+    # will do.  The columns may be int32, whose product with n can overflow.
     needles = a.indices.astype(np.int64) * n + rows
     order = np.argsort(needles)
-    at = np.empty(keys.size, dtype=np.intp)
-    at[order] = np.minimum(np.searchsorted(keys, needles[order]), keys.size - 1)
-    entries = np.flatnonzero(keys[at] == needles)
+    at, found = np.empty(needles.size, dtype=np.intp), np.empty(needles.size, dtype=bool)
+    at[order], found[order] = _lookup(_keys(a), needles[order])
+    entries = np.flatnonzero(found)
     mu = a.data[entries] * a.data[at[entries]]
     stored = mu != 0
     entries = entries[stored]

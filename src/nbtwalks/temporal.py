@@ -241,15 +241,19 @@ def build_global_transition(tg: TemporalGraph, regime: BacktrackRegime) -> Globa
         blocks=tg._chain_matrix(sqrt_weights, regime, diagonal=True))
 
 
-def forbid_all_transition_fast(tg: TemporalGraph) -> _CSR:
-    """Fully-forbidden transition matrix by the two-step global construction,
-    as a ``linalg._CSR``.
+def forbid_all_transition_fast(tg: TemporalGraph) -> sp.csr_array:
+    """Fully-forbidden transition matrix by the two-step global construction.
 
     One incidence product finds all edge continuations, one Hadamard product
     flags every reversal pair, and the square-rooted weights are applied by
     diagonal scaling; entries below the block diagonal are then dropped.
     Identical, entry for entry, to ``build_global_transition(tg, FORBID_ALL).M``.
     """
+    return as_csr(_forbid_all_transition_fast(tg))
+
+
+def _forbid_all_transition_fast(tg: TemporalGraph) -> _CSR:
+    """``forbid_all_transition_fast`` as a ``linalg._CSR``."""
     m_total = tg.src.size
     ones, one_each = np.ones(m_total), np.arange(m_total + 1)
     L = _CSR((ones, tg.src, one_each), shape=(m_total, tg.n))
@@ -269,12 +273,17 @@ def forbid_all_transition_fast(tg: TemporalGraph) -> _CSR:
                 shape=(m_total, m_total))
 
 
-def temporal_walk_counts(gd: GlobalDecomposition, kmax: int) -> list[_CSR]:
+def temporal_walk_counts(gd: GlobalDecomposition, kmax: int) -> list[sp.csr_array]:
     """Weighted counts of permitted temporal walks between ordered pairs of
-    global edges, as ``linalg._CSR`` matrices: entry k, for k = 0..kmax,
-    counts the walks of length k+1, ``Z^1/2 M^k Z^1/2``.  One pass, one
-    product with ``M`` per length; each product with the diagonal ``Z^1/2``
-    is a scaling (``linalg._scaled``), bit for bit the sparse product."""
+    global edges: entry k, for k = 0..kmax, counts the walks of length k+1,
+    ``Z^1/2 M^k Z^1/2``.  One pass, one product with ``M`` per length; each
+    product with the diagonal ``Z^1/2`` is a scaling (``linalg._scaled``),
+    bit for bit the sparse product."""
+    return [as_csr(counts) for counts in _temporal_walk_counts(gd, kmax)]
+
+
+def _temporal_walk_counts(gd: GlobalDecomposition, kmax: int) -> list[_CSR]:
+    """``temporal_walk_counts`` as ``linalg._CSR`` matrices."""
     if kmax < 0:
         raise ValidationError(f"kmax must be nonnegative, got {kmax}")
     s = gd.sqrt_weights

@@ -22,6 +22,7 @@ from nbtwalks.oracle import count_nbt_walks_bruteforce, count_temporal_walks_bru
 from nbtwalks.temporal import (
     BacktrackRegime,
     TemporalGraph,
+    _forbid_all_transition_fast,
     build_global_transition,
     forbid_all_transition_fast,
     load_temporal_edge_list,
@@ -185,8 +186,8 @@ def test_criterion_4_temporal_oracle_equivalence(temporal_instances):
             # the private linalg._CSR M and the public scipy M hold one matrix
             exact = exact and _same_bits(gd._M, gd.M)
         gd = build_global_transition(tg, BacktrackRegime.FORBID_ALL)
-        fast = forbid_all_transition_fast(tg)
-        exact = exact and _same_bits(gd.M, fast) and _same_bits(gd._M, fast)
+        exact = (exact and _same_bits(gd.M, forbid_all_transition_fast(tg))
+                 and _same_bits(gd._M, _forbid_all_transition_fast(tg)))
     report(
         4,
         "temporal oracle equivalence",

@@ -216,7 +216,7 @@ def test_sums_that_cancel_are_not_stored():
 @pytest.mark.parametrize("container", ["_CSR", "scipy"])
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_products_across_row_chunks_match_scipy(container, chunk, monkeypatch):
-    # chunks of a few terms each, through both the sorted and the dense sum
+    # chunks of a few terms each; chunk 1 puts every row in a chunk of its own
     monkeypatch.setattr(linalg, "PRODUCT_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     for density in (0.05, 0.3, 0.9):
@@ -235,22 +235,29 @@ def test_product_of_more_terms_than_one_chunk_matches_scipy():
     assert_bitwise_equal(matmul(_container(a), _container(b)), _scipy_result(a @ b))
 
 
-def test_product_with_keys_past_the_packed_range():
-    # 2^58 columns leave no room below the keys for the terms' places: the
-    # terms are sorted stably by key alone, and the sums are the same as
-    # those of the same product with its columns packed 2^55 times closer
+def test_product_with_wide_rows_takes_fewer_rows_per_chunk():
+    # 2^39 columns leave room below the packed keys for 4 rows a chunk: the
+    # sums are those of the same product with its columns packed 2^36 times
+    # closer, whose rows all fit in one chunk
     rng = np.random.default_rng(7)
-    a = _sparse(rng, (6, 5), 0.6, np.int64, "integer")
+    a = _sparse(rng, (30, 5), 0.6, np.int64, "integer")
     b = _sparse(rng, (5, 8), 0.6, np.int64, "normal")
-    spread = 1 << 55
+    spread = 1 << 36
     wide = linalg._CSR((b.data, b.indices.astype(np.int64) * spread, b.indptr),
                        shape=(5, 8 * spread))
     want = matmul(_container(a), _container(b))
     got = matmul(_container(a), wide)
-    assert got.shape == (6, 8 * spread)
+    assert got.shape == (30, 8 * spread)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices.astype(np.int64) * spread)
     assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def test_product_too_wide_to_sort_raises():
+    a = linalg._CSR((np.ones(1), np.zeros(1, dtype=np.int64), np.array([0, 1])), shape=(1, 1))
+    b = linalg._CSR((np.ones(1), np.zeros(1, dtype=np.int64), np.array([0, 1])), shape=(1, 1 << 42))
+    with pytest.raises(ValidationError, match="too many columns"):
+        matmul(a, b)
 
 
 def test_product_with_a_dense_block_matches_scipy():

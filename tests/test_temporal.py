@@ -21,7 +21,7 @@ from nbtwalks.edge_level import (
 )
 from nbtwalks.errors import NumericalError, ValidationError
 from nbtwalks.graph import WeightedGraph, adjacency, line_graph
-from nbtwalks.linalg import as_csr, matmul, range_end, spectral_radius
+from nbtwalks.linalg import matmul, range_end, spectral_radius
 from nbtwalks.oracle import count_temporal_walks_bruteforce
 from nbtwalks.temporal import (
     BacktrackRegime,
@@ -170,7 +170,7 @@ class TestFastConstruction:
     def test_single_snapshot_is_static_pruned(self, rng):
         g = random_digraph(rng, 5)
         fast = forbid_all_transition_fast(TemporalGraph([g], [0.0]))
-        assert (as_csr(fast) - line_graph(g).V).count_nonzero() == 0
+        assert (fast - line_graph(g).V).count_nonzero() == 0
 
     def test_bitwise_equal_to_block_assembly(self, rng):
         for _ in range(10):
@@ -346,7 +346,7 @@ class TestWalkCounts:
     def test_example_allow_all(self):
         gd = build_global_transition(two_snapshot_example(), BacktrackRegime.ALLOW_ALL)
         counts = temporal_walk_counts(gd, 1)[1]
-        assert counts.toarray()[0, 1] == pytest.approx(6.0, rel=1e-14)
+        assert counts[0, 1] == pytest.approx(6.0, rel=1e-14)
         assert counts.nnz == 1
 
     def test_example_forbid_all_vanishes(self):

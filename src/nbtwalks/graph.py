@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _CSR, as_csr
+from .linalg import _CSR, _indptr, _row_of, as_csr
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -409,7 +409,7 @@ def _continuations(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, n: int
     and products that underflow to zero are dropped as they drop them.
     """
     m = src.size
-    snapshot = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    snapshot = _row_of(offsets)
     # a single snapshot is in source order already and needs no sort
     ordered = bool(np.all(src[1:] >= src[:-1]))
     by_source = np.arange(m) if ordered else np.argsort(src, kind="stable")
@@ -444,8 +444,7 @@ def _continuations(src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, n: int
     stored = values != 0
     if not stored.all():
         rows, indices, values = rows[stored], indices[stored], values[stored]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
-    return _CSR((values, indices, indptr), shape=(m, m))
+    return _CSR((values, indices, _indptr(rows, m)), shape=(m, m))
 
 
 def _static_chain(graph: WeightedGraph, x: np.ndarray, *, prune: bool) -> _CSR:

@@ -12,8 +12,8 @@ import is inside the function that needs it.
 
 A builder or kernel that takes either container has one body and keeps the
 input's container: ``_CSR`` in, ``_CSR`` out; scipy in, scipy out.  The
-sparse arithmetic (``matmul``, ``hadamard``, ``_sum``, ``_scaled``,
-``_transpose``), ``identity_minus`` (I - tM),
+sparse arithmetic (``matmul``, ``hadamard``, the n-ary sum ``_signed_sum``,
+``_scaled``, ``_transpose``), ``identity_minus`` (I - tM),
 ``elementwise_map``, ``node_level.build_node_system``, ``spectral_radius``
 and ``solve_linear`` assemble their numpy arrays as ``type(m)((data,
 indices, indptr), shape=...)``, bit for bit what scipy's sparse arithmetic
@@ -250,7 +250,10 @@ def _keys(m) -> np.ndarray:
 
 def _from_keys(like, keys: np.ndarray, data: np.ndarray, shape: tuple):
     """The matrix with entries ``data`` at the ascending ``keys``, in the
-    container of ``like``."""
+    container of ``like``, with every entry that is zero dropped."""
+    stored = data != 0
+    if not stored.all():
+        keys, data = keys[stored], data[stored]
     index = _index_dtype(max(keys.size, *shape))
     indices = np.remainder(keys, shape[1], out=np.empty(keys.size, dtype=index), casting="unsafe")
     indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1]).astype(index)
@@ -329,7 +332,7 @@ def matmul(a, b):
 
 def _sum_terms(key: np.ndarray, terms: np.ndarray, place_bits: int) -> tuple:
     """The distinct keys of the ``terms``, ascending, and for each the sum
-    of its terms in their order from 0; a zero sum is dropped.  Each key,
+    of its terms in their order from 0.  Each key,
     shifted left by ``place_bits`` with its term's place below it, must fit
     in an int64."""
     packed = np.sort((key << place_bits) | np.arange(key.size))
@@ -337,10 +340,7 @@ def _sum_terms(key: np.ndarray, terms: np.ndarray, place_bits: int) -> tuple:
     new = np.empty(key.size, dtype=bool)
     new[:1] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    sums = np.bincount(np.cumsum(new) - 1, weights=terms[order])
-    key = key[new]
-    stored = sums != 0
-    return key[stored], sums[stored]
+    return key[new], np.bincount(np.cumsum(new) - 1, weights=terms[order])
 
 
 def hadamard(a, b):
@@ -355,9 +355,7 @@ def hadamard(a, b):
         )
     keys = _keys(a)
     at, found = _lookup(_keys(b), keys)
-    data = a.data[found] * b.data[at[found]]
-    stored = data != 0
-    return _from_keys(a, keys[found][stored], data[stored], a.shape)
+    return _from_keys(a, keys[found], a.data[found] * b.data[at[found]], a.shape)
 
 
 def _lookup(keys: np.ndarray, needles: np.ndarray) -> tuple:
@@ -370,31 +368,39 @@ def _lookup(keys: np.ndarray, needles: np.ndarray) -> tuple:
     return at, found
 
 
-def _sum(a, b, sign: float = 1.0):
-    """``a + b``, or ``a - b`` with ``sign`` -1, for two canonical CSR
-    matrices of one shape and container, as scipy's ``csr_binop_csr``
-    stores the sum or difference: ``a[i, j] + sign * b[i, j]`` on the
-    common pattern (``a - b`` is ``a + (-b)`` bit for bit), ``a[i, j]`` or
-    ``sign * b[i, j]`` where only one operand stores an entry, a zero
-    dropped, in column order.  b's keys are searched for among a's, and the
-    entries of b alone fill the slots between a's."""
-    n_rows, n_cols = a.shape
-    rows_b = _row_of(b.indptr)
-    at, found = _lookup(_keys(a), rows_b * n_cols + b.indices)
-    data = a.data.copy()
-    data[at[found]] += sign * b.data[found]
-    indices, indptr = a.indices, a.indptr
-    alone = np.flatnonzero(~found)
-    if alone.size:
-        slot = np.zeros(a.nnz + alone.size, dtype=bool)
-        slot[at[alone] + np.arange(alone.size)] = True
-        values = np.empty(slot.size)
-        values[slot], values[~slot] = sign * b.data[alone], data
-        columns = np.empty(slot.size, dtype=np.result_type(indices, b.indices))
-        columns[slot], columns[~slot] = b.indices[alone], indices
-        data, indices = values, columns
-        indptr = indptr + _indptr(rows_b[alone], n_rows)
-    return _compact(a, data, indices, indptr, a.shape)
+def _signed_sum(plus: list, minus: list) -> tuple:
+    """The sums of canonical CSR matrices of one shape and container on
+    their union pattern: the ascending keys (``_keys``) of every entry that
+    an operand stores, and on them P, the sum of the matrices ``plus``, Q,
+    that of ``minus``, and P - Q.  Each key's terms are added from 0 in
+    operand order, ``plus`` before ``minus``, as scipy's chained ``+`` and
+    ``-`` (``csr_binop_csr``) add them: a stored value is never -0.0, so a
+    term added to a partial sum 0.0, which the chain drops, stays itself,
+    and ``a - b`` is ``a + (-b)`` bit for bit.  Each sum is that chain's,
+    bit for bit, where the chain stores an entry, and 0 where it stores
+    none.
+
+    One stable sort of the concatenated keys, the merge of the operands'
+    ascending runs, gives the union and each term's place in it, and one
+    ``np.bincount`` over the terms in operand order gives each sum."""
+    operands = plus + minus
+    keys = np.concatenate([_keys(m) for m in operands])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    place = np.empty(order.size, dtype=np.intp)
+    place[order] = np.cumsum(new)
+    place -= 1
+    del order, new  # freed before the values are gathered, which lowers the peak
+    values = np.concatenate([m.data for m in operands])
+    split = sum(m.nnz for m in plus)
+    p = np.bincount(place[:split], values[:split], minlength=keys.size)
+    q = np.bincount(place[split:], values[split:], minlength=keys.size)
+    np.negative(values[split:], out=values[split:])
+    return keys, p, q, np.bincount(place, values, minlength=keys.size)
 
 
 def _scaled(m, rows: np.ndarray | None = None, columns: np.ndarray | None = None):
@@ -443,16 +449,13 @@ def elementwise_map(a, fn):
     if a.nnz:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             data = np.asarray(fn(data), dtype=np.float64)
-    rows = _row_of(a.indptr)
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         raise NumericalError(
             "elementwise pole: non-finite value at entry "
-            f"({rows[bad[0]]}, {a.indices[bad[0]]})"
+            f"({_row_of(a.indptr)[bad[0]]}, {a.indices[bad[0]]})"
         )
-    stored = data != 0
-    return type(a)((data[stored], a.indices[stored], _indptr(rows[stored], a.shape[0])),
-                   shape=a.shape)
+    return _compact(a, data, a.indices, a.indptr, a.shape)
 
 
 def solve_linear(matrix, rhs, tol: float = 1e-10) -> np.ndarray:
@@ -656,11 +659,9 @@ def spectral_radius(matrix) -> float:
     n = m.shape[0]
     if n == 0:
         return 0.0
+    if not m.data.all():  # a matrix without stored zeros keeps its cached components
+        m = _compact(m, m.data, m.indices, m.indptr, m.shape)
     row = _row_of(m.indptr)
-    stored = m.data != 0
-    if not stored.all():
-        row = row[stored]
-        m = type(m)((m.data[stored], m.indices[stored], _indptr(row, n)), shape=m.shape)
     if m.nnz == 0:
         return 0.0
     if np.any(m.data < 0):

@@ -17,16 +17,16 @@ from .errors import ValidationError
 from .linalg import (
     DENSE_SOLVE_MAX,
     _canonical,
-    _compact,
     _dense_solve,
     _indptr,
+    _from_keys,
     _keys,
     _lookup,
     _plus_diagonal,
     _row_of,
     _row_sums,
     _scaled,
-    _sum,
+    _signed_sum,
     check_t,
     elementwise_map,
     hadamard,
@@ -72,11 +72,16 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
     Hadamard product per new depth.  An entry that cancels to zero within the
     recurrence's rounding error is not stored.
 
-    The matrices are bit for bit those of the recurrence in scipy's sparse
-    arithmetic: ``linalg.matmul``, ``hadamard`` and ``_sum`` store what
-    scipy's ``@``, ``multiply``, ``+`` and ``-`` store, a
-    product with a diagonal matrix is a row scaling, ``_scaled``, and the
-    row sums are scipy's ``sum(axis=1)``, ``_row_sums``.
+    Each length makes its products with the adjacency and the odd
+    coefficients and its even step-back terms, and adds them all in one
+    ``linalg._signed_sum``, which gives the forward sum, the step-back sum
+    and their difference on one pattern.  The matrices are bit for bit those
+    of the recurrence in scipy's sparse arithmetic: ``linalg.matmul`` and
+    ``hadamard`` store what scipy's ``@`` and ``multiply`` store, the
+    signed sum adds each entry's terms as the chain of scipy's ``+`` and
+    ``-`` does, a product with a diagonal matrix is a row scaling,
+    ``_scaled``, and the row sums are scipy's ``sum(axis=1)``,
+    ``_row_sums``.
     """
     a = _validate_adjacency(adjacency)
     if kmax < 0:
@@ -99,27 +104,15 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
         else:
             odd_coeffs.append(hadamard(a, mutual_pow))
 
-        forward = matmul(a, counts[k - 1])
-        for h, coeff in enumerate(odd_coeffs[1:], start=1):
-            if 2 * h + 1 > k:
-                break
-            forward = _sum(forward, matmul(coeff, counts[k - 2 * h - 1]))
-        acc, back = forward, None
-        for h, dvec in enumerate(even_diags, start=1):
-            if 2 * h > k:
-                break
-            term = _scaled(counts[k - 2 * h], rows=dvec)
-            acc = _sum(acc, term, -1.0)
-            back = term if back is None else _sum(back, term)
+        forward = [matmul(coeff, counts[k - 2 * h - 1])
+                   for h, coeff in enumerate(odd_coeffs) if 2 * h + 1 <= k]
+        back = [_scaled(counts[k - 2 * h], rows=dvec)
+                for h, dvec in enumerate(even_diags, start=1) if 2 * h <= k]
+        keys, forward, back, acc = _signed_sum(forward, back)
         # Each entry is a difference of two nonnegative sums; one within
-        # rounding error of their total is an exact zero, not a walk.  An
-        # entry of acc where the total stores none has the bound 0.
-        total = _sum(forward, back)
-        at, found = _lookup(_keys(total), _keys(acc))
-        bound = np.zeros(acc.nnz)
-        bound[found] = total.data[at[found]] * (_RESIDUE_ULPS * k * np.finfo(np.float64).eps)
-        counts.append(_compact(acc, acc.data * (np.abs(acc.data) > bound), acc.indices,
-                               acc.indptr, acc.shape))
+        # rounding error of their total is an exact zero, not a walk.
+        bound = (forward + back) * (_RESIDUE_ULPS * k * np.finfo(np.float64).eps)
+        counts.append(_from_keys(a, keys, acc * (np.abs(acc) > bound), a.shape))
     return counts
 
 

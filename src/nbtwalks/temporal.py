@@ -25,15 +25,16 @@ from .errors import NumericalError, ValidationError
 from .graph import WeightedGraph, _code_labels, _continuations, _merged_edges, _read_columns
 from .linalg import (
     _CSR,
+    _compact,
     _diagonal_block,
     _indptr,
+    _keys,
+    _lookup,
     _row_of,
     _scaled,
-    _sum,
     _transpose,
     as_csr,
     check_t,
-    hadamard,
     identity_minus,
     matmul,
     range_end,
@@ -119,10 +120,9 @@ class TemporalGraph:
         tau's nodes at tau * n.  The stacked arrays, sorted by (snapshot,
         src, dst), are its entries in CSR order already."""
         size = self.n * len(self.snapshots)
-        shift = self.n * np.repeat(np.arange(len(self.snapshots)), np.diff(self.offsets))
-        rows = self.src + shift
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
-        return _CSR((self.weight, self.dst + shift, indptr), shape=(size, size))
+        shift = self.n * _row_of(self.offsets)
+        return _CSR((self.weight, self.dst + shift, _indptr(self.src + shift, size)),
+                    shape=(size, size))
 
     @cached_property
     def max_adjacency_radius(self) -> float:
@@ -184,7 +184,7 @@ class GlobalDecomposition:
     def edge_labels(self) -> list[str]:
         tg = self.temporal
         labels = tg.node_labels
-        snapshot = np.repeat(np.arange(tg.offsets.size - 1), np.diff(tg.offsets))
+        snapshot = _row_of(tg.offsets)
         return [f"{tau}:{labels[s]}->{labels[d]}" for tau, s, d in
                 zip(snapshot.tolist(), tg.src.tolist(), tg.dst.tolist())]
 
@@ -260,17 +260,16 @@ def _forbid_all_transition_fast(tg: TemporalGraph) -> _CSR:
     R = _CSR((ones, tg.dst, one_each), shape=(m_total, tg.n))
 
     chain = matmul(R, _transpose(L))
-    # both are 0/1 matrices: subtracting the masked copy removes exactly the
-    # reversal entries
-    pruned = _sum(chain, hadamard(chain, matmul(L, _transpose(R))), -1.0)
+    # both are 0/1 matrices, so chain - chain o (L R^T) drops exactly the
+    # entries where chain's pattern meets that of L R^T: the reversal pairs
+    _, reversal = _lookup(_keys(matmul(L, _transpose(R))), _keys(chain))
+    rows = chain._rows
+    block_of = _row_of(tg.offsets)
+    keep = ~reversal & (block_of[rows] <= block_of[chain.indices])
+    rows, columns = rows[keep], chain.indices[keep]
     sqrt_w = np.sqrt(tg.weight)
-    hat = _scaled(_scaled(pruned, rows=sqrt_w), columns=sqrt_w)
-
-    block_of = np.repeat(np.arange(len(tg.snapshots)), np.diff(tg.offsets))
-    rows = _row_of(hat.indptr)
-    keep = block_of[rows] <= block_of[hat.indices]
-    return _CSR((hat.data[keep], hat.indices[keep], _indptr(rows[keep], m_total)),
-                shape=(m_total, m_total))
+    return _compact(chain, sqrt_w[rows] * sqrt_w[columns], columns, _indptr(rows, m_total),
+                    (m_total, m_total))
 
 
 def temporal_walk_counts(gd: GlobalDecomposition, kmax: int) -> list[sp.csr_array]:

@@ -170,6 +170,13 @@ def _as_container(m, container):
     return _container(m) if container == "_CSR" else m
 
 
+def _signed_sums(plus, minus) -> tuple:
+    """``linalg._signed_sum``'s P, Q and P - Q as matrices in the operands'
+    container, each without the entries that are zero."""
+    keys, *sums = linalg._signed_sum(plus, minus)
+    return tuple(linalg._from_keys(plus[0], keys, s, plus[0].shape) for s in sums)
+
+
 @pytest.mark.parametrize("container", ["_CSR", "scipy"])
 @pytest.mark.parametrize("index", [np.int32, np.int64])
 @pytest.mark.parametrize("kind", ["normal", "integer", "tiny"])
@@ -186,8 +193,10 @@ def test_sparse_arithmetic_matches_scipy_bit_for_bit(container, index, kind):
         assert type(product) is type(x)
         assert_bitwise_equal(product, _scipy_result(a @ b))
         assert_bitwise_equal(hadamard(u, v), _scipy_result(c.multiply(d)))
-        assert_bitwise_equal(linalg._sum(u, v), c + d)
-        assert_bitwise_equal(linalg._sum(u, v, -1.0), c - d)
+        total = _signed_sums([u, v], [])[0]
+        assert type(total) is type(u)
+        assert_bitwise_equal(total, c + d)
+        assert_bitwise_equal(_signed_sums([u], [v])[2], c - d)
         assert_bitwise_equal(linalg._transpose(x), _scipy_result(a.T))
         scale_rows, scale_columns = rng.standard_normal(m), rng.standard_normal(k)
         scale_rows[rng.random(m) < 0.2] = 0.0
@@ -197,6 +206,13 @@ def test_sparse_arithmetic_matches_scipy_bit_for_bit(container, index, kind):
                              _scipy_result(c @ diag_matrix(scale_columns)))
         assert np.array_equal(linalg._row_sums(u).view(np.int64),
                               np.asarray(c.sum(axis=1)).view(np.int64))
+        # a chain of four operands, signs (+, +, -, -)
+        e, f = (_sparse(rng, (m, k), density, index, kind) for _ in range(2))
+        plus, minus, difference = _signed_sums(
+            [u, v], [_as_container(e, container), _as_container(f, container)])
+        assert_bitwise_equal(plus, c + d)
+        assert_bitwise_equal(minus, e + f)
+        assert_bitwise_equal(difference, ((c + d) - e) - f)
 
 
 def test_sums_that_cancel_are_not_stored():
@@ -208,8 +224,8 @@ def test_sums_that_cancel_are_not_stored():
     assert want.nnz == 1
     for x, y in ((a, b), (_container(a), _container(b))):
         assert_bitwise_equal(matmul(x, y), want)
-        assert linalg._sum(x, x, -1.0).nnz == 0
-        assert linalg._sum(x, linalg._scaled(x, rows=-np.ones(2))).nnz == 0
+        assert _signed_sums([x], [x])[2].nnz == 0
+        assert _signed_sums([x, linalg._scaled(x, rows=-np.ones(2))], [])[0].nnz == 0
         assert hadamard(x, linalg._scaled(x, rows=np.array([1e-200, 1.0]))).nnz == 2
 
 

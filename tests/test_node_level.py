@@ -25,6 +25,7 @@ from nbtwalks.linalg import (
     spectral_radius,
 )
 from nbtwalks.node_level import (
+    _RESIDUE_ULPS,
     build_node_system,
     elementwise_pole,
     generating_matrix,
@@ -121,6 +122,89 @@ class TestWalkCounts:
             nbt_walk_counts(adjacency(two_node_reciprocated()), -1)
         with pytest.raises(ValidationError):
             nbt_walk_counts(np.eye(2), 2)  # nonzero diagonal
+
+
+def _scipy_walk_counts(a, kmax: int) -> list:
+    """The walk-count recurrence in scipy's own sparse arithmetic, the
+    reference of the numpy one: ``@``, ``multiply``, ``+`` and ``-``, the
+    product with ``sp.diags(d)``, ``sum(axis=1)`` and the ``_RESIDUE_ULPS``
+    rule, each result canonical."""
+
+    def canonical(m) -> sp.csr_array:
+        m = sp.csr_array(m)
+        m.eliminate_zeros()
+        m.sort_indices()
+        return m
+
+    a = canonical(as_csr(a))
+    n = a.shape[0]
+    counts = [canonical(sp.identity(n, format="csr")), a]
+    mutual = canonical(a.multiply(a.T))
+    odd_coeffs, even_diags, mutual_pow = [a], [], None
+    for k in range(2, kmax + 1):
+        if k % 2 == 0:
+            mutual_pow = mutual if mutual_pow is None else canonical(mutual_pow.multiply(mutual))
+            even_diags.append(np.asarray(mutual_pow.sum(axis=1)).ravel())
+        else:
+            odd_coeffs.append(canonical(a.multiply(mutual_pow)))
+        forward = sp.csr_array((n, n))
+        for h, coeff in enumerate(odd_coeffs):
+            if 2 * h + 1 <= k:
+                forward = canonical(forward + coeff @ counts[k - 2 * h - 1])
+        acc, back = forward, sp.csr_array((n, n))
+        for h, d in enumerate(even_diags, start=1):
+            if 2 * h <= k:
+                term = canonical(sp.diags(d) @ counts[k - 2 * h])
+                acc, back = canonical(acc - term), canonical(back + term)
+        bound = (forward + back) * (_RESIDUE_ULPS * k * np.finfo(np.float64).eps)
+        counts.append(canonical(acc.multiply(abs(acc) > bound)))
+    return counts
+
+
+def _reciprocated_graph(seed: int, weights: str) -> WeightedGraph:
+    """A seeded loop-free digraph of 60 nodes on 150 node pairs, about 70% of
+    them reciprocated, with ``weights`` "binary", "integer" (1 to 3) or
+    "lognormal" (sigma 3)."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    pairs = set()
+    while len(pairs) < 150:
+        i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+        pairs.add((min(i, j), max(i, j)))
+    edges = []
+    for i, j in sorted(pairs):
+        if rng.random() < 0.7:
+            edges += [(i, j), (j, i)]
+        else:
+            edges.append((i, j) if rng.random() < 0.5 else (j, i))
+    draw = {"binary": lambda size: np.ones(size),
+            "integer": lambda size: rng.integers(1, 4, size).astype(float),
+            "lognormal": lambda size: rng.lognormal(0.0, 3.0, size)}[weights]
+    return WeightedGraph([str(i) for i in range(n)],
+                         [(s, d, w) for (s, d), w in zip(edges, draw(len(edges)).tolist())])
+
+
+class TestWalkCountsMatchScipy:
+    """``nbt_walk_counts`` returns the tables of the recurrence in scipy's
+    arithmetic, pattern and value bits, from either container."""
+
+    @staticmethod
+    def _check(g: WeightedGraph, kmax: int) -> None:
+        want = _scipy_walk_counts(adjacency(g), kmax)
+        for a in (_adjacency(g), adjacency(g)):
+            got = nbt_walk_counts(a, kmax)
+            assert len(got) == kmax + 1
+            for matrix, expected in zip(got, want):
+                assert type(matrix) is type(a)
+                assert_bitwise_equal(matrix, expected)
+
+    @pytest.mark.parametrize("weights", ["binary", "integer", "lognormal"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_reciprocated_graphs_to_length_8(self, seed, weights):
+        self._check(_reciprocated_graph(seed, weights), 8)
+
+    def test_g300_to_length_6(self):
+        self._check(load_edge_list(Path(__file__).parent / "data" / "golden" / "g300.txt"), 6)
 
 
 class TestNodeSystem:

@@ -33,8 +33,6 @@ from .graph import (
     parse_edge_list,
 )
 from .linalg import (
-    elementwise_map,
-    hadamard,
     matmul,
     solve_linear,
     spectral_radius,

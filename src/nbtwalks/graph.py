@@ -288,9 +288,8 @@ def _merged_edges(labels, src, dst, weight, *, merge, drop_loops, snapshot=None)
 
     group = np.empty(order.size, dtype=np.int64)
     group[order] = np.cumsum(~repeat) - 1
-    total = np.zeros(order.size - int(repeat.sum()))
-    with np.errstate(over="ignore"):  # an overflowing sum is reported below
-        np.add.at(total, group, weight[kept])  # record order within each pair
+    # record order within each pair; an overflowing sum is reported below
+    total = np.bincount(group, weights=weight[kept], minlength=order.size - int(repeat.sum()))
     first = kept[order[~repeat]]
     overflow = np.flatnonzero(~np.isfinite(total))
     if overflow.size:

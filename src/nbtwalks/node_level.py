@@ -13,10 +13,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import (
     DENSE_SOLVE_MAX,
     _canonical,
+    _compact,
     _dense_solve,
     _indptr,
     _from_keys,
@@ -28,8 +29,6 @@ from .linalg import (
     _scaled,
     _signed_sum,
     check_t,
-    elementwise_map,
-    hadamard,
     matmul,
     range_end,
     solve_linear,
@@ -69,19 +68,22 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
     of length k from i to j of the product of their edge weights.  Length 0
     is the identity, length 1 the adjacency; longer lengths follow a growing
     recurrence whose step-back coefficients are built incrementally, one
-    Hadamard product per new depth.  An entry that cancels to zero within the
-    recurrence's rounding error is not stored.
+    elementwise product per new depth.  An entry that cancels to zero within
+    the recurrence's rounding error is not stored.
 
-    Each length makes its products with the adjacency and the odd
-    coefficients and its even step-back terms, and adds them all in one
-    ``linalg._signed_sum``, which gives the forward sum, the step-back sum
-    and their difference on one pattern.  The matrices are bit for bit those
-    of the recurrence in scipy's sparse arithmetic: ``linalg.matmul`` and
-    ``hadamard`` store what scipy's ``@`` and ``multiply`` store, the
-    signed sum adds each entry's terms as the chain of scipy's ``+`` and
-    ``-`` does, a product with a diagonal matrix is a row scaling,
-    ``_scaled``, and the row sums are scipy's ``sum(axis=1)``,
-    ``_row_sums``.
+    The elementwise products are taken at the positions of the reciprocated
+    pairs among A's entries, which ``_mutual`` returns: mu^oh is an array on
+    mu's pattern, times mu at each depth, and A o mu^oh multiplies it by A's
+    entries there, a zero product dropped.  Each length makes its products
+    with the adjacency and the odd coefficients and its even step-back
+    terms, and adds them all in one ``linalg._signed_sum``, which gives the
+    forward sum, the step-back sum and their difference on one pattern.
+    The matrices are bit for bit those of the recurrence in scipy's sparse
+    arithmetic: the elementwise products are what scipy's ``multiply``
+    stores, ``linalg.matmul`` stores what scipy's ``@`` stores, the signed
+    sum adds each entry's terms as the chain of scipy's ``+`` and ``-``
+    does, a product with a diagonal matrix is a row scaling, ``_scaled``,
+    and the row sums are scipy's ``sum(axis=1)``, ``_row_sums``.
     """
     a = _validate_adjacency(adjacency)
     if kmax < 0:
@@ -92,17 +94,21 @@ def nbt_walk_counts(adjacency, kmax: int) -> list[sp.csr_array]:
         return counts
     counts.append(a)
 
-    _, mutual = _mutual(a, _row_of(a.indptr))  # products w_ij * w_ji on reciprocated pairs
+    # products w_ij * w_ji on the reciprocated pairs, and where they sit among A's
+    entries, mutual = _mutual(a, _row_of(a.indptr))
     odd_coeffs = [a]            # step back over 2h+1 edges: A o mutual^oh
     even_diags: list[np.ndarray] = []  # step back over 2h edges: row sums of mutual^oh
-    mutual_pow = None
+    mutual_pow = None           # mutual^oh on mutual's pattern; an underflow stays 0
+
+    def on_mutual(data: np.ndarray):
+        return _compact(mutual, data, mutual.indices, mutual.indptr, mutual.shape)
 
     for k in range(2, kmax + 1):
         if k % 2 == 0:
-            mutual_pow = mutual if mutual_pow is None else hadamard(mutual_pow, mutual)
-            even_diags.append(_row_sums(mutual_pow))
+            mutual_pow = mutual.data if mutual_pow is None else mutual_pow * mutual.data
+            even_diags.append(_row_sums(on_mutual(mutual_pow)))
         else:
-            odd_coeffs.append(hadamard(a, mutual_pow))
+            odd_coeffs.append(on_mutual(a.data[entries] * mutual_pow))
 
         forward = [matmul(coeff, counts[k - 2 * h - 1])
                    for h, coeff in enumerate(odd_coeffs) if 2 * h + 1 <= k]
@@ -164,34 +170,37 @@ def build_node_system(adjacency, t: float):
     pole; beyond it the diagonal correction series diverges and the
     offending pair is reported.
 
+    g is taken on mu's pattern, at the positions of the reciprocated pairs
+    among A's entries that ``_mutual`` returns, so A o g needs no search.
     The entries are those of the sparse assembly ``identity(n) +
-    diag(g.sum(axis=1)) - (t * A + t * hadamard(A, g))`` bit for bit: each
-    sum is taken in that order, the row sums as scipy's ``sum(axis=1)``
-    takes them (``linalg._row_sums``), and an entry that is zero is not
-    stored.
+    diag(g.sum(axis=1)) - (t * A + t * A.multiply(g))`` in scipy's
+    arithmetic bit for bit: each sum is taken in that order, the row sums
+    of g's nonzero entries as scipy's ``sum(axis=1)`` takes them
+    (``linalg._row_sums``), and an entry that is zero is not stored.  A
+    ``t`` below the pole whose t^2 mu rounds to 1 or more raises
+    :class:`NumericalError`.
     """
     a = _validate_adjacency(adjacency)
-    n = a.shape[0]
     rows = _row_of(a.indptr)
     entries, mutual = _mutual(a, rows)
     mu = mutual.data
-    where = ""
+    pair = ""
     if mu.size:
         peak = entries[np.argmax(mu)]
-        where = (", which ends at the elementwise pole of the reciprocated pair "
-                 f"({rows[peak]}, {a.indices[peak]})")
-    check_t(t, _pole(mu), where)
+        pair = f"the reciprocated pair ({rows[peak]}, {a.indices[peak]})"
+    check_t(t, _pole(mu), pair and ", which ends at the elementwise pole of " + pair)
 
-    # g vanishes at 0, so it stays on the reciprocated pattern
-    g = elementwise_map(mutual, lambda x: (t * t * x) / (1.0 - t * t * x))
-    g_rows = _row_of(g.indptr)
-    # t A + t (A o g): the second term where A o g stores an entry; g's
-    # entries are among A's, found with sorted needles
-    entries = np.searchsorted(rows * n + a.indices, g_rows * n + g.indices)
+    x = t * t * mu
+    if x.size and x.max() >= 1.0:
+        raise NumericalError(f"t = {t} lies within rounding of the elementwise pole of {pair}")
+    # g vanishes at 0, so it stays on mu's pattern, where an underflow is 0
+    g = x / (1.0 - x)
+    # t A + t (A o g): the second term where A o g stores an entry
     off = t * a.data
-    a_g = a.data[entries] * g.data
+    a_g = a.data[entries] * g
     hit = a_g != 0
     off[entries[hit]] += t * a_g[hit]
+    g = _compact(mutual, g, mutual.indices, mutual.indptr, mutual.shape)
     return _plus_diagonal(a, 1.0 + _row_sums(g), -off)
 
 

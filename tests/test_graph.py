@@ -55,6 +55,11 @@ class TestParsing:
         g = parse_edge_list("a b 2\na b 3", merge="sum")
         assert g.edges == [(0, 1, 5.0)]
 
+    def test_repeated_pairs_sum_in_record_order(self):
+        # 1e16 + 1 rounds back to 1e16 at each step; 1 + 1 + 1e16 would not
+        g = parse_edge_list("a b 1e16\na b 1\na b 1", merge="sum")
+        assert g.edges == [(0, 1, 1e16)]
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValidationError):
             parse_edge_list("a b 0")

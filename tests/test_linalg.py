@@ -28,8 +28,6 @@ from nbtwalks.graph import (
 )
 from nbtwalks.linalg import (
     as_csr,
-    elementwise_map,
-    hadamard,
     identity,
     matmul,
     solve_linear,
@@ -102,37 +100,6 @@ def test_matmul_associative_random(rng):
         assert rel_dev(matmul(matmul(a, b), c), matmul(a, matmul(b, c))) <= 1e-12
 
 
-def test_hadamard_all_ones_is_identity_map():
-    a = as_csr([[0, 2], [3, 0]])
-    ones = as_csr(np.ones((2, 2)))
-    assert rel_dev(hadamard(a, ones), a) == 0.0
-
-
-def test_hadamard_transpose_pattern():
-    a = as_csr([[0, 2], [3, 0]])
-    b = as_csr([[0, 3], [2, 0]])
-    assert hadamard(a, b).toarray().tolist() == [[0, 6], [6, 0]]
-
-
-def test_hadamard_disjoint_patterns():
-    a = as_csr([[0, 2], [0, 0]])
-    b = as_csr([[0, 0], [3, 0]])
-    assert hadamard(a, b).nnz == 0
-
-
-def test_hadamard_commutes_and_mask_idempotent(rng):
-    a = as_csr(rng.random((5, 5)) * (rng.random((5, 5)) < 0.5))
-    b = as_csr(rng.random((5, 5)) * (rng.random((5, 5)) < 0.5))
-    assert rel_dev(hadamard(a, b), hadamard(b, a)) == 0.0
-    mask = a.copy()
-    mask.data = np.ones_like(mask.data)
-    once = hadamard(b, mask)
-    twice = hadamard(once, mask)
-    assert rel_dev(once, twice) == 0.0
-    with pytest.raises(ValidationError):
-        hadamard(a, identity(3))
-
-
 # The numpy sparse arithmetic against scipy's, bit for bit: the same pattern,
 # index values and data bits, whichever container and index width.
 
@@ -192,7 +159,6 @@ def test_sparse_arithmetic_matches_scipy_bit_for_bit(container, index, kind):
         product = matmul(x, y)
         assert type(product) is type(x)
         assert_bitwise_equal(product, _scipy_result(a @ b))
-        assert_bitwise_equal(hadamard(u, v), _scipy_result(c.multiply(d)))
         total = _signed_sums([u, v], [])[0]
         assert type(total) is type(u)
         assert_bitwise_equal(total, c + d)
@@ -226,7 +192,6 @@ def test_sums_that_cancel_are_not_stored():
         assert_bitwise_equal(matmul(x, y), want)
         assert _signed_sums([x], [x])[2].nnz == 0
         assert _signed_sums([x, linalg._scaled(x, rows=-np.ones(2))], [])[0].nnz == 0
-        assert hadamard(x, linalg._scaled(x, rows=np.array([1e-200, 1.0]))).nnz == 2
 
 
 @pytest.mark.parametrize("container", ["_CSR", "scipy"])
@@ -282,28 +247,6 @@ def test_product_with_a_dense_block_matches_scipy():
     a = _sparse(rng, (40, 30), 0.3, np.int64, "normal")
     x = rng.standard_normal((30, 7))
     assert np.array_equal((_container(a) @ x).view(np.int64), (a @ x).view(np.int64))
-
-
-def test_elementwise_sqrt():
-    a = as_csr([[0, 4], [9, 0]])
-    assert elementwise_map(a, np.sqrt).toarray().tolist() == [[0, 2], [3, 0]]
-
-
-def test_elementwise_geometric_factor():
-    a = as_csr([[0, 0.5], [0, 0]])
-    out = elementwise_map(a, lambda x: x / (1 - x))
-    assert out[0, 1] == 1.0
-
-
-def test_elementwise_pole_raises():
-    a = as_csr([[0, 1.0], [0, 0]])
-    with pytest.raises(NumericalError, match="pole"):
-        elementwise_map(a, lambda x: x / (1 - x))
-
-
-def test_elementwise_requires_vanishing_at_zero():
-    with pytest.raises(ValidationError):
-        elementwise_map(identity(2), lambda x: x + 1)
 
 
 class _CountedCSR(sp.csr_array):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from nbtwalks.crosschecks import _safe_t
-from nbtwalks.errors import ValidationError
+from nbtwalks.errors import NumericalError, ValidationError
 from nbtwalks.graph import (
     WeightedGraph,
     _adjacency,
@@ -18,7 +18,6 @@ from nbtwalks.graph import (
 from nbtwalks.linalg import (
     _CSR,
     as_csr,
-    hadamard,
     identity,
     identity_minus,
     solve_linear,
@@ -203,6 +202,19 @@ class TestWalkCountsMatchScipy:
     def test_seeded_reciprocated_graphs_to_length_8(self, seed, weights):
         self._check(_reciprocated_graph(seed, weights), 8)
 
+    def test_underflowing_step_back_coefficients_to_length_8(self):
+        # a new reciprocated pair of weight 1e-50: mu^o4 underflows on it,
+        # so the step-back coefficients lose entries as the depth grows
+        g = _reciprocated_graph(0, "lognormal")
+        pairs = {(s, d) for s, d, _ in g.edges}
+        i, j = next((i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                    if (i, j) not in pairs and (j, i) not in pairs)
+        g = WeightedGraph(g.node_labels, g.edges + [(i, j, 1e-50), (j, i, 1e-50)])
+        a = adjacency(g)
+        mutual = a.multiply(a.T)
+        assert [np.count_nonzero(mutual.data ** h) for h in range(1, 5)] == [196, 196, 196, 194]
+        self._check(g, 8)
+
     def test_g300_to_length_6(self):
         self._check(load_edge_list(Path(__file__).parent / "data" / "golden" / "g300.txt"), 6)
 
@@ -233,11 +245,18 @@ class TestNodeSystem:
         with pytest.raises(ValidationError, match=r"\(0, 1\)|\(1, 0\)"):
             build_node_system(a, 0.5)  # t^2 * 4 = 1
 
+    def test_t_that_rounds_to_the_pole_raises(self):
+        # t one ulp below the pole 1 / sqrt(1.5), where t^2 * 1.5 rounds to 1
+        a = adjacency(WeightedGraph(["a", "b"], [(0, 1, 1.0), (1, 0, 1.5)]))
+        t = np.nextafter(elementwise_pole(a), 0.0)
+        with pytest.raises(NumericalError, match=r"elementwise pole of the reciprocated pair \(0, 1\)"):
+            build_node_system(a, t)
+
     def test_sign_structure(self, rng):
         for _ in range(10):
             g = random_digraph(rng, 5)
             a = adjacency(g)
-            mutual = hadamard(a, a.T)
+            mutual = a.multiply(a.T)
             peak = float(mutual.data.max()) if mutual.nnz else 0.0
             t = 0.5 / np.sqrt(peak) if peak else 0.4
             m = build_node_system(a, t).toarray()

@@ -147,7 +147,8 @@ def _load_input(args, apply_binarize: bool = True):
 def _binarized(mode, data):
     if mode == "static":
         return binarize(data)
-    return TemporalGraph([binarize(g) for g in data.snapshots], list(data.timestamps))
+    return TemporalGraph._stacked(data.node_labels, data.timestamps, data.offsets, data.src,
+                                  data.dst, np.ones(data.src.size))
 
 
 class _Measure:
@@ -536,7 +537,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", parents=[common],
                        help="cross-validate every route against enumeration")
-    p.add_argument("--kmax", type=length, default=5, help="largest walk length to check")
+    p.add_argument("--kmax", type=length, default=5,
+                   help="largest walk length to check; on temporal input, walks of 1 to "
+                        "min(kmax, 4) + 1 edges are checked")
     p.set_defaults(func=cmd_oracle_check)
     return parser
 

@@ -332,8 +332,8 @@ def _adjacency(graph: WeightedGraph) -> _CSR:
 
 
 def binarize(graph: WeightedGraph) -> WeightedGraph:
-    """The graph with every weight set to 1.  It shares the node-label list,
-    so binarized snapshots of a temporal graph keep their one list."""
+    """The graph with every weight set to 1.  It shares the node-label list
+    and the edge arrays ``src`` and ``dst``."""
     return WeightedGraph._canonical(graph.node_labels, graph.src, graph.dst, np.ones(graph.m))
 
 

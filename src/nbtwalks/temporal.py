@@ -77,49 +77,66 @@ class BacktrackRegime(enum.Enum):
         return self in (BacktrackRegime.FORBID_TIME, BacktrackRegime.FORBID_ALL)
 
 
-@dataclass
 class TemporalGraph:
-    """Ordered snapshot sequence over one shared node set, with its edges
-    stacked once, at construction: the read-only arrays ``src``, ``dst`` and
-    ``weight``, in which snapshot tau holds ``offsets[tau]:offsets[tau + 1]``,
-    are the global edges of every temporal layer."""
+    """Ordered snapshot sequence over one shared node set, stored once as its
+    stacked edges: the read-only arrays ``src``, ``dst`` and ``weight``, in
+    which snapshot tau holds ``offsets[tau]:offsets[tau + 1]``, sorted by
+    (src, dst), are the global edges of every temporal layer.  The
+    constructor takes a list of :class:`WeightedGraph` snapshots over one
+    node set and stacks it; ``snapshots`` gives them back as views over the
+    stacked arrays, made on first access."""
 
-    snapshots: list[WeightedGraph]
-    timestamps: list[float]
-
-    def __post_init__(self):
-        if len(self.snapshots) != len(self.timestamps):
+    def __init__(self, snapshots, timestamps):
+        if len(snapshots) != len(timestamps):
             raise ValidationError("one timestamp per snapshot required")
-        if not self.snapshots:
+        if not snapshots:
             raise ValidationError("a temporal graph needs at least one snapshot")
-        labels = self.snapshots[0].node_labels
-        for g in self.snapshots[1:]:
+        labels = snapshots[0].node_labels
+        for g in snapshots[1:]:
             if g.node_labels is not labels and g.node_labels != labels:
                 raise ValidationError("all snapshots must share one node set")
-        ts = list(self.timestamps)
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValidationError("timestamps must be non-decreasing")
-        self.offsets = np.cumsum([0] + [g.m for g in self.snapshots], dtype=np.int64)
-        self.src = np.concatenate([g.src for g in self.snapshots])
-        self.dst = np.concatenate([g.dst for g in self.snapshots])
-        self.weight = np.concatenate([g.weight for g in self.snapshots])
-        for a in (self.offsets, self.src, self.dst, self.weight):
+        self._assign(labels, timestamps, np.cumsum([0] + [g.m for g in snapshots], dtype=np.int64),
+                     *(np.concatenate([getattr(g, key) for g in snapshots])
+                       for key in ("src", "dst", "weight")))
+
+    @classmethod
+    def _stacked(cls, labels, timestamps, offsets, src, dst, weight) -> TemporalGraph:
+        """A temporal graph from stacked edge arrays already validated and
+        sorted by (snapshot, src, dst).  It takes the arrays without a copy
+        and marks them read-only."""
+        tg = cls.__new__(cls)
+        tg._assign(labels, timestamps, offsets, src, dst, weight)
+        return tg
+
+    def _assign(self, labels, timestamps, offsets, src, dst, weight) -> None:
+        timestamps = list(timestamps)
+        if not all(map(math.isfinite, timestamps)) or any(
+                b < a for a, b in zip(timestamps, timestamps[1:])):
+            raise ValidationError("timestamps must be finite and non-decreasing")
+        self.node_labels, self.timestamps = labels, timestamps
+        self.offsets, self.src, self.dst, self.weight = offsets, src, dst, weight
+        for a in (offsets, src, dst, weight):
             a.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.snapshots[0].n
+        return len(self.node_labels)
 
-    @property
-    def node_labels(self) -> list[str]:
-        return self.snapshots[0].node_labels
+    @cached_property
+    def snapshots(self) -> list[WeightedGraph]:
+        """The snapshots as graphs whose arrays are views over the stacked
+        ones."""
+        bounds = self.offsets.tolist()
+        return [WeightedGraph._canonical(self.node_labels, self.src[lo:hi], self.dst[lo:hi],
+                                         self.weight[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     @cached_property
     def _stacked_adjacency(self) -> _CSR:
         """The snapshot adjacencies as one block-diagonal ``_CSR``, snapshot
         tau's nodes at tau * n.  The stacked arrays, sorted by (snapshot,
         src, dst), are its entries in CSR order already."""
-        size = self.n * len(self.snapshots)
+        size = self.n * (self.offsets.size - 1)
         shift = self.n * _row_of(self.offsets)
         return _CSR((self.weight, self.dst + shift, _indptr(self.src + shift, size)),
                     shape=(size, size))
@@ -128,7 +145,7 @@ class TemporalGraph:
     def max_adjacency_radius(self) -> float:
         """Largest snapshot adjacency radius, the classical measure's bound:
         that of the stacked adjacency."""
-        return _max_radius(self._stacked_adjacency, self.n * np.arange(len(self.snapshots) + 1))
+        return _max_radius(self._stacked_adjacency, self.n * np.arange(self.offsets.size))
 
     def _chain_matrix(self, x: np.ndarray, regime: BacktrackRegime, *,
                       diagonal: bool = False) -> _CSR:
@@ -336,23 +353,26 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
     snapshot to the first without assembling M.  Row block tau reads
     ``(I - t D_tau) y_tau = b_tau`` with D_tau the diagonal block, a slice
     of ``gd.blocks``, and
-    ``b_tau = sqrt_w * (1 + t (s[dst] - r[(dst, src)]))``: ``s`` sums
-    ``sqrt_w * y`` over the later edges leaving each node, and ``r`` the
-    same sums per ordered node pair, subtracted only when the regime forbids
-    backtracking in time (the reversal of edge (i, j) is (j, i)).  After all
-    snapshots, ``s`` is the projection ``L^T Z^1/2 y`` itself.  Scores grow
-    with every snapshot; the first right-hand side, solution or sum that is
-    not finite raises :class:`NumericalError` (``_in_range``).
+    ``b_tau = sqrt_w * (1 + t * later)``: ``s`` sums ``sqrt_w * y`` over the
+    later edges leaving each node, and ``r`` the same sums per ordered node
+    pair.  ``later`` is ``s[dst]``, or, when the regime forbids backtracking
+    in time, the sum of ``r`` over the target's pairs other than the
+    reversal (the reversal of edge (i, j) is (j, i)), by ``_later_sums``.
+    After all snapshots, ``s`` is the projection ``L^T Z^1/2 y`` itself.
+    Scores grow with every snapshot; the first right-hand side, solution or
+    sum that is not finite raises :class:`NumericalError` (``_in_range``).
     """
     tg, n = gd.temporal, gd.n
     s = np.zeros(n)
     if gd.regime.forbids_time:
         # a slot of r per node pair that is an edge or an edge's reversal, by
-        # edge in own and rev; the slot of a reversal that is no edge stays 0
+        # edge in own and rev; the slot of a reversal that is no edge stays 0.
+        # Node i's pairs (i, j) hold the slots run[i]:run[i + 1].
         pairs, slots = np.unique(np.concatenate([tg.src * n + tg.dst, tg.dst * n + tg.src]),
                                  return_inverse=True)
         own, rev = np.split(slots, 2)
         r = np.zeros(pairs.size)
+        run = np.searchsorted(pairs, np.arange(n + 1) * n)
     # an overflow is reported by _in_range, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for tau in reversed(range(tg.offsets.size - 1)):
@@ -361,9 +381,7 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
                 continue
             src, dst, sqrt_w = tg.src[lo:hi], tg.dst[lo:hi], gd.sqrt_weights[lo:hi]
             block = _diagonal_block(gd.blocks, lo, hi)
-            later = s[dst]
-            if gd.regime.forbids_time:
-                later = later - r[rev[lo:hi]]
+            later = _later_sums(s, r, run, dst, rev[lo:hi]) if gd.regime.forbids_time else s[dst]
             b = _in_range(sqrt_w * (1.0 + t * later), tau)
             y = _certified_block_solve(block, t, b, tol, tau)
             z = sqrt_w * y
@@ -371,6 +389,30 @@ def _back_substitute(gd: GlobalDecomposition, t: float, tol: float) -> np.ndarra
             if gd.regime.forbids_time:
                 r[own[lo:hi]] += z
         return _in_range(s, 0)
+
+
+def _later_sums(s: np.ndarray, r: np.ndarray, run: np.ndarray, dst: np.ndarray,
+                rev: np.ndarray) -> np.ndarray:
+    """Per edge, the sum of the nonnegative ``r`` over its target's slots
+    ``run[dst]:run[dst + 1]``, which sum to ``s[dst]``, less the reversal's
+    slot ``rev``.  Where ``r[rev] <= s[dst] / 2`` that is ``s[dst] -
+    r[rev]``, within about twice the two sums' relative error; elsewhere the
+    difference may cancel, so the other slots are added.  Up to rounding, at
+    most one slot of a node holds over half its sum, so a snapshot, whose
+    edges into one node have distinct reversals, reads each slot at most
+    once here."""
+    total, back = s[dst], r[rev]
+    later = total - back
+    exact = np.flatnonzero(back > 0.5 * total)
+    if exact.size:
+        target = dst[exact]
+        start = run[target]
+        counts = run[target + 1] - start   # each run holds its rev slot
+        first = np.cumsum(counts) - counts
+        slot = np.arange(first[-1] + counts[-1]) + np.repeat(start - first, counts)
+        terms = np.where(slot == np.repeat(rev[exact], counts), 0.0, r[slot])
+        later[exact] = np.add.reduceat(terms, first)
+    return later
 
 
 def _in_range(x: np.ndarray, tau: int) -> np.ndarray:
@@ -443,8 +485,8 @@ def classical_temporal_katz(tg: TemporalGraph, t: float, tol: float = 1e-10) -> 
     n, x = tg.n, np.ones(tg.n)
     # an overflow is reported by _in_range, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau in reversed(range(len(tg.snapshots))):
-            if tg.snapshots[tau].m:   # the resolvent of an edgeless snapshot is I
+        for tau in reversed(range(tg.offsets.size - 1)):
+            if tg.offsets[tau] < tg.offsets[tau + 1]:   # an edgeless snapshot's resolvent is I
                 block = _diagonal_block(tg._stacked_adjacency, tau * n, (tau + 1) * n)
                 x = _certified_block_solve(block, t, x, tol, tau)
     return x
@@ -506,11 +548,9 @@ def _temporal_graph(src, dst, weight, snapshot, timestamps, *, merge, drop_loops
     and ``dst``, ``weight`` and ``snapshot``, an index into ``timestamps``,
     over the node set of every record, in input order.  One ``_merged_edges``
     pass checks every record, naming the first bad one in input order, and
-    its arrays, sorted by (snapshot, src, dst), are cut into the snapshots."""
+    its arrays, sorted by (snapshot, src, dst), are the stacked edges."""
     labels, src_codes, dst_codes = _code_labels(src, dst)
     tau, *edges = _merged_edges(labels, src_codes, dst_codes, weight, merge=merge,
                                 drop_loops=drop_loops, snapshot=snapshot)
-    cuts = np.searchsorted(tau, np.arange(len(timestamps) + 1))
-    snapshots = [WeightedGraph._canonical(labels, *(a[lo:hi] for a in edges))
-                 for lo, hi in zip(cuts[:-1], cuts[1:])]
-    return TemporalGraph(snapshots=snapshots, timestamps=timestamps)
+    offsets = np.searchsorted(tau, np.arange(len(timestamps) + 1))
+    return TemporalGraph._stacked(labels, timestamps, offsets, *edges)

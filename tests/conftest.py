@@ -19,6 +19,7 @@ if importlib.util.find_spec("nbtwalks") is None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import nbtwalks  # noqa: E402
+from nbtwalks.edge_level import project_to_nodes  # noqa: E402
 from nbtwalks.graph import WeightedGraph  # noqa: E402
 from nbtwalks.linalg import matmul  # noqa: E402
 
@@ -126,6 +127,29 @@ def write_uniform_temporal(path, seed, n, m, count):
         lines.extend(f"{tau} v{s} v{d} {w:.6g}\n" for s, d, w in zip(src, dst, weights))
     path.write_text("".join(lines), encoding="utf-8")
     return path
+
+
+def dense_resolvent_scores(gd, t) -> np.ndarray:
+    """Temporal resolvent scores from one dense solve of the assembled I - tM."""
+    system = np.eye(gd.m_total) - t * gd.M.toarray()
+    y = np.linalg.solve(system, gd.sqrt_weights)
+    return 1.0 + t * project_to_nodes(gd.temporal.src, gd.sqrt_weights, y, gd.n)
+
+
+def reversal_heavy_text(count, clique, exit_weight=1.0) -> str:
+    """``time src dst weight`` records of a temporal graph whose resolvent's
+    later sums are nearly all one reversal pair.  Snapshot 0 holds a -> b of
+    weight 1e30, on no cycle; each of snapshots 1 to ``count`` holds b -> a
+    of weight 1, b -> c of weight ``exit_weight`` and the complete digraph of
+    weight 1 on a and ``clique - 1`` nodes x0, x1, ...  Edge a -> b's score
+    under a regime that forbids backtracking in time needs b's later
+    out-mass less its part on the pair (b, a), which can be most of it."""
+    nodes = ["a"] + [f"x{i}" for i in range(clique - 1)]
+    lines = ["0 a b 1e30"]
+    for tau in range(1, count + 1):
+        lines += [f"{tau} b a 1", f"{tau} b c {exit_weight!r}"]
+        lines += [f"{tau} {u} {v} 1" for u in nodes for v in nodes if u != v]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

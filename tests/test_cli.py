@@ -12,7 +12,7 @@ import nbtwalks.cli
 import nbtwalks.temporal
 from nbtwalks.cli import _kendall_tau_b, _ranking, main, printed, read_back
 from nbtwalks.crosschecks import CheckResult
-from nbtwalks.graph import adjacency, line_graph
+from nbtwalks.graph import WeightedGraph, adjacency, line_graph
 from nbtwalks.linalg import as_csr, spectral_radius
 from nbtwalks.temporal import (
     BacktrackRegime,
@@ -20,7 +20,12 @@ from nbtwalks.temporal import (
     parse_temporal_edge_list,
 )
 
-from conftest import cli_env, write_uniform_temporal
+from conftest import (
+    cli_env,
+    dense_resolvent_scores,
+    reversal_heavy_text,
+    write_uniform_temporal,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -202,7 +207,56 @@ class TestTransitionAssembly:
         assert assembled
 
 
+class TestStackedTemporalInput:
+    """A temporal input is read into its stacked edge arrays, and
+    ``--binarize`` sets their weights to 1: no command but ``oracle-check``
+    builds a snapshot graph, by a reader, ``--binarize`` or ``snapshots``."""
+
+    @pytest.mark.parametrize("command", [
+        ["radius", "--binarize"],
+        ["centrality", "--binarize", "--measure", "nbt-katz", "--t", "0.5r"],
+        ["centrality", "--binarize", "--measure", "katz", "--t", "0.5r"],
+        ["centrality", "--measure", "nbt-katz", "--t", "0.9r", "--regime", "forbid-time"],
+        ["centrality", "--measure", "f-centrality", "--series", "exponential", "--t", "0.1"],
+        ["sweep", "--measure", "nbt-katz", "--grid", "0.2r,0.7r"],
+        ["walk-count", "--kmax", "2"],
+    ])
+    def test_builds_no_snapshot_graph(self, temporal3, monkeypatch, command, capsys):
+        built = []
+        canonical = WeightedGraph._canonical
+
+        def counted(cls, *args):
+            built.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(WeightedGraph, "_canonical", classmethod(counted))
+        code, out, _ = run_cli([*command, "--input", temporal3, "--temporal"], capsys)
+        assert code == 0 and out
+        assert built == []
+
+
 class TestCentrality:
+    def test_temporal_resolvent_reversal_heavy(self, tmp_path, capsys):
+        # 1,249 edges: 39 snapshots of b -> a, b -> c of weight 1e12 and a
+        # 6-node clique behind a -> b of weight 1e30.  Subtracting the pair
+        # (b, a) from b's later out-mass printed a = 1.25000000023e+39.
+        text = reversal_heavy_text(39, 6, 1e12)
+        path = tmp_path / "reversal_heavy.txt"
+        path.write_text(text)
+        code, out, err = run_cli(["centrality", "--input", str(path), "--temporal",
+                                  "--measure", "nbt-katz", "--t", "0.9r"], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows[0][0] == "a"
+        gd = build_global_transition(parse_temporal_edge_list(text), BacktrackRegime.FORBID_ALL)
+        assert gd.m_total == 1249
+        dense = dense_resolvent_scores(gd, 0.9 / gd.transition_radius)
+        labels = gd.temporal.node_labels
+        got = read_back([score for _, score, _ in rows])
+        want = dense[[labels.index(node) for node, _, _ in rows]]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+        assert rows[0][1] == "1.975625e+42"
+
     def test_temporal_resolvent_near_the_radius(self, tmp_path, capsys):
         # 500 nodes, 20 snapshots of 500 uniformly placed edges: the global
         # GMRES solve of I - tM stalled here and exited 3 after a minute

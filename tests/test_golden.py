@@ -55,6 +55,10 @@ CASES = {
     "walk_count_static_json": ["walk-count", "--input", G300, "--kmax", "3",
                                "--format", "json"],
     "radius_static_json": ["radius", "--input", G300, "--binarize", "--format", "json"],
+    "radius_temporal_binarized": ["radius", "--input", TEMPORAL, "--temporal", "--binarize"],
+    "centrality_temporal_nbt_katz_binarized": ["centrality", "--input", TEMPORAL, "--temporal",
+                                               "--binarize", "--measure", "nbt-katz",
+                                               "--t", "0.5r"],
 }
 
 

@@ -38,10 +38,12 @@ from nbtwalks.temporal import (
 
 from conftest import (
     assert_bitwise_equal,
+    dense_resolvent_scores,
     diag_matrix,
     product_form,
     random_digraph,
     rel_dev,
+    reversal_heavy_text,
     write_uniform_temporal,
 )
 
@@ -81,6 +83,63 @@ class TestValidation:
     def test_equal_timestamps_permitted(self):
         g = WeightedGraph(["a"], [])
         TemporalGraph([g, g], [1.0, 1.0])
+
+    @pytest.mark.parametrize("stamps", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0],
+                                        [0.0, math.nan]])
+    def test_non_finite_timestamps(self, stamps):
+        # the readers refuse such stamps as "bad time stamp"; both
+        # constructors share one check
+        g = WeightedGraph(["a", "b"], [(0, 1, 1.0)])
+        with pytest.raises(ValidationError, match="finite and non-decreasing"):
+            TemporalGraph([g, g], stamps)
+        tg = TemporalGraph([g, g], [0.0, 1.0])
+        with pytest.raises(ValidationError, match="finite and non-decreasing"):
+            TemporalGraph._stacked(tg.node_labels, stamps, tg.offsets, tg.src, tg.dst, tg.weight)
+
+
+class TestStackedStore:
+    """A temporal graph stores its edges once, as the stacked arrays: its
+    snapshots are views over them, and no reader builds a snapshot graph."""
+
+    TEXT = "0 a b 2\n1 b a 3\n1 a c 1\n3 c a 2\n"
+
+    def test_holds_only_the_stacked_arrays(self):
+        tg = parse_temporal_edge_list(self.TEXT)
+        assert set(vars(tg)) == {"node_labels", "timestamps", "offsets", "src", "dst", "weight"}
+        g = WeightedGraph(["a", "b"], [(0, 1, 1.0)])
+        assert set(vars(TemporalGraph([g, g], [0.0, 1.0]))) == set(vars(tg))
+
+    def test_snapshots_are_views_of_the_stacked_arrays(self):
+        g = WeightedGraph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 2.0)])
+        for tg in (parse_temporal_edge_list(self.TEXT), TemporalGraph([g, g], [0.0, 1.0])):
+            for tau, snapshot in enumerate(tg.snapshots):
+                lo, hi = tg.offsets[tau], tg.offsets[tau + 1]
+                assert snapshot.node_labels is tg.node_labels
+                for name in ("src", "dst", "weight"):
+                    view, stacked = getattr(snapshot, name), getattr(tg, name)
+                    assert np.shares_memory(view, stacked)
+                    assert np.array_equal(view, stacked[lo:hi])
+                    assert not view.flags.writeable
+            assert tg.snapshots is tg.snapshots   # made once
+
+    def test_readers_build_no_snapshot_graph(self, tmp_path, monkeypatch):
+        built = []
+        canonical = WeightedGraph._canonical
+
+        def counted(cls, *args):
+            built.append(args)
+            return canonical(*args)
+
+        path = tmp_path / "t.txt"
+        path.write_text(self.TEXT)
+        for tau, body in enumerate(["a b 2\n", "b a 3\na c 1\n", "", "c a 2\n"]):
+            (tmp_path / f"s{tau}.txt").write_text(body)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"s{tau}.txt\n" for tau in range(4)))
+        monkeypatch.setattr(WeightedGraph, "_canonical", classmethod(counted))
+        graphs = [load_temporal_edge_list(path), load_temporal_manifest(manifest)]
+        assert built == []
+        assert [tg.offsets.tolist() for tg in graphs] == [[0, 1, 3, 4], [0, 1, 3, 3, 4]]
 
 
 class TestGlobalAssembly:
@@ -471,13 +530,6 @@ class TestProjectionToNodes:
         assert np.array_equal(temporal_f_centrality(gd, series, t), want)
 
 
-def dense_resolvent_scores(gd, t) -> np.ndarray:
-    """Scores from one dense solve of the assembled I - tM."""
-    system = np.eye(gd.m_total) - t * gd.M.toarray()
-    y = np.linalg.solve(system, gd.sqrt_weights)
-    return 1.0 + t * project_to_nodes(gd.temporal.src, gd.sqrt_weights, y, gd.n)
-
-
 class TestSnapshotBackSubstitution:
     """The resolvent solved one snapshot block at a time, last to first,
     near the radius, where a global solve of I - tM failed."""
@@ -492,6 +544,26 @@ class TestSnapshotBackSubstitution:
         t = fraction / gd.transition_radius
         scores = temporal_f_centrality(gd, RESOLVENT, t)
         np.testing.assert_allclose(scores, dense_resolvent_scores(gd, t), rtol=1e-9, atol=0)
+
+
+class TestLaterSumsDoNotCancel:
+    """A right-hand side of the back-substitution that leaves out the
+    reversal pair does not subtract it where it holds most of the target's
+    later out-mass.  On the reversal-heavy inputs the subtraction returned
+    a's score off by 0.92 (forbid-time) and 0.96 (forbid-all) at 0.9r, with
+    every block solve certified."""
+
+    @pytest.mark.parametrize("regime", list(BacktrackRegime))
+    @pytest.mark.parametrize("exit_weight", [1.0, 1e6, 1e12, 1e24])
+    def test_matches_dense_solve(self, regime, exit_weight):
+        # 193 edges: 24 snapshots of b -> a, b -> c and a 3-node clique; at
+        # exit weight 1 this is the reproducer
+        gd = build_global_transition(
+            parse_temporal_edge_list(reversal_heavy_text(24, 3, exit_weight)), regime)
+        assert gd.m_total == 193
+        t = 0.9 / gd.transition_radius
+        np.testing.assert_allclose(temporal_f_centrality(gd, RESOLVENT, t),
+                                   dense_resolvent_scores(gd, t), rtol=1e-12, atol=0)
 
 
 # Two snapshots.  Edge b->d of snapshot 0 weighs 1e-12 and no later edge
